@@ -58,8 +58,8 @@ def ceil_log2(n: int) -> int:
 def _check_args(n: int, gamma: float, min_n: int) -> None:
     if n < min_n:
         raise InvalidSize(f"n must be >= {min_n}, got {n}")
-    if not gamma > 0:
-        raise InvalidGamma(f"gamma must be > 0, got {gamma}")
+    if not 0 < gamma < math.inf:
+        raise InvalidGamma(f"gamma must be finite and > 0, got {gamma}")
 
 
 def _competition_neurons(n: int, n_aux: int) -> tuple[Neuron, ...]:
@@ -256,8 +256,8 @@ class WtaInstance:
             raise WtaLabError(f"t_s must be >= 1, got {self.t_s}")
         if self.t_c < 1:
             raise WtaLabError(f"t_c must be >= 1, got {self.t_c}")
-        if not self.gamma > 0:
-            raise InvalidGamma(f"gamma must be > 0, got {self.gamma}")
+        if not 0 < self.gamma < math.inf:
+            raise InvalidGamma(f"gamma must be finite and > 0, got {self.gamma}")
         bits = self.input_bits or tuple([1] * self.n)
         if len(bits) != self.n or any(b not in (0, 1) for b in bits):
             raise WtaLabError("input_bits must be n bits")

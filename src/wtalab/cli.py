@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -64,8 +65,10 @@ def _load_window(args) -> ExecutionWindow | None:
 
 def _positive_gamma(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"InvalidGamma: gamma must be > 0, got {value}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"InvalidGamma: gamma must be finite and > 0, got {value}"
+        )
     return value
 
 

@@ -154,12 +154,12 @@ def batch_convergence_times(
     h = spec.history
     if t0 is None:
         t0 = h
-    n = spec.input_indices.size
+    outputs = spec.output_indices
     xr = _x_rows(x, batch)
     scan = _ConvergenceScan(xr, t_s)
-    frames = np.asarray(windows0, dtype=np.float64)
+    frames = np.asarray(windows0, dtype=np.uint8)
     for j in range(h):
-        scan.update(j, frames[:, j, n : 2 * n].astype(np.uint8))
+        scan.update(j, frames[:, j, outputs])
 
     converged = np.full(batch, -1, dtype=np.int64)
     finals = np.zeros((batch, h, spec.n_neurons), dtype=np.uint8) if capture_final else None
@@ -173,7 +173,7 @@ def batch_convergence_times(
         if done.any():
             converged[alive[done]] = scan.converged_at[done]
             if finals is not None:
-                finals[alive[done]] = frames[done].astype(np.uint8)
+                finals[alive[done]] = frames[done]
             keep = ~done
             alive = alive[keep]
             frames = frames[keep]
@@ -186,10 +186,10 @@ def batch_convergence_times(
             break
         t_abs = t0 + (step_idx - h)
         frames = runner.advance(frames, t_abs, trial_ids[alive], xr_alive)
-        scan.update(step_idx, frames[:, -1, n : 2 * n].astype(np.uint8))
+        scan.update(step_idx, frames[:, -1, outputs])
         harvest()
     if finals is not None and alive.size:
-        finals[alive] = frames.astype(np.uint8)
+        finals[alive] = frames
     if capture_final:
         return converged, finals
     return converged

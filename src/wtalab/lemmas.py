@@ -146,12 +146,12 @@ def _simulate(spec: NetworkSpec, windows0: np.ndarray, x_rows: np.ndarray,
     rng = RandomnessContract(seed)
     runner = BatchRunner(spec, rng)
     trials = np.arange(windows0.shape[0], dtype=np.int64)
-    frames = np.asarray(windows0, dtype=np.float64)
+    frames = np.asarray(windows0, dtype=np.uint8)
     h = spec.history
     out = []
     for k in range(steps):
         frames = runner.advance(frames, h + k, trials, x_rows)
-        out.append(frames[:, -1, :].astype(np.uint8))
+        out.append(frames[:, -1, :])
     return out
 
 

@@ -12,14 +12,20 @@ Structural rules enforced here:
 * inputs and outputs are excitatory;
 * no synapse targets an input neuron;
 * Dale's principle: an excitatory neuron has only nonnegative outgoing
-  weights, an inhibitory one only nonpositive, at every lag.
+  weights, an inhibitory one only nonpositive, at every lag;
+* weights, biases and the temperature are finite.
+
+``NetworkSpec.synapses`` is the one sparse view of the weights: validation,
+``edges`` and the batch stepper all read it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -57,10 +63,20 @@ class Neuron:
             raise InvalidNetwork(f"unknown polarity {self.polarity!r}")
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+def _readonly(a: np.ndarray, dtype=np.float64) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=dtype)
     a.setflags(write=False)
     return a
+
+
+class Synapses(NamedTuple):
+    """Every nonzero weight as parallel read-only arrays, in ``weights`` scan
+    order (lag, then pre, then post): ``weights[lag0, pre, post] == weight``."""
+
+    lag0: np.ndarray
+    pre: np.ndarray
+    post: np.ndarray
+    weight: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,11 +108,37 @@ class NetworkSpec:
             raise InvalidNetwork(f"biases shape {b.shape} != ({n},)")
         if self.history < 1:
             raise InvalidNetwork("history must be >= 1")
+        if not math.isfinite(self.lam):
+            raise InvalidNetwork(f"lam must be finite, got {self.lam}")
         if not self.lam > 0:
             raise NonpositiveTemperature(f"lam must be > 0, got {self.lam}")
+        bad = np.flatnonzero(~np.isfinite(b))
+        if bad.size:
+            raise InvalidNetwork(f"non-finite bias {b[bad[0]]} at neuron {bad[0]}")
         object.__setattr__(self, "weights", _readonly(w))
         object.__setattr__(self, "biases", _readonly(b))
         object.__setattr__(self, "neurons", tuple(self.neurons))
+        # NaN and inf compare unequal to 0.0, so the synapse scan sees them all
+        syn = self.synapses
+        bad = np.flatnonzero(~np.isfinite(syn.weight))
+        if bad.size:
+            k = bad[0]
+            raise InvalidNetwork(
+                f"non-finite weight {syn.weight[k]} at lag {syn.lag0[k] + 1} "
+                f"from neuron {syn.pre[k]} to neuron {syn.post[k]}"
+            )
+
+    @cached_property
+    def synapses(self) -> Synapses:
+        """The nonzero synapses, found by one scan of ``weights``."""
+        flat = np.flatnonzero(self.weights.ravel() != 0.0)
+        lag0, pre, post = np.unravel_index(flat, self.weights.shape)
+        return Synapses(
+            _readonly(lag0, np.intp),
+            _readonly(pre, np.intp),
+            _readonly(post, np.intp),
+            _readonly(self.weights.ravel()[flat]),
+        )
 
     # -- layout ---------------------------------------------------------
 
@@ -138,10 +180,11 @@ class NetworkSpec:
 
     def edges(self) -> Iterable[tuple[int, int, int, float]]:
         """Yield ``(pre, post, lag, weight)`` for every nonzero synapse."""
-        for lag in range(1, self.history + 1):
-            pre, post = np.nonzero(self.weights[lag - 1])
-            for p, q in zip(pre.tolist(), post.tolist()):
-                yield p, q, lag, float(self.weights[lag - 1, p, q])
+        syn = self.synapses
+        for lag0, p, q, v in zip(
+            syn.lag0.tolist(), syn.pre.tolist(), syn.post.tolist(), syn.weight.tolist()
+        ):
+            yield p, q, lag0 + 1, v
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NetworkSpec):
@@ -245,19 +288,26 @@ def validate_network(spec: NetworkSpec) -> NetworkSpec:
             raise InvalidNetwork(
                 f"{u.kind} neuron {u.index} must be excitatory"
             )
-    inputs = spec.input_indices
-    if inputs.size and np.any(spec.weights[:, :, inputs] != 0.0):
-        raise InputTargeted("synapse targets an input neuron")
-    for u in spec.neurons:
-        out = spec.weights[:, u.index, :]
-        if u.polarity == EXCITATORY and np.any(out < 0.0):
+    syn = spec.synapses
+    is_input = np.zeros(n, dtype=bool)
+    is_input[spec.input_indices] = True
+    into_input = np.flatnonzero(is_input[syn.post])
+    if into_input.size:
+        k = into_input[0]
+        raise InputTargeted(
+            f"synapse from neuron {syn.pre[k]} targets input neuron {syn.post[k]}"
+        )
+    excitatory = np.asarray([u.polarity == EXCITATORY for u in spec.neurons], dtype=bool)
+    wrong_sign = np.where(excitatory[syn.pre], syn.weight < 0.0, syn.weight > 0.0)
+    if wrong_sign.any():
+        u = int(syn.pre[wrong_sign].min())
+        if excitatory[u]:
             raise DalesPrincipleViolation(
-                f"excitatory neuron {u.index} has a negative outgoing weight"
+                f"excitatory neuron {u} has a negative outgoing weight"
             )
-        if u.polarity == INHIBITORY and np.any(out > 0.0):
-            raise DalesPrincipleViolation(
-                f"inhibitory neuron {u.index} has a positive outgoing weight"
-            )
+        raise DalesPrincipleViolation(
+            f"inhibitory neuron {u} has a positive outgoing weight"
+        )
     return spec
 
 
@@ -292,7 +342,8 @@ def sigmoid(z) -> np.ndarray | float:
     """
     z = np.asarray(z, dtype=np.float64)
     e = np.exp(-np.abs(z))
-    out = np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # numerator 1 where z >= 0, else e: e <= 1, so a max picks it without a branch
+    out = np.maximum(e, z >= 0.0) / (1.0 + e)
     return float(out) if out.ndim == 0 else out
 
 

@@ -5,14 +5,16 @@ last ``h`` configurations. ``step`` advances one window by one configuration;
 ``run`` unrolls a whole execution from an initial window, drawing uniforms
 from a ``RandomnessContract`` keyed by ``(trial, time, neuron)``.
 
-``BatchRunner`` advances many trials at once with one matrix multiply per lag
-per step. ``step`` and ``run`` are thin wrappers over the same code path, so
-scalar and batched simulations agree bit for bit.
+``BatchRunner`` advances many trials at once on uint8 frames, with a sparse
+potential kernel built from the spec's synapse view. ``step`` and ``run`` are
+thin wrappers over the same code path, so scalar and batched simulations
+agree bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -131,11 +133,76 @@ def as_input_trace(trace) -> FixedInputTrace | BernoulliInputTrace | CallableInp
     return FixedInputTrace(trace)
 
 
+def _selector(indices: np.ndarray) -> np.ndarray | slice:
+    """``indices`` as a slice when they count up by one, so that indexing a
+    frame with them is a view instead of a gather."""
+    n = indices.size
+    if n and indices[-1] - indices[0] == n - 1 and (indices[1:] - indices[:-1] == 1).all():
+        return slice(int(indices[0]), int(indices[-1]) + 1)
+    return indices
+
+
+def _add_into(pot: np.ndarray, cols, x: np.ndarray) -> None:
+    """``pot[:, cols] += x``, in place when ``cols`` is a slice (``+=`` on a
+    subscript would copy the view back onto itself)."""
+    if isinstance(cols, slice):
+        view = pot[:, cols]
+        view += x
+    else:
+        pot[:, cols] += x
+
+
+def _dense_block(keys, others, weight, n_keys: int, n_others: int, threshold: float):
+    """Move the synapses whose ``keys`` value (a target column or a source)
+    occurs more than ``threshold`` times into a dense block with one row per
+    such hub, indexed by ``others``. Returns the hubs, the block, and a mask
+    (or a full slice) selecting the synapses left out."""
+    hub = np.bincount(keys, minlength=n_keys) > threshold
+    hubs = np.flatnonzero(hub)
+    block = np.zeros((hubs.size, n_others))
+    if not hubs.size:
+        return hubs, block, slice(None)
+    into = hub[keys]
+    block[(np.cumsum(hub) - 1)[keys[into]], others[into]] = weight[into]
+    return hubs, block, ~into
+
+
+def _gather_slots(src, col, weight, m: int) -> list[tuple]:
+    """``(cols, src, val)`` slots: slot ``k`` holds the ``k``-th synapse of
+    every column that has more than ``k``."""
+    if not col.size:
+        return []
+    # a stable sort by column ranks each column's synapses
+    order = np.argsort(col, kind="stable")
+    src, col, weight = src[order], col[order], weight[order]
+    count = np.bincount(col, minlength=m)
+    rank = np.arange(col.size) - (np.cumsum(count) - count)[col]
+    slots = []
+    for k in range(int(count.max())):
+        here = rank == k
+        slots.append((_selector(col[here]), _selector(src[here]), weight[here]))
+    return slots
+
+
 class BatchRunner:
     """Vectorized stepper: advances a batch of windows one step at a time.
 
-    Frames are kept as float64 0/1 matrices so each step is a dense matrix
-    multiply per lag against the weight columns of the non-input neurons.
+    Windows are (B, h, N) arrays with the batch axis first; the runner makes
+    uint8 0/1 frames and reads float or uint8 ones. A window, flattened to
+    (B, h*N) with its oldest frame first, times one sparse (h*N, m) matrix
+    built from ``spec.synapses`` gives the potentials, in float64. The matrix
+    is split three ways, so a step costs about the number of nonzero weights
+    instead of ``h * N * m``:
+
+    * target columns with in-degree above a threshold are dense columns,
+      ``f[:, col_src] @ col_block`` over the sources that reach them;
+    * of the other synapses, sources with out-degree above it are dense
+      rows, ``f[:, rows] @ row_block``;
+    * every remaining synapse is a gather: slot ``k`` covers the columns with
+      more than ``k`` remaining synapses and adds ``f[:, src] * val`` to
+      ``pot[:, cols]``.
+
+    Index arrays that count up by one are kept as slices (``_selector``).
     """
 
     def __init__(self, spec: NetworkSpec, rng: RandomnessContract):
@@ -143,44 +210,88 @@ class BatchRunner:
         self.rng = rng
         self.non_input = spec.non_input_indices
         self.input_ids = spec.input_indices
-        self.w_cols = [
-            np.ascontiguousarray(spec.weights[lag - 1][:, self.non_input])
-            for lag in range(1, spec.history + 1)
-        ]
         self.b = spec.biases[self.non_input].copy()
+        self._non_input_sel = _selector(self.non_input)
+        self._input_sel = _selector(self.input_ids)
+
+        h, n_all, m = spec.history, spec.n_neurons, self.non_input.size
+        col_of = np.full(n_all, -1, dtype=np.intp)
+        col_of[self.non_input] = np.arange(m)
+        syn = spec.synapses
+        col = col_of[syn.post]
+        keep = col >= 0  # a synapse into an input never moves a potential
+        # frame h-1-lag0 of the window holds the bits a lag0+1 synapse reads
+        src = ((h - 1 - syn.lag0) * n_all + syn.pre)[keep]
+        col, weight = col[keep], syn.weight[keep]
+        # A dense column costs about h*N multiply-adds per row and a gather
+        # slot about as much as 16 of them, so a target is a hub from h*N/16
+        # in-edges on (a source likewise by its out-edges). At n=1024 only
+        # the auxiliaries are hubs and each output keeps its 2-3 other
+        # synapses in the gather; at n=8 every output is a hub. A fixed
+        # threshold would make the log-inhibitor outputs (14 in-edges) hubs
+        # at every n, and their dense block nearly h*N x m.
+        threshold = h * n_all / 16
+
+        cols, block, rest = _dense_block(col, src, weight, m, h * n_all, threshold)
+        col_src = np.flatnonzero(block.any(axis=0))
+        self.cols, self.col_src = _selector(cols), _selector(col_src)
+        self.col_block = np.ascontiguousarray(block[:, col_src].T)
+        src, col, weight = src[rest], col[rest], weight[rest]
+
+        rows, self.row_block, rest = _dense_block(src, col, weight, h * n_all, m, threshold)
+        self.rows = _selector(rows)
+        self.slots = _gather_slots(src[rest], col[rest], weight[rest], m)
+
+    @cached_property
+    def w_cols(self) -> list[np.ndarray]:
+        """Dense (N, m) weight columns of the non-input neurons, one per lag.
+        Built on first access only; stepping never reads it."""
+        return [
+            np.ascontiguousarray(self.spec.weights[lag0][:, self.non_input])
+            for lag0 in range(self.spec.history)
+        ]
 
     def potentials(self, frames: np.ndarray) -> np.ndarray:
-        """Potentials of all non-input neurons. ``frames``: (B, h, N) float64."""
-        h = self.spec.history
-        pot = -self.b[None, :].repeat(frames.shape[0], axis=0)
-        for lag in range(1, h + 1):
-            pot += frames[:, h - lag, :] @ self.w_cols[lag - 1]
+        """Potentials of all non-input neurons. ``frames``: (B, h, N) 0/1."""
+        rows = frames.shape[0]
+        f = frames.reshape(rows, self.spec.history * self.spec.n_neurons)
+        pot = np.empty((rows, self.b.size))
+        np.negative(self.b, out=pot)  # broadcasts -b over the batch
+        for cols, src, val in self.slots:
+            _add_into(pot, cols, f[:, src] * val)
+        if self.row_block.size:
+            pot += f[:, self.rows] @ self.row_block
+        if self.col_block.size:
+            _add_into(pot, self.cols, f[:, self.col_src] @ self.col_block)
         return pot
 
     def probabilities(self, frames: np.ndarray) -> np.ndarray:
-        return sigmoid(self.potentials(frames) / self.spec.lam)
+        pot = self.potentials(frames)
+        pot /= self.spec.lam
+        return sigmoid(pot)
 
     def step_bits(self, frames: np.ndarray, t: int, trials, input_bits) -> np.ndarray:
-        """One synchronous step. Returns the new (B, N) float64 frame.
+        """One synchronous step. Returns the new (B, N) uint8 frame.
 
         ``input_bits`` is the input configuration at time ``t``, either one
         vector shared by the batch or one row per trial.
         """
         p = self.probabilities(frames)
         draws = self.rng.uniform_block(trials, t, self.non_input)
-        fire = draws < p
-        new = np.zeros((frames.shape[0], self.spec.n_neurons))
+        new = np.empty((frames.shape[0], self.spec.n_neurons), dtype=np.uint8)
         if self.input_ids.size:
-            new[:, self.input_ids] = np.asarray(input_bits, dtype=np.float64)
-        new[:, self.non_input] = fire
+            new[:, self._input_sel] = input_bits
+        new[:, self._non_input_sel] = draws < p
         return new
 
     def advance(self, frames: np.ndarray, t: int, trials, input_bits) -> np.ndarray:
-        """Step and shift: returns the new (B, h, N) window array."""
+        """Step and shift: returns the new (B, h, N) uint8 window array."""
         new = self.step_bits(frames, t, trials, input_bits)
         if self.spec.history == 1:
             return new[:, None, :]
-        return np.concatenate([frames[:, 1:, :], new[:, None, :]], axis=1)
+        return np.concatenate(
+            [np.asarray(frames[:, 1:, :], dtype=np.uint8), new[:, None, :]], axis=1
+        )
 
 
 def _draws_array(spec: NetworkSpec, draws) -> np.ndarray:
@@ -205,7 +316,7 @@ def step(spec: NetworkSpec, window: ExecutionWindow, next_input, draws) -> np.nd
     (mapping or array ordered by ``spec.non_input_indices``). Input bits are
     copied from ``next_input``. Pure function of its arguments.
     """
-    frames = np.asarray(window.frames, dtype=np.float64)[None, :, :]
+    frames = window.frames[None, :, :]
     if frames.shape[1] != spec.history:
         raise InvalidNetwork(
             f"window has {frames.shape[1]} frames, history is {spec.history}"
@@ -290,9 +401,9 @@ def run(
 
     frames_out = np.zeros((horizon, spec.n_neurons), dtype=np.uint8)
     frames_out[:h] = frames0
-    window = np.asarray(frames0, dtype=np.float64)[None, :, :]
+    window = frames0[None, :, :]
     for t in range(h, horizon):
         bits = trace.bits_at(t, trials, randomness, spec.input_indices)
         window = runner.advance(window, t, trials, bits)
-        frames_out[t] = window[0, -1].astype(np.uint8)
+        frames_out[t] = window[0, -1]
     return Execution(frames=frames_out, trial=trial, trace=trace)

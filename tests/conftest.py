@@ -17,9 +17,11 @@ def random_network(
     history: int | None = None,
     lam: float = 1.0,
     scale: float = 3.0,
+    density: float = 0.6,
 ) -> NetworkSpec:
     """Random structurally valid network: signed weights by polarity,
-    no synapse into inputs, random lags."""
+    no synapse into inputs, random lags; each synapse exists with
+    probability ``density``."""
     h = history if history is not None else int(rng.integers(1, 3))
     neurons = (
         [Neuron(i, INPUT, EXCITATORY) for i in range(n_inputs)]
@@ -35,7 +37,7 @@ def random_network(
     )
     big_n = len(neurons)
     w = rng.uniform(0.0, scale, size=(h, big_n, big_n))
-    w *= rng.random((h, big_n, big_n)) < 0.6  # sparsify
+    w *= rng.random((h, big_n, big_n)) < density  # sparsify
     for u in neurons:
         if u.polarity == INHIBITORY:
             w[:, u.index, :] *= -1.0

@@ -55,6 +55,14 @@ class TestTwoInhibitor:
         with pytest.raises(InvalidGamma):
             build_two_inhibitor(2, 0.0)
 
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan])
+    def test_non_finite_gamma(self, gamma):
+        for build in (build_two_inhibitor, build_single_inhibitor, build_log_inhibitor):
+            with pytest.raises(InvalidGamma):
+                build(4, gamma)
+        with pytest.raises(InvalidGamma):
+            WtaInstance(n=4, gamma=gamma, t_s=3, delta=None, t_c=20)
+
 
 class TestSingleInhibitor:
     def test_neuron_count(self):

@@ -34,6 +34,16 @@ class TestBuild:
         assert exit_info.value.code == 2
         assert "InvalidGamma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("gamma", ["inf", "nan"])
+    def test_non_finite_gamma_is_usage_error(self, tmp_path, capsys, gamma):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--variant", "two-inhibitor", "--n", "4", "--gamma", gamma,
+                  "--tc", "50", "--trials", "5", "--seed", "1",
+                  "--out", str(tmp_path / "g")])
+        assert exit_info.value.code == 2
+        assert "InvalidGamma" in capsys.readouterr().err
+        assert not (tmp_path / "g.csv").exists()
+
 
 class TestRunAndSweep:
     def test_seed_required(self, tmp_path):

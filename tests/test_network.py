@@ -8,6 +8,7 @@ from wtalab import (
     DalesPrincipleViolation,
     InputNeuronPotential,
     InputTargeted,
+    InvalidNetwork,
     LagOutOfRange,
     NetworkSpec,
     NonpositiveTemperature,
@@ -68,6 +69,84 @@ class TestValidate:
         with pytest.raises(Exception):
             Neuron(0, INPUT, "inhibitory_typo")
 
+    def test_violations_name_the_neuron(self):
+        spec = build_two_inhibitor(2, 5.0)
+        w = spec.weights.copy()
+        w[0, 4, 1] = 1.0
+        with pytest.raises(InputTargeted, match="input neuron 1"):
+            validate_network(NetworkSpec(spec.neurons, np.abs(w), spec.biases))
+        w = spec.weights.copy()
+        w[0, 3, 5] = -1.0  # excitatory y_1; inhibitory a_s -> y_0 stays legal
+        with pytest.raises(DalesPrincipleViolation, match="excitatory neuron 3 "):
+            validate_network(NetworkSpec(spec.neurons, w, spec.biases))
+        w = spec.weights.copy()
+        w[0, 5, 2] = 1.0  # inhibitory a_c
+        with pytest.raises(DalesPrincipleViolation, match="inhibitory neuron 5 "):
+            validate_network(NetworkSpec(spec.neurons, w, spec.biases))
+
+
+class TestSynapses:
+    def test_matches_nonzero_scan_in_weight_order(self, nprng):
+        for _ in range(10):
+            spec = random_network(nprng)
+            syn = spec.synapses
+            lag0, pre, post = np.nonzero(spec.weights)
+            assert np.array_equal(syn.lag0, lag0)
+            assert np.array_equal(syn.pre, pre)
+            assert np.array_equal(syn.post, post)
+            assert np.array_equal(syn.weight, spec.weights[lag0, pre, post])
+            assert list(spec.edges()) == [
+                (p, q, lag + 1, float(v))
+                for lag, p, q, v in zip(lag0.tolist(), pre.tolist(), post.tolist(),
+                                        syn.weight.tolist())
+            ]
+
+    def test_cached_and_read_only(self):
+        spec = build_two_inhibitor(3, 5.0)
+        assert spec.synapses is spec.synapses
+        for a in spec.synapses:
+            assert not a.flags.writeable
+
+    def test_negative_zero_is_no_synapse(self):
+        neurons = (Neuron(0, INPUT, EXCITATORY), Neuron(1, OUTPUT, EXCITATORY))
+        spec = NetworkSpec.from_edges(neurons, [(0, 1, 1, -0.0)], {})
+        assert spec.synapses.weight.size == 0
+        assert validate_network(spec) is spec
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_weight(self, bad):
+        spec = build_two_inhibitor(2, 5.0)
+        w = spec.weights.copy()
+        w[0, 2, 4] = bad  # excitatory y_0 -> a_s: a NaN must not pass for positive
+        with pytest.raises(InvalidNetwork, match="neuron 2 to neuron 4"):
+            NetworkSpec(spec.neurons, w, spec.biases)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_bias(self, bad):
+        spec = build_two_inhibitor(2, 5.0)
+        b = spec.biases.copy()
+        b[3] = bad
+        with pytest.raises(InvalidNetwork, match="neuron 3"):
+            NetworkSpec(spec.neurons, spec.weights, b)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_lam(self, bad):
+        spec = build_two_inhibitor(2, 5.0)
+        with pytest.raises(InvalidNetwork):
+            NetworkSpec(spec.neurons, spec.weights, spec.biases, lam=bad)
+
+    def test_from_json(self):
+        data = build_two_inhibitor(2, 5.0).to_json_dict()
+        data["edges"][0]["weight"] = math.inf
+        with pytest.raises(InvalidNetwork):
+            NetworkSpec.from_json_dict(data)
+
+    def test_rescale_overflow(self):
+        with pytest.raises(InvalidNetwork):
+            rescale_temperature(build_two_inhibitor(2, 5.0), 1e308)
+
 
 class TestPotential:
     def test_two_inhibitor_winner_under_stability(self):
@@ -126,6 +205,18 @@ class TestSpikeProbability:
         spec = build_two_inhibitor(2, 5.0)
         assert spike_probability(spec, 1e6) == 1.0
         assert spike_probability(spec, -1e6) == 0.0
+
+    def test_sigmoid_equals_two_branch_form(self, nprng):
+        z = np.concatenate([
+            nprng.standard_normal(10_000) * 40.0,
+            np.round(nprng.standard_normal(1000) * 4.0) * 2.5,
+            [0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 1e308, -1e308,
+             math.inf, -math.inf, math.nan],
+        ])
+        e = np.exp(-np.abs(z))
+        branch = np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+        assert np.array_equal(sigmoid(z), branch, equal_nan=True)
+        assert sigmoid(-0.0) == 0.5 and isinstance(sigmoid(3.0), float)
 
     @given(st.floats(min_value=-700, max_value=700))
     @settings(max_examples=100, deadline=None)

@@ -9,6 +9,8 @@ from wtalab import (
     NetworkSpec,
     Neuron,
     RandomnessContract,
+    build_log_inhibitor,
+    build_single_inhibitor,
     build_two_inhibitor,
     initial_window,
     potential,
@@ -17,10 +19,10 @@ from wtalab import (
     step,
 )
 from wtalab.experiments import batch_convergence_times, initial_windows_batch
-from wtalab.network import AUXILIARY, EXCITATORY, INPUT, OUTPUT
+from wtalab.network import AUXILIARY, EXCITATORY, INHIBITORY, INPUT, OUTPUT
 from wtalab.simulate import BatchRunner
 
-from conftest import random_network
+from conftest import brute_convergence_time, random_network
 
 
 def zero_window(spec, x=None):
@@ -183,6 +185,17 @@ class TestInitialPolicies:
             assert np.array_equal(batch[trial], single.frames)
 
 
+def permuted(spec, order):
+    """The same network with neuron ``order[k]`` moved to index ``k``."""
+    order = np.asarray(order)
+    neurons = tuple(
+        Neuron(k, spec.neurons[i].kind, spec.neurons[i].polarity)
+        for k, i in enumerate(order.tolist())
+    )
+    w = spec.weights[:, order][:, :, order]
+    return NetworkSpec(neurons, w, spec.biases[order], spec.lam, spec.history)
+
+
 class TestBatchScanner:
     def test_matches_reference_runs(self):
         spec = build_two_inhibitor(2, 10.0)
@@ -199,3 +212,127 @@ class TestBatchScanner:
             ref = convergence_time(ex, x, 4)
             expected = -1 if ref.converged_at is None else ref.converged_at
             assert got[trial] == expected
+
+    def test_outputs_outside_the_canonical_slots(self):
+        # outputs first, then inputs, then a_s and a_c: the canonical slice
+        # n..2n-1 would hold the inputs here
+        n, t_s, horizon = 3, 3, 40
+        spec = permuted(build_two_inhibitor(n, 10.0), [3, 4, 5, 0, 1, 2, 6, 7])
+        assert spec.output_indices.tolist() == [0, 1, 2]
+        x = np.array([1, 1, 0], dtype=np.uint8)
+        rng = RandomnessContract(21)
+        ids = np.arange(32, dtype=np.int64)
+        windows0 = initial_windows_batch(spec, "uniform_random", x, ids, rng)
+        got = batch_convergence_times(spec, x, windows0, ids, t_s, horizon, rng)
+        assert np.any(got >= 0)
+        for trial in ids.tolist():
+            ex = run(spec, ExecutionWindow(windows0[trial]), x, horizon, rng, trial=trial)
+            ref = brute_convergence_time(ex.frames[:, spec.output_indices], x, t_s)
+            assert got[trial] == (-1 if ref is None else ref)
+
+
+def dense_potentials(spec, frames):
+    """Reference sum over lags of ``frames[:, h-lag] @ weights[lag-1][:, non_input]``
+    minus the biases, and the sum of the absolute terms, which bounds the
+    rounding of any summation order."""
+    ni = spec.non_input_indices
+    h = spec.history
+    f = np.asarray(frames, dtype=np.float64)
+    pot = -spec.biases[ni][None, :]
+    scale = np.abs(spec.biases[ni])[None, :]
+    for lag in range(1, h + 1):
+        w = spec.weights[lag - 1][:, ni]
+        pot = pot + f[:, h - lag] @ w
+        scale = scale + np.abs(f[:, h - lag]) @ np.abs(w)
+    return pot, scale
+
+
+def hubs(runner):
+    """(dense columns, dense rows, gather slots) of the runner's kernel."""
+    return runner.col_block.shape[1], runner.row_block.shape[0], len(runner.slots)
+
+
+def random_frames(rng, spec, rows, dtype):
+    return (rng.random((rows, spec.history, spec.n_neurons)) < 0.5).astype(dtype)
+
+
+class TestKernel:
+    def assert_matches_dense(self, spec, frames):
+        runner = BatchRunner(spec, RandomnessContract(0))
+        got = runner.potentials(frames)
+        want, scale = dense_potentials(spec, frames)
+        assert got.shape == (frames.shape[0], spec.non_input_indices.size)
+        assert got.dtype == np.float64
+        assert np.all(np.abs(got - want) <= 1e-9 * scale)
+        return runner
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    def test_random_networks(self, nprng, dtype):
+        shapes = []
+        for density, sizes in [(0.6, (2, 2, 2)), (0.02, (20, 100, 80)), (0.1, (10, 40, 30))]:
+            for _ in range(6):
+                spec = random_network(nprng, *sizes, density=density)
+                runner = self.assert_matches_dense(spec, random_frames(nprng, spec, 40, dtype))
+                shapes.append((spec, hubs(runner)))
+        m = [spec.non_input_indices.size for spec, _ in shapes]
+        cols = [h[0] for _, h in shapes]
+        assert any(c == k for c, k in zip(cols, m))  # every column a hub
+        assert any(h[:2] == (0, 0) for _, h in shapes)  # no hubs
+        assert any(0 < c < k for c, k in zip(cols, m))  # some columns hubs
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    @pytest.mark.parametrize("n", [2, 8, 64, 1024])
+    @pytest.mark.parametrize(
+        "build", [build_two_inhibitor, build_single_inhibitor, build_log_inhibitor]
+    )
+    def test_builder_families(self, nprng, build, n, dtype):
+        spec = build(n, 7.3)
+        self.assert_matches_dense(spec, random_frames(nprng, spec, 16, dtype))
+
+    def test_split_of_the_builder_networks(self):
+        # at n=1024 only the auxiliaries are hubs; each output keeps its input
+        # and self-loop (and its lag-2 self-loop) in the gather
+        two = BatchRunner(build_two_inhibitor(1024, 7.3), RandomnessContract(0))
+        log = BatchRunner(build_log_inhibitor(1024, 7.3), RandomnessContract(0))
+        assert hubs(two) == (2, 2, 2)
+        assert hubs(log) == (11, 11, 3)
+        # at n=8 every column is dense
+        small = BatchRunner(build_log_inhibitor(8, 7.3), RandomnessContract(0))
+        assert hubs(small) == (12, 0, 0)
+
+    def test_synapse_into_input_is_ignored(self):
+        neurons = (
+            Neuron(0, INPUT, EXCITATORY),
+            Neuron(1, OUTPUT, EXCITATORY),
+            Neuron(2, AUXILIARY, INHIBITORY),
+        )
+        spec = NetworkSpec.from_edges(
+            neurons, [(1, 0, 1, 5.0), (0, 1, 1, 2.0), (2, 1, 1, -1.0)], {1: 0.5}
+        )
+        runner = BatchRunner(spec, RandomnessContract(0))
+        frames = np.ones((1, 1, 3), dtype=np.uint8)
+        assert runner.potentials(frames).tolist() == [[0.5, 0.0]]
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    @pytest.mark.parametrize("history", [1, 2])
+    def test_advance_returns_uint8_windows(self, nprng, dtype, history):
+        spec = random_network(nprng, history=history)
+        runner = BatchRunner(spec, RandomnessContract(3))
+        frames = random_frames(nprng, spec, 12, dtype)
+        x = np.array([1, 0], dtype=np.uint8)
+        out = runner.advance(frames, 7, np.arange(12), x)
+        assert out.dtype == np.uint8
+        assert out.shape == (12, history, spec.n_neurons)
+        assert set(np.unique(out).tolist()) <= {0, 1}
+        assert np.all(out[:, -1, spec.input_indices] == x)
+        assert np.array_equal(out[:, :-1], frames[:, 1:].astype(np.uint8))
+
+    def test_w_cols_is_the_dense_column_block_built_on_demand(self, nprng):
+        spec = random_network(nprng, history=2)
+        runner = BatchRunner(spec, RandomnessContract(0))
+        runner.advance(random_frames(nprng, spec, 4, np.uint8), 2, np.arange(4), [1, 1])
+        assert "w_cols" not in vars(runner)  # stepping never builds it
+        ni = spec.non_input_indices
+        assert len(runner.w_cols) == 2
+        for lag in (1, 2):
+            assert np.array_equal(runner.w_cols[lag - 1], spec.weights[lag - 1][:, ni])
