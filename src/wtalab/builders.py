@@ -201,15 +201,28 @@ class WtaVariant:
             raise WtaLabError(f"unknown theorem mode {self.theorem_mode!r}")
 
 
+def _check_delta(delta: float | None) -> None:
+    if delta is not None and not 0 < delta < 1:
+        raise WtaLabError(f"delta must lie in (0, 1), got {delta}")
+
+
+def _regime(variant: WtaVariant, delta: float | None) -> str:
+    """The variant's guarantee regime, high-probability unless it says
+    otherwise; that regime needs a failure probability ``delta``."""
+    _check_delta(delta)
+    mode = variant.theorem_mode or HIGH_PROBABILITY
+    if mode == HIGH_PROBABILITY and delta is None:
+        raise MissingDelta("high-probability regime needs a failure probability")
+    return mode
+
+
 def gamma_for(variant: WtaVariant, n: int, t_s: int, delta: float | None = None) -> float:
     """Smallest weight scale for which the family's guarantee applies.
 
     High-probability regime needs ``delta``; the expected-time regime does
     not. The single-inhibitor family uses the two-inhibitor thresholds.
     """
-    mode = variant.theorem_mode or HIGH_PROBABILITY
-    if mode == HIGH_PROBABILITY and delta is None:
-        raise MissingDelta("high-probability regime needs a failure probability")
+    mode = _regime(variant, delta)
     if variant.tag in (TWO_INHIBITOR, SINGLE_INHIBITOR):
         if mode == HIGH_PROBABILITY:
             return 4.0 * math.log((n + 2) * t_s / delta) + 10.0
@@ -221,9 +234,7 @@ def gamma_for(variant: WtaVariant, n: int, t_s: int, delta: float | None = None)
 
 def tc_bound(variant: WtaVariant, n: int, delta: float | None = None) -> int:
     """Convergence-time budget that comes with the family's guarantee."""
-    mode = variant.theorem_mode or HIGH_PROBABILITY
-    if mode == HIGH_PROBABILITY and delta is None:
-        raise MissingDelta("high-probability regime needs a failure probability")
+    mode = _regime(variant, delta)
     if variant.tag in (TWO_INHIBITOR, SINGLE_INHIBITOR):
         if mode == HIGH_PROBABILITY:
             return math.ceil(72.0 * (math.log2(n) + 1) * (math.log2(1 / delta) + 1))
@@ -258,6 +269,7 @@ class WtaInstance:
             raise WtaLabError(f"t_c must be >= 1, got {self.t_c}")
         if not 0 < self.gamma < math.inf:
             raise InvalidGamma(f"gamma must be finite and > 0, got {self.gamma}")
+        _check_delta(self.delta)
         bits = self.input_bits or tuple([1] * self.n)
         if len(bits) != self.n or any(b not in (0, 1) for b in bits):
             raise WtaLabError("input_bits must be n bits")

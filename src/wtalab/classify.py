@@ -7,14 +7,16 @@ time is the first frame at which the output projection is valid and then
 repeats unchanged for ``t_s`` further frames; only outputs are compared, the
 auxiliary neurons may do what they like.
 
-Classifiers assume the canonical builder layout (inputs, then outputs, then
-auxiliaries with the stability inhibitor first).
+Predicates work on the last axis, over a whole batch at once; the scalar
+functions are batch-of-one views of them. ``ConvergenceScan`` is the one
+convergence scanner. Classifiers assume the canonical builder layout (inputs,
+then outputs, then auxiliaries with the stability inhibitor first).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -44,26 +46,63 @@ def _bits(x) -> np.ndarray:
     return np.asarray(x, dtype=np.uint8)
 
 
-def is_valid_wta_output(x_bits, y_bits) -> bool:
-    """Output test: every winner is backed by its input and
-    ``popcount(Y) == min(1, popcount(X))``."""
+def _output_terms(x_bits, y_bits):
+    """(backed, firing-output count, wanted count) over the last axis."""
     x, y = _bits(x_bits), _bits(y_bits)
-    if x.shape != y.shape:
+    if x.shape[-1:] != y.shape[-1:]:
         raise LengthMismatch(f"|X|={x.shape} vs |Y|={y.shape}")
-    if np.any(y > x):
-        return False
-    return int(y.sum()) == min(1, int(x.sum()))
+    return ~np.any(y > x, axis=-1), y.sum(axis=-1), np.minimum(1, x.sum(axis=-1))
 
 
-def _split_two(x_bits, config):
+def valid_outputs(x, y) -> np.ndarray:
+    """Output test over the last axis: every winner is backed by its input
+    and ``popcount(Y) == min(1, popcount(X))``. ``x`` may be one input vector
+    shared by every row of ``y``."""
+    backed, k, want = _output_terms(x, y)
+    return backed & (k == want)
+
+
+def is_valid_wta_output(x_bits, y_bits) -> bool:
+    """``valid_outputs`` for one input and one output vector."""
+    return bool(valid_outputs(x_bits, y_bits))
+
+
+def _split_two(x_bits, configs):
     x = _bits(x_bits)
-    c = _bits(config)
-    n = x.size
-    if c.size != 2 * n + 2:
-        raise TopologyMismatch(f"config length {c.size} != 2n+2 for n={n}")
-    if np.any(c[:n] != x):
+    c = _bits(configs)
+    n = x.shape[-1]
+    if c.shape[-1] != 2 * n + 2:
+        raise TopologyMismatch(f"config length {c.shape[-1]} != 2n+2 for n={n}")
+    if np.any(c[..., :n] != x):
         raise TopologyMismatch("config input bits disagree with X")
-    return x, c[n : 2 * n], int(c[2 * n]), int(c[2 * n + 1])
+    return x, c[..., n : 2 * n], c[..., 2 * n], c[..., 2 * n + 1]
+
+
+class TwoInhibitorClasses(NamedTuple):
+    """Class masks of two-inhibitor configurations, plus the firing-output
+    count ``k`` that names a ``k_wta`` class."""
+
+    valid: np.ndarray
+    near_valid: np.ndarray
+    k_wta: np.ndarray
+    reset: np.ndarray
+    k: np.ndarray
+
+
+def two_inhibitor_classes(x, configs) -> TwoInhibitorClasses:
+    """Masks over the last axis of ``configs`` for the valid, near-valid,
+    k-winner (``k >= 2`` backed outputs) and reset classes."""
+    x, y, a_s, a_c = _split_two(x, configs)
+    backed, k, want = _output_terms(x, y)
+    out_valid = backed & (k == want)
+    both = (a_s == 1) & (a_c == 1)
+    return TwoInhibitorClasses(
+        valid=out_valid & (a_c == 0) & (a_s == want),
+        near_valid=out_valid & both,
+        k_wta=backed & (k >= 2) & both,
+        reset=(a_s == 0) & (a_c == 0),
+        k=k,
+    )
 
 
 def classify_two_inhibitor(x_bits, config) -> frozenset[str]:
@@ -74,50 +113,52 @@ def classify_two_inhibitor(x_bits, config) -> frozenset[str]:
     and k-winner classes; ``good`` additionally covers resets; ``terminal``
     marks near-valid configurations and any with no firing outputs.
     """
-    x, y, a_s, a_c = _split_two(x_bits, config)
-    backed = not np.any(y > x)
-    ky = int(y.sum())
-    want = min(1, int(x.sum()))
+    cls = two_inhibitor_classes(x_bits, config)
+    ky = int(cls.k)
     labels: set[str] = set()
-    if backed and ky == want and a_c == 0 and a_s == want:
+    if cls.valid:
         labels.add(VALID_WTA)
-    if is_valid_wta_output(x, y) and a_s == 1 and a_c == 1:
+    if cls.near_valid:
         labels.add(NEAR_VALID)
-    if backed and ky >= 2 and a_s == 1 and a_c == 1:
+    if cls.k_wta:
         labels.add(k_wta(ky))
-    if a_s == 0 and a_c == 0:
+    if cls.reset:
         labels.add(RESET)
-    if labels & {VALID_WTA, NEAR_VALID} or any(l.startswith("k_wta") for l in labels):
+    if cls.valid or cls.near_valid or cls.k_wta:
         labels.add(ACTIVE)
     if labels:
         labels.add(GOOD)
-    if NEAR_VALID in labels or ky == 0:
+    if cls.near_valid or ky == 0:
         labels.add(TERMINAL)
     return frozenset(labels)
 
 
-def _split_log(x_bits, config):
+def _split_log(x_bits, configs):
     x = _bits(x_bits)
-    c = _bits(config)
-    n = x.size
+    c = _bits(configs)
+    n = x.shape[-1]
     levels = ceil_log2(n) if n >= 2 else 0
-    if c.size != 2 * n + 1 + levels:
+    if c.shape[-1] != 2 * n + 1 + levels:
         raise TopologyMismatch(
-            f"config length {c.size} != 2n+1+ceil_log2(n) for n={n}"
+            f"config length {c.shape[-1]} != 2n+1+ceil_log2(n) for n={n}"
         )
-    if np.any(c[:n] != x):
+    if np.any(c[..., :n] != x):
         raise TopologyMismatch("config input bits disagree with X")
-    return x, c[n : 2 * n], int(c[2 * n]), c[2 * n + 1 :]
+    return x, c[..., n : 2 * n], c[..., 2 * n], c[..., 2 * n + 1 :]
+
+
+def typical(x, configs) -> np.ndarray:
+    """Mask over the last axis of graded-network ``configs``: outputs backed
+    by inputs and the inhibitor chain downward closed,
+    ``a_s >= a_1 >= ... >= a_L``."""
+    x, y, a_s, chain = _split_log(x, configs)
+    levels = np.concatenate([a_s[..., None], chain], axis=-1).astype(np.int8)
+    return _output_terms(x, y)[0] & np.all(np.diff(levels, axis=-1) <= 0, axis=-1)
 
 
 def is_typical(x_bits, config) -> bool:
-    """Outputs backed by inputs and the inhibitor chain is downward closed:
-    ``a_s >= a_1 >= ... >= a_L``."""
-    x, y, a_s, chain = _split_log(x_bits, config)
-    if np.any(y > x):
-        return False
-    levels = np.concatenate(([a_s], chain))
-    return bool(np.all(np.diff(levels.astype(np.int8)) <= 0))
+    """``typical`` for one configuration."""
+    return bool(typical(x_bits, config))
 
 
 def near_stable_pair(x_bits, older, latest) -> Optional[bool]:
@@ -166,23 +207,18 @@ def is_valid_configuration(tag: str, x_bits, config) -> bool:
     outputs, graded chain silent.
     """
     x = _bits(x_bits)
-    want = min(1, int(x.sum()))
     if tag == TWO_INHIBITOR:
-        return VALID_WTA in classify_two_inhibitor(x, config)
+        return bool(two_inhibitor_classes(x, config).valid)
+    want = min(1, int(x.sum()))
     if tag == SINGLE_INHIBITOR:
         c = _bits(config)
         n = x.size
         if c.size != 2 * n + 1:
             raise TopologyMismatch(f"config length {c.size} != 2n+1 for n={n}")
-        y, a_c = c[n : 2 * n], int(c[2 * n])
-        return is_valid_wta_output(x, y) and a_c == want
+        return bool(valid_outputs(x, c[n : 2 * n]) and c[2 * n] == want)
     if tag == LOG_INHIBITOR:
-        _, y, a_s, chain = _split_log(x_bits, config)
-        return (
-            is_valid_wta_output(x, y)
-            and a_s == want
-            and not np.any(chain != 0)
-        )
+        _, y, a_s, chain = _split_log(x, config)
+        return bool(valid_outputs(x, y) and a_s == want and not np.any(chain))
     raise WtaLabError(f"unknown variant {tag!r}")
 
 
@@ -206,21 +242,54 @@ def output_projection(frames, n: int) -> np.ndarray:
     return f[:, n : 2 * n]
 
 
+class ConvergenceScan:
+    """Online detector of the first valid output run of ``t_s + 1`` frames,
+    over a batch of executions that share one input vector ``x``."""
+
+    def __init__(self, x, t_s: int):
+        self.x = _bits(x)
+        self.t_s = t_s
+        self.prev: np.ndarray | None = None
+        self.start: np.ndarray | None = None
+        self.converged_at: np.ndarray | None = None
+
+    def update(self, t: int, out: np.ndarray) -> np.ndarray:
+        """Feed frame ``t``'s (B, n) output projection; returns the mask of
+        newly converged executions. The scanner keeps ``out`` as the previous
+        frame, so the caller must not write into it afterwards."""
+        if self.prev is None:
+            batch = out.shape[0]
+            self.start = np.zeros(batch, dtype=np.int64)
+            self.converged_at = np.full(batch, -1, dtype=np.int64)
+        else:
+            changed = np.any(out != self.prev, axis=1)
+            self.start[changed] = t
+        self.prev = out
+        hit = valid_outputs(self.x, out) & (t - self.start >= self.t_s) & (self.converged_at < 0)
+        self.converged_at[hit] = self.start[hit]
+        return hit
+
+    def drop(self, keep: np.ndarray) -> None:
+        self.prev = self.prev[keep]
+        self.start = self.start[keep]
+        self.converged_at = self.converged_at[keep]
+
+
 def convergence_time(execution, input_bits, t_s: int) -> ConvergenceOutcome:
     """Earliest frame ``t`` with a valid output fixed through ``t + t_s``.
 
-    Scans output projections only. A window that is valid for a while but
-    changes before ``t_s`` repeats does not count; scanning continues. When
-    no frame qualifies within the recorded horizon the outcome is a timeout.
+    Scans output projections only, as a batch of one through
+    ``ConvergenceScan``. A window that is valid for a while but changes
+    before ``t_s`` repeats does not count; scanning continues. When no frame
+    qualifies within the recorded horizon the outcome is a timeout.
     """
     x = _bits(input_bits)
     outs = output_projection(execution, x.size)
     total = outs.shape[0]
-    start = 0
+    scan = ConvergenceScan(x, t_s)
     for t in range(total):
-        if t > 0 and not np.array_equal(outs[t], outs[t - 1]):
-            start = t
-        if t - start >= t_s and is_valid_wta_output(x, outs[start]):
+        if scan.update(t, outs[t : t + 1])[0]:
+            start = int(scan.converged_at[0])
             stable = t - start
             while start + stable + 1 < total and np.array_equal(
                 outs[start + stable + 1], outs[start]

@@ -39,7 +39,14 @@ from .experiments import (
 )
 from .lemmas import GROUP_IDS, LemmaParams, lemma_check
 from .oracle import convergence_cdf
-from .simulate import ALL_FIRE, ALL_ZERO, EXPLICIT, UNIFORM_RANDOM, ExecutionWindow
+from .simulate import (
+    ALL_FIRE,
+    ALL_ZERO,
+    EXPLICIT,
+    UNIFORM_RANDOM,
+    ExecutionWindow,
+    initial_window,
+)
 
 _VARIANT_FLAGS = {
     "two-inhibitor": "two_inhibitor",
@@ -59,8 +66,13 @@ def _load_window(args) -> ExecutionWindow | None:
         return None
     if not args.init_file:
         raise WtaLabError("--init file needs --init-file PATH")
-    frames = json.loads(Path(args.init_file).read_text())
-    return ExecutionWindow(np.asarray(frames, dtype=np.uint8))
+    try:
+        frames = np.asarray(json.loads(Path(args.init_file).read_text()))
+    except (OSError, ValueError) as e:
+        raise WtaLabError(f"cannot read --init-file {args.init_file}: {e}") from None
+    if frames.dtype == object or not np.isin(frames, (0, 1)).all():
+        raise WtaLabError("--init-file must hold rows of 0/1 bits")
+    return ExecutionWindow(frames.astype(np.uint8))
 
 
 def _positive_gamma(text: str) -> float:
@@ -159,18 +171,21 @@ def _summaries_to_files(args, summaries, command: str, params: dict) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
-    if any(isinstance(v, list) for v in (args.n, args.ts, args.delta)):
-        raise WtaLabError("run takes single values; use sweep for a grid")
-    instance = _resolve_instance(args)
-    plan = TrialPlan(
+def _plan(args, instance: WtaInstance, window: ExecutionWindow | None) -> TrialPlan:
+    return TrialPlan(
         instance=instance,
         initial_policy=_INIT_FLAGS[args.init],
         horizon=args.horizon,
         trials=args.trials,
         seed=args.seed,
-        explicit_window=_load_window(args),
+        explicit_window=window,
     )
+
+
+def _cmd_run(args) -> int:
+    if any(isinstance(v, list) for v in (args.n, args.ts, args.delta)):
+        raise WtaLabError("run takes single values; use sweep for a grid")
+    plan = _plan(args, _resolve_instance(args), _load_window(args))
     summary = run_trials(plan, capture_final=args.log_trials)
     code = _summaries_to_files(args, [summary], "run", _params(args))
     if args.log_trials:
@@ -196,17 +211,7 @@ def _cmd_sweep(args) -> int:
             for delta in deltas:
                 local = argparse.Namespace(**vars(args))
                 local.n, local.ts, local.delta = n, t_s, delta
-                instance = _resolve_instance(local)
-                plans.append(
-                    TrialPlan(
-                        instance=instance,
-                        initial_policy=_INIT_FLAGS[args.init],
-                        horizon=args.horizon,
-                        trials=args.trials,
-                        seed=args.seed,
-                        explicit_window=window,
-                    )
-                )
+                plans.append(_plan(args, _resolve_instance(local), window))
     return _summaries_to_files(args, sweep(plans), "sweep", _params(args))
 
 
@@ -214,11 +219,8 @@ def _cmd_oracle(args) -> int:
     tag = _VARIANT_FLAGS[args.variant]
     spec = build(tag, args.n, args.gamma)
     x = np.asarray(_parse_input_bits(args.input, args.n), dtype=np.uint8)
-    frames = np.zeros((spec.history, spec.n_neurons), dtype=np.uint8)
-    frames[:, spec.input_indices] = x
-    if args.init == "fire":
-        frames[:, spec.non_input_indices] = 1
-    cdf = convergence_cdf(spec, x, frames, args.ts, args.tmax)
+    window = initial_window(spec, _INIT_FLAGS[args.init], x)
+    cdf = convergence_cdf(spec, x, window, args.ts, args.tmax)
     out = Path(args.out)
     csv_path = out.with_suffix(".csv")
     with csv_path.open("w", newline="") as fh:
@@ -254,14 +256,7 @@ def _cmd_stabilize_probe(args) -> int:
     if any(isinstance(v, list) for v in (args.n, args.ts, args.delta)):
         raise WtaLabError("stabilize-probe takes single values")
     instance = _resolve_instance(args)
-    plan = TrialPlan(
-        instance=instance,
-        initial_policy=_INIT_FLAGS[args.init],
-        horizon=args.horizon,
-        trials=args.trials,
-        seed=args.seed,
-        explicit_window=_load_window(args),
-    )
+    plan = _plan(args, instance, _load_window(args))
     probe = self_stabilization_probe(plan, perturbations=args.perturbations)
     fractions = probe.reconvergence_fractions()
     rows = [probe.initial.row()]

@@ -1,10 +1,11 @@
 """Monte Carlo harness: trial batches, sweeps, and perturbation probes.
 
-Trials are advanced in vectorized batches with one convergence scanner per
-trial. Because every uniform draw is a pure function of (seed, trial, time,
-neuron), chunking trials into batches of any size, or resolving some trials
-early and dropping them from the batch, cannot change any other trial's
-execution; summaries are reproducible bit for bit given the plan.
+Trials are advanced in vectorized batches and scanned by one
+``ConvergenceScan`` per batch. Because every uniform draw is a pure function
+of (seed, trial, time, neuron), chunking trials into batches of any size, or
+resolving some trials early and dropping them from the batch, cannot change
+any other trial's execution; summaries are reproducible bit for bit given
+the plan.
 """
 
 from __future__ import annotations
@@ -17,16 +18,22 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .builders import WtaInstance
-from .errors import HorizonTooShort, InvalidNetwork, WtaLabError
+from .classify import (
+    ConvergenceScan,
+    classify_log_inhibitor,
+    classify_two_inhibitor,
+    is_valid_configuration,
+)
+from .errors import HorizonTooShort, WtaLabError
 from .network import NetworkSpec
 from .randomness import RandomnessContract
 from .simulate import (
     ALL_FIRE,
-    EXPLICIT,
     INITIAL_POLICIES,
     UNIFORM_RANDOM,
     BatchRunner,
     ExecutionWindow,
+    initial_windows_batch,
 )
 
 
@@ -46,87 +53,6 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.99) -> tu
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _x_rows(x, batch: int) -> np.ndarray:
-    a = np.asarray(x, dtype=np.uint8)
-    if a.ndim == 1:
-        return np.broadcast_to(a, (batch, a.size))
-    if a.shape[0] != batch:
-        raise InvalidNetwork("per-trial input rows do not match the batch")
-    return a
-
-
-def initial_windows_batch(
-    spec: NetworkSpec,
-    policy: str,
-    x,
-    trial_ids: np.ndarray,
-    rng: RandomnessContract,
-    explicit: ExecutionWindow | None = None,
-    t0: int = 0,
-) -> np.ndarray:
-    """(B, h, N) starting windows for a batch of trials.
-
-    Input bits are pinned from ``x`` (shared vector or one row per trial);
-    ``uniform_random`` materializes non-input bits from the contract at times
-    ``t0..t0+h-1`` so each trial's start is independent and reproducible.
-    """
-    if policy not in INITIAL_POLICIES:
-        raise InvalidNetwork(f"unknown initial policy {policy!r}")
-    batch = trial_ids.size
-    h, n_all = spec.history, spec.n_neurons
-    frames = np.zeros((batch, h, n_all), dtype=np.uint8)
-    xr = _x_rows(x, batch)
-    non_input = spec.non_input_indices
-    if policy == EXPLICIT:
-        if explicit is None:
-            raise InvalidNetwork("explicit policy needs an explicit window")
-        frames[:] = np.asarray(explicit.frames, dtype=np.uint8)[None, :, :]
-        frames[:, :, spec.input_indices] = xr[:, None, :]
-        return frames
-    frames[:, :, spec.input_indices] = xr[:, None, :]
-    for t in range(h):
-        if policy == ALL_FIRE:
-            frames[:, t, non_input] = 1
-        elif policy == UNIFORM_RANDOM:
-            draws = rng.uniform_block(trial_ids, t0 + t, non_input)
-            frames[:, t, non_input] = draws < 0.5
-    return frames
-
-
-class _ConvergenceScan:
-    """Online detector of the first valid output run of length t_s + 1."""
-
-    def __init__(self, x_rows: np.ndarray, t_s: int):
-        self.x = np.asarray(x_rows, dtype=np.uint8)
-        self.want = np.minimum(1, self.x.sum(axis=1).astype(np.int64))
-        self.t_s = t_s
-        self.prev: np.ndarray | None = None
-        self.start: np.ndarray | None = None
-        self.converged_at: np.ndarray | None = None
-
-    def update(self, t: int, out: np.ndarray) -> np.ndarray:
-        """Feed frame ``t``'s output projection; returns newly-converged mask."""
-        if self.prev is None:
-            batch = out.shape[0]
-            self.start = np.zeros(batch, dtype=np.int64)
-            self.converged_at = np.full(batch, -1, dtype=np.int64)
-        else:
-            changed = np.any(out != self.prev, axis=1)
-            self.start[changed] = t
-        self.prev = out.copy()
-        valid = (~np.any(out > self.x, axis=1)) & (out.sum(axis=1) == self.want)
-        hit = valid & (t - self.start >= self.t_s) & (self.converged_at < 0)
-        self.converged_at[hit] = self.start[hit]
-        return hit
-
-    def drop(self, keep: np.ndarray) -> None:
-        self.x = self.x[keep]
-        self.want = self.want[keep]
-        self.prev = self.prev[keep]
-        self.start = self.start[keep]
-        self.converged_at = self.converged_at[keep]
-
-
 def batch_convergence_times(
     spec: NetworkSpec,
     x,
@@ -140,11 +66,12 @@ def batch_convergence_times(
 ):
     """Convergence time of each trial, or -1 on timeout.
 
-    ``windows0`` is (B, h, N); its frames sit at times ``t0-h..t0-1`` and the
-    first stochastic step happens at time ``t0`` (default ``h``). Times are
-    reported relative to the window's first frame (index 0). Trials whose
-    convergence is confirmed are dropped from the batch immediately; the
-    counter-based draws make this invisible to the remaining trials.
+    Every trial holds the one input vector ``x``. ``windows0`` is (B, h, N);
+    its frames sit at times ``t0-h..t0-1`` and the first stochastic step
+    happens at time ``t0`` (default ``h``). Times are reported relative to
+    the window's first frame (index 0). Trials whose convergence is confirmed
+    are dropped from the batch immediately; the counter-based draws make this
+    invisible to the remaining trials.
 
     With ``capture_final`` the window at each trial's resolution (or at the
     horizon, for timeouts) is returned alongside the times.
@@ -155,8 +82,7 @@ def batch_convergence_times(
     if t0 is None:
         t0 = h
     outputs = spec.output_indices
-    xr = _x_rows(x, batch)
-    scan = _ConvergenceScan(xr, t_s)
+    scan = ConvergenceScan(x, t_s)
     frames = np.asarray(windows0, dtype=np.uint8)
     for j in range(h):
         scan.update(j, frames[:, j, outputs])
@@ -165,10 +91,9 @@ def batch_convergence_times(
     finals = np.zeros((batch, h, spec.n_neurons), dtype=np.uint8) if capture_final else None
     alive = np.arange(batch)
     runner = BatchRunner(spec, rng)
-    xr_alive = np.ascontiguousarray(xr)
 
     def harvest():
-        nonlocal alive, frames, xr_alive
+        nonlocal alive, frames
         done = scan.converged_at >= 0
         if done.any():
             converged[alive[done]] = scan.converged_at[done]
@@ -177,7 +102,6 @@ def batch_convergence_times(
             keep = ~done
             alive = alive[keep]
             frames = frames[keep]
-            xr_alive = np.ascontiguousarray(xr_alive[keep])
             scan.drop(keep)
 
     harvest()  # the initial window alone may already certify a hold
@@ -185,7 +109,7 @@ def batch_convergence_times(
         if alive.size == 0:
             break
         t_abs = t0 + (step_idx - h)
-        frames = runner.advance(frames, t_abs, trial_ids[alive], xr_alive)
+        frames = runner.advance(frames, t_abs, trial_ids[alive], x)
         scan.update(step_idx, frames[:, -1, outputs])
         harvest()
     if finals is not None and alive.size:
@@ -288,12 +212,6 @@ class TrialSummary:
 
     def trial_rows(self) -> list[dict]:
         """Per-trial log rows; final-window classifications as label strings."""
-        from .classify import (
-            classify_log_inhibitor,
-            classify_two_inhibitor,
-            is_valid_configuration,
-        )
-
         inst = self.plan.instance
         x = np.asarray(inst.input_bits, dtype=np.uint8)
         rows = []

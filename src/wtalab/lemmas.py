@@ -22,15 +22,9 @@ from typing import Callable
 
 import numpy as np
 
-from .builders import (
-    LOG_INHIBITOR,
-    TWO_INHIBITOR,
-    build,
-    build_log_inhibitor,
-    build_two_inhibitor,
-    ceil_log2,
-)
-from .errors import UnknownLemma, VariantMismatch
+from .builders import LOG_INHIBITOR, TWO_INHIBITOR, build, ceil_log2
+from .classify import two_inhibitor_classes, typical, valid_outputs
+from .errors import InvalidSize, UnknownLemma, VariantMismatch, WtaLabError
 from .experiments import wilson_interval
 from .network import NetworkSpec
 from .randomness import RandomnessContract
@@ -47,6 +41,16 @@ class LemmaParams:
     seed: int = 0
     t_s: int = 10
     level: int = 3
+
+    def __post_init__(self) -> None:
+        # the k >= 2 samplers need two outputs, a verdict needs a sample,
+        # and 5.12 steps t_s + 1 times
+        if self.n < 2:
+            raise InvalidSize(f"n must be >= 2, got {self.n}")
+        if self.samples < 1:
+            raise WtaLabError(f"samples must be >= 1, got {self.samples}")
+        if self.t_s < 0:
+            raise WtaLabError(f"t_s must be >= 0, got {self.t_s}")
 
 
 @dataclass(frozen=True)
@@ -140,13 +144,17 @@ def _x_mixed(g, rows: int, n: int, zero_frac: float = 0.125) -> np.ndarray:
     return x
 
 
-def _simulate(spec: NetworkSpec, windows0: np.ndarray, x_rows: np.ndarray,
-              steps: int, seed: int) -> list[np.ndarray]:
-    """Advance a batch ``steps`` times; returns the new frame after each step."""
-    rng = RandomnessContract(seed)
-    runner = BatchRunner(spec, rng)
-    trials = np.arange(windows0.shape[0], dtype=np.int64)
-    frames = np.asarray(windows0, dtype=np.uint8)
+def _step(p: LemmaParams, spec: NetworkSpec, windows: np.ndarray,
+          steps: int = 1) -> list[np.ndarray]:
+    """Advance a batch of windows (or of configurations, for history 1)
+    ``steps`` times with the inputs of its oldest frame held; returns the
+    new frame after each step."""
+    frames = np.asarray(windows, dtype=np.uint8)
+    if frames.ndim == 2:
+        frames = frames[:, None, :]
+    x_rows = frames[:, 0, spec.input_indices]
+    runner = BatchRunner(spec, RandomnessContract(p.seed))
+    trials = np.arange(frames.shape[0], dtype=np.int64)
     h = spec.history
     out = []
     for k in range(steps):
@@ -161,11 +169,6 @@ def _t_config(x, y, a_s, a_c) -> np.ndarray:
     ).astype(np.uint8)
 
 
-def _t_step(p: LemmaParams, config: np.ndarray, steps: int = 1):
-    spec = build_two_inhibitor(p.n, p.gamma)
-    return _simulate(spec, config[:, None, :], config[:, : p.n], steps, p.seed)
-
-
 def _l_window(x, frames_old, frames_new) -> np.ndarray:
     return np.stack([frames_old, frames_new], axis=1).astype(np.uint8)
 
@@ -176,36 +179,16 @@ def _l_frame(x, y, a_s, chain) -> np.ndarray:
     ).astype(np.uint8)
 
 
-def _l_step(p: LemmaParams, window: np.ndarray, steps: int = 1):
-    spec = build_log_inhibitor(p.n, p.gamma)
-    return _simulate(spec, window, window[:, 0, : p.n], steps, p.seed)
-
-
-def _split_t(p: LemmaParams, cfg: np.ndarray):
-    n = p.n
-    return cfg[:, :n], cfg[:, n : 2 * n], cfg[:, 2 * n], cfg[:, 2 * n + 1]
-
-
-def _split_l(p: LemmaParams, cfg: np.ndarray):
-    n = p.n
-    return cfg[:, :n], cfg[:, n : 2 * n], cfg[:, 2 * n], cfg[:, 2 * n + 1 :]
-
-
-def _valid_out_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    want = np.minimum(1, x.sum(axis=1))
-    return (~np.any(y > x, axis=1)) & (y.sum(axis=1) == want)
-
-
 # -- two-inhibitor checks ---------------------------------------------------
 
 
-def _chk_3_4(p: LemmaParams):
+def _chk_3_4(p: LemmaParams, spec: NetworkSpec):
     g = _gen(p)
     B = p.samples
     x = _rand_bits(g, B, p.n)
     x[:, 0] = 0
     cfg = _t_config(x, _rand_bits(g, B, p.n), g.integers(0, 2, B), g.integers(0, 2, B))
-    (nxt,) = _t_step(p, cfg)
+    (nxt,) = _step(p, spec, cfg)
     count = int((nxt[:, p.n] == 1).sum())
     return _report(
         "3.4", "output with silent input fires anyway", "upper",
@@ -213,7 +196,7 @@ def _chk_3_4(p: LemmaParams):
     )
 
 
-def _chk_3_5(p: LemmaParams, case: int):
+def _chk_3_5(p: LemmaParams, spec: NetworkSpec, case: int):
     g = _gen(p)
     B = p.samples
     x = _rand_bits(g, B, p.n)
@@ -227,7 +210,7 @@ def _chk_3_5(p: LemmaParams, case: int):
         y = _exactly_k(g, B, p.n, g.integers(2, p.n + 1, size=B))
         desc = "two or more firing outputs: both inhibitors fire"
     cfg = _t_config(x, y, g.integers(0, 2, B), g.integers(0, 2, B))
-    (nxt,) = _t_step(p, cfg)
+    (nxt,) = _step(p, spec, cfg)
     a_s, a_c = nxt[:, 2 * p.n], nxt[:, 2 * p.n + 1]
     if case == 1:
         hit = (a_s == 0) & (a_c == 0)
@@ -251,12 +234,12 @@ def _valid_t_config(g, p: LemmaParams, B: int):
     return x, y, want
 
 
-def _chk_3_6(p: LemmaParams):
+def _chk_3_6(p: LemmaParams, spec: NetworkSpec):
     g = _gen(p)
     B = p.samples
     x, y, want = _valid_t_config(g, p, B)
     cfg = _t_config(x, y, want, np.zeros(B, dtype=np.uint8))
-    (nxt,) = _t_step(p, cfg)
+    (nxt,) = _step(p, spec, cfg)
     hit = np.all(nxt == cfg, axis=1)
     return _report(
         "3.6", "a valid configuration repeats unchanged", "lower",
@@ -264,12 +247,12 @@ def _chk_3_6(p: LemmaParams):
     )
 
 
-def _chk_3_7(p: LemmaParams):
+def _chk_3_7(p: LemmaParams, spec: NetworkSpec):
     g = _gen(p)
     B = p.samples
     x = np.zeros((B, p.n), dtype=np.uint8)
     cfg = _t_config(x, _rand_bits(g, B, p.n), g.integers(0, 2, B), g.integers(0, 2, B))
-    _, second = _t_step(p, cfg, steps=2)
+    _, second = _step(p, spec, cfg, steps=2)
     hit = second[:, p.n :].sum(axis=1) == 0
     return _report(
         "3.7", "silent input: the whole network is quiet within two steps",
@@ -277,14 +260,14 @@ def _chk_3_7(p: LemmaParams):
     )
 
 
-def _chk_3_8(p: LemmaParams):
+def _chk_3_8(p: LemmaParams, spec: NetworkSpec):
     g = _gen(p)
     B = p.samples
     x = _rand_bits(g, B, p.n)
     y = (x & _rand_bits(g, B, p.n)).astype(np.uint8)
     s = g.integers(0, 2, B).astype(np.uint8)
     cfg = _t_config(x, y, s, 1 - s)
-    (nxt,) = _t_step(p, cfg)
+    (nxt,) = _step(p, spec, cfg)
     hit = np.all(nxt[:, p.n : 2 * p.n] == y, axis=1)
     return _report(
         "3.8", "exactly one inhibitor active: outputs repeat verbatim",
@@ -302,11 +285,11 @@ def _both_inhibitor_config(g, p: LemmaParams, B: int, ensure_winner: bool):
     return x, y, _t_config(x, y, ones, ones)
 
 
-def _chk_3_9(p: LemmaParams, case: int):
+def _chk_3_9(p: LemmaParams, spec: NetworkSpec, case: int):
     g = _gen(p)
     B = p.samples
     x, y, cfg = _both_inhibitor_config(g, p, B, ensure_winner=(case == 2))
-    (nxt,) = _t_step(p, cfg)
+    (nxt,) = _step(p, spec, cfg)
     y2 = nxt[:, p.n : 2 * p.n]
     if case == 1:
         hit = ~np.any(y2 > y, axis=1)
@@ -321,15 +304,14 @@ def _chk_3_9(p: LemmaParams, case: int):
     )
 
 
-def _chk_3_10(p: LemmaParams):
+def _chk_3_10(p: LemmaParams, spec: NetworkSpec):
     g = _gen(p)
     B = p.samples
-    x, y, want = _valid_t_config(g, p, B)
+    x, y, _ = _valid_t_config(g, p, B)
     ones = np.ones(B, dtype=np.uint8)
     cfg = _t_config(x, y, ones, ones)
-    (nxt,) = _t_step(p, cfg)
-    _, y2, a_s2, a_c2 = _split_t(p, nxt)
-    hit = _valid_out_rows(x, y2) & (a_s2 == want) & (a_c2 == 0)
+    (nxt,) = _step(p, spec, cfg)
+    hit = two_inhibitor_classes(x, nxt).valid
     return _report(
         "3.10", "near-valid configuration settles into the valid one",
         "lower", int(hit.sum()), B, 0.5 - (p.n + 2) * math.exp(-p.gamma / 2),
@@ -344,18 +326,16 @@ def _kwta_config(g, p: LemmaParams, B: int):
     return x, y, k, _t_config(x, y, ones, ones)
 
 
-def _chk_3_11(p: LemmaParams, case: int):
+def _chk_3_11(p: LemmaParams, spec: NetworkSpec, case: int):
     g = _gen(p)
     B = p.samples
     x, y, k, cfg = _kwta_config(g, p, B)
-    (nxt,) = _t_step(p, cfg)
-    _, y2, a_s2, a_c2 = _split_t(p, nxt)
-    k2 = y2.sum(axis=1)
-    near = _valid_out_rows(x, y2) & (a_s2 == 1) & (a_c2 == 1)
-    kwta2 = (~np.any(y2 > x, axis=1)) & (k2 >= 2) & (a_s2 == 1) & (a_c2 == 1)
+    (nxt,) = _step(p, spec, cfg)
+    cls = two_inhibitor_classes(x, nxt)
+    k2, near = cls.k, cls.near_valid
     slack = (p.n + 2) * math.exp(-p.gamma / 2)
     if case == 1:
-        hit = near | (kwta2 & (k2 <= k)) | (k2 == 0)
+        hit = near | (cls.k_wta & (k2 <= k)) | (k2 == 0)
         return _report(
             "3.11.1", "competition only shrinks: fewer winners or a terminal state",
             "lower", int(hit.sum()), B, 1.0 - slack,
@@ -377,22 +357,17 @@ def _chk_3_11(p: LemmaParams, case: int):
     )
 
 
-def _chk_3_12(p: LemmaParams):
+def _chk_3_12(p: LemmaParams, spec: NetworkSpec):
     g = _gen(p)
     B = p.samples
     x = _x_mixed(g, B, p.n)
     zeros = np.zeros(B, dtype=np.uint8)
     cfg = _t_config(x, _rand_bits(g, B, p.n), zeros, zeros)
-    steps = _t_step(p, cfg, steps=3)
-    want = np.minimum(1, x.sum(axis=1))
+    steps = _step(p, spec, cfg, steps=3)
     hit = np.zeros(B, dtype=bool)
     for nxt in steps:
-        _, y2, a_s2, a_c2 = _split_t(p, nxt)
-        backed = ~np.any(y2 > x, axis=1)
-        valid = backed & (y2.sum(axis=1) == want) & (a_c2 == 0) & (a_s2 == want)
-        near = _valid_out_rows(x, y2) & (a_s2 == 1) & (a_c2 == 1)
-        kwta2 = backed & (y2.sum(axis=1) >= 2) & (a_s2 == 1) & (a_c2 == 1)
-        hit |= valid | near | kwta2
+        cls = two_inhibitor_classes(x, nxt)
+        hit |= cls.valid | cls.near_valid | cls.k_wta
     return _report(
         "3.12", "a reset restarts the competition into an active state",
         "lower", int(hit.sum()), B, 0.5 - 3.0 * (p.n + 2) * math.exp(-p.gamma / 2),
@@ -412,13 +387,13 @@ def _rand_l_frame(g, p: LemmaParams, B: int, x: np.ndarray) -> np.ndarray:
     )
 
 
-def _chk_5_2(p: LemmaParams):
+def _chk_5_2(p: LemmaParams, spec: NetworkSpec):
     g = _gen(p)
     B = p.samples
     x = _rand_bits(g, B, p.n)
     x[:, 0] = 0
     win = _l_window(x, _rand_l_frame(g, p, B, x), _rand_l_frame(g, p, B, x))
-    (nxt,) = _l_step(p, win)
+    (nxt,) = _step(p, spec, win)
     count = int((nxt[:, p.n] == 1).sum())
     return _report(
         "5.2", "output with silent input fires anyway", "upper",
@@ -426,7 +401,7 @@ def _chk_5_2(p: LemmaParams):
     )
 
 
-def _chk_5_3(p: LemmaParams, case: int):
+def _chk_5_3(p: LemmaParams, spec: NetworkSpec, case: int):
     g = _gen(p)
     B = p.samples
     L = _levels(p)
@@ -443,7 +418,7 @@ def _chk_5_3(p: LemmaParams, case: int):
         desc = "an output fired recently: stability inhibitor fires"
     old = _l_frame(x, y_old, g.integers(0, 2, B), _rand_bits(g, B, L))
     new = _l_frame(x, y_new, g.integers(0, 2, B), _rand_bits(g, B, L))
-    (nxt,) = _l_step(p, _l_window(x, old, new))
+    (nxt,) = _step(p, spec, _l_window(x, old, new))
     a_s2 = nxt[:, 2 * p.n]
     hit = (a_s2 == 0) if case == 1 else (a_s2 == 1)
     return _report(
@@ -452,7 +427,7 @@ def _chk_5_3(p: LemmaParams, case: int):
     )
 
 
-def _chk_5_4(p: LemmaParams, case: int):
+def _chk_5_4(p: LemmaParams, spec: NetworkSpec, case: int):
     g = _gen(p)
     B = p.samples
     L = _levels(p)
@@ -469,7 +444,7 @@ def _chk_5_4(p: LemmaParams, case: int):
     y_new = _exactly_k(g, B, p.n, k)
     old = _rand_l_frame(g, p, B, x)
     new = _l_frame(x, y_new, g.integers(0, 2, B), _rand_bits(g, B, L))
-    (nxt,) = _l_step(p, _l_window(x, old, new))
+    (nxt,) = _step(p, spec, _l_window(x, old, new))
     chain2 = nxt[:, 2 * p.n + 1 :]
     if case == 1:
         hit = chain2.sum(axis=1) == 0
@@ -483,15 +458,13 @@ def _chk_5_4(p: LemmaParams, case: int):
     )
 
 
-def _chk_5_5(p: LemmaParams):
+def _chk_5_5(p: LemmaParams, spec: NetworkSpec):
     g = _gen(p)
     B = p.samples
     x = _rand_bits(g, B, p.n)
     win = _l_window(x, _rand_l_frame(g, p, B, x), _rand_l_frame(g, p, B, x))
-    (nxt,) = _l_step(p, win)
-    _, y2, a_s2, chain2 = _split_l(p, nxt)
-    levels = np.concatenate([a_s2[:, None], chain2], axis=1).astype(np.int8)
-    hit = (~np.any(y2 > x, axis=1)) & np.all(np.diff(levels, axis=1) <= 0, axis=1)
+    (nxt,) = _step(p, spec, win)
+    hit = typical(x, nxt)
     return _report(
         "5.5", "one step from anywhere lands in a typical configuration",
         "lower", int(hit.sum()), B,
@@ -499,7 +472,7 @@ def _chk_5_5(p: LemmaParams):
     )
 
 
-def _chk_5_6(p: LemmaParams):
+def _chk_5_6(p: LemmaParams, spec: NetworkSpec):
     g = _gen(p)
     B = p.samples
     L = _levels(p)
@@ -508,7 +481,7 @@ def _chk_5_6(p: LemmaParams):
     y_new = (x & _rand_bits(g, B, p.n)).astype(np.uint8)
     old = _l_frame(x, y_old, g.integers(0, 2, B), _rand_bits(g, B, L))
     new = _l_frame(x, y_new, np.ones(B, dtype=np.uint8), np.zeros((B, L), dtype=np.uint8))
-    (nxt,) = _l_step(p, _l_window(x, old, new))
+    (nxt,) = _step(p, spec, _l_window(x, old, new))
     y2 = nxt[:, p.n : 2 * p.n]
     hit = np.all(y2 == np.maximum(y_old, y_new), axis=1)
     return _report(
@@ -517,7 +490,7 @@ def _chk_5_6(p: LemmaParams):
     )
 
 
-def _chk_5_7(p: LemmaParams):
+def _chk_5_7(p: LemmaParams, spec: NetworkSpec):
     g = _gen(p)
     B = p.samples
     L = _levels(p)
@@ -525,7 +498,7 @@ def _chk_5_7(p: LemmaParams):
     old = _rand_l_frame(g, p, B, x)
     new = _l_frame(x, _rand_bits(g, B, p.n), np.zeros(B, dtype=np.uint8),
                    np.zeros((B, L), dtype=np.uint8))
-    (nxt,) = _l_step(p, _l_window(x, old, new))
+    (nxt,) = _step(p, spec, _l_window(x, old, new))
     hit = np.all(nxt[:, p.n : 2 * p.n] == x, axis=1)
     return _report(
         "5.7", "no inhibition: every driven output fires, nothing else does",
@@ -545,7 +518,7 @@ def _graded_window(g, p: LemmaParams, B: int, level, k):
     return x, winners, _l_window(x, old, new)
 
 
-def _chk_5_8(p: LemmaParams, case: int):
+def _chk_5_8(p: LemmaParams, spec: NetworkSpec, case: int):
     g = _gen(p)
     B = p.samples
     l = p.level
@@ -559,7 +532,7 @@ def _chk_5_8(p: LemmaParams, case: int):
         winners = winners.copy()
         winners[:, 0] = 1
         x = win[:, 0, : p.n]
-    (nxt,) = _l_step(p, win)
+    (nxt,) = _step(p, spec, win)
     y2 = nxt[:, p.n : 2 * p.n]
     if case == 1:
         hit = ~np.any(y2 > winners, axis=1)
@@ -584,14 +557,13 @@ def _graded_level_and_count(g, p: LemmaParams, B: int, low_zero: bool):
     return lv, k
 
 
-def _chk_5_9(p: LemmaParams):
+def _chk_5_9(p: LemmaParams, spec: NetworkSpec):
     g = _gen(p)
     B = p.samples
     lv, k = _graded_level_and_count(g, p, B, low_zero=False)
     x, winners, win = _graded_window(g, p, B, lv, k)
-    (nxt,) = _l_step(p, win)
-    y2 = nxt[:, p.n : 2 * p.n]
-    hit = _valid_out_rows(x, y2)
+    (nxt,) = _step(p, spec, win)
+    hit = valid_outputs(x, nxt[:, p.n : 2 * p.n])
     return _report(
         "5.9", "matched inhibition level: one step to a valid output",
         "lower", int(hit.sum()), B,
@@ -599,12 +571,12 @@ def _chk_5_9(p: LemmaParams):
     )
 
 
-def _chk_5_10(p: LemmaParams):
+def _chk_5_10(p: LemmaParams, spec: NetworkSpec):
     g = _gen(p)
     B = p.samples
     lv, k = _graded_level_and_count(g, p, B, low_zero=True)
     x, winners, win = _graded_window(g, p, B, lv, k)
-    (nxt,) = _l_step(p, win)
+    (nxt,) = _step(p, spec, win)
     hit = nxt[:, p.n : 2 * p.n].sum(axis=1) == 0
     return _report(
         "5.10", "excess inhibition level: one step to zero firing outputs",
@@ -628,18 +600,17 @@ def _near_stable_window(g, p: LemmaParams, B: int):
     return x, w, _l_window(x, old, new)
 
 
-def _chk_5_11(p: LemmaParams):
+def _chk_5_11(p: LemmaParams, spec: NetworkSpec):
     g = _gen(p)
     B = p.samples
     x, w, win = _near_stable_window(g, p, B)
-    (nxt,) = _l_step(p, win)
-    _, y2, a_s2, chain2 = _split_l(p, nxt)
-    rows = np.arange(B)
+    (nxt,) = _step(p, spec, win)
+    y2 = nxt[:, p.n : 2 * p.n]
     hit = (
-        (y2[rows, w] == 1)
+        (y2[np.arange(B), w] == 1)
         & (y2.sum(axis=1) == 1)
-        & (a_s2 == 1)
-        & (chain2.sum(axis=1) == 0)
+        & (nxt[:, 2 * p.n] == 1)
+        & (nxt[:, 2 * p.n + 1 :].sum(axis=1) == 0)
     )
     return _report(
         "5.11", "a near-stable window advances to the next near-stable window",
@@ -648,13 +619,13 @@ def _chk_5_11(p: LemmaParams):
     )
 
 
-def _chk_5_12(p: LemmaParams):
+def _chk_5_12(p: LemmaParams, spec: NetworkSpec):
     g = _gen(p)
     B = p.samples
     x, w, win = _near_stable_window(g, p, B)
-    steps = _l_step(p, win, steps=p.t_s + 1)
+    steps = _step(p, spec, win, steps=p.t_s + 1)
     first = steps[0][:, p.n : 2 * p.n]
-    hit = _valid_out_rows(x, first)
+    hit = valid_outputs(x, first)
     for nxt in steps[1:]:
         hit &= np.all(nxt[:, p.n : 2 * p.n] == first, axis=1)
     return _report(
@@ -667,31 +638,33 @@ def _chk_5_12(p: LemmaParams):
 
 # -- catalog ------------------------------------------------------------------
 
-_CASES: dict[str, tuple[str, Callable[[LemmaParams], LemmaCheckReport]]] = {
+_Check = Callable[[LemmaParams, NetworkSpec], LemmaCheckReport]
+
+_CASES: dict[str, tuple[str, _Check]] = {
     "3.4": (TWO_INHIBITOR, _chk_3_4),
-    "3.5.1": (TWO_INHIBITOR, lambda p: _chk_3_5(p, 1)),
-    "3.5.2": (TWO_INHIBITOR, lambda p: _chk_3_5(p, 2)),
-    "3.5.3": (TWO_INHIBITOR, lambda p: _chk_3_5(p, 3)),
+    "3.5.1": (TWO_INHIBITOR, lambda p, spec: _chk_3_5(p, spec, 1)),
+    "3.5.2": (TWO_INHIBITOR, lambda p, spec: _chk_3_5(p, spec, 2)),
+    "3.5.3": (TWO_INHIBITOR, lambda p, spec: _chk_3_5(p, spec, 3)),
     "3.6": (TWO_INHIBITOR, _chk_3_6),
     "3.7": (TWO_INHIBITOR, _chk_3_7),
     "3.8": (TWO_INHIBITOR, _chk_3_8),
-    "3.9.1": (TWO_INHIBITOR, lambda p: _chk_3_9(p, 1)),
-    "3.9.2": (TWO_INHIBITOR, lambda p: _chk_3_9(p, 2)),
+    "3.9.1": (TWO_INHIBITOR, lambda p, spec: _chk_3_9(p, spec, 1)),
+    "3.9.2": (TWO_INHIBITOR, lambda p, spec: _chk_3_9(p, spec, 2)),
     "3.10": (TWO_INHIBITOR, _chk_3_10),
-    "3.11.1": (TWO_INHIBITOR, lambda p: _chk_3_11(p, 1)),
-    "3.11.2": (TWO_INHIBITOR, lambda p: _chk_3_11(p, 2)),
-    "3.11.3": (TWO_INHIBITOR, lambda p: _chk_3_11(p, 3)),
+    "3.11.1": (TWO_INHIBITOR, lambda p, spec: _chk_3_11(p, spec, 1)),
+    "3.11.2": (TWO_INHIBITOR, lambda p, spec: _chk_3_11(p, spec, 2)),
+    "3.11.3": (TWO_INHIBITOR, lambda p, spec: _chk_3_11(p, spec, 3)),
     "3.12": (TWO_INHIBITOR, _chk_3_12),
     "5.2": (LOG_INHIBITOR, _chk_5_2),
-    "5.3.1": (LOG_INHIBITOR, lambda p: _chk_5_3(p, 1)),
-    "5.3.2": (LOG_INHIBITOR, lambda p: _chk_5_3(p, 2)),
-    "5.4.1": (LOG_INHIBITOR, lambda p: _chk_5_4(p, 1)),
-    "5.4.2": (LOG_INHIBITOR, lambda p: _chk_5_4(p, 2)),
+    "5.3.1": (LOG_INHIBITOR, lambda p, spec: _chk_5_3(p, spec, 1)),
+    "5.3.2": (LOG_INHIBITOR, lambda p, spec: _chk_5_3(p, spec, 2)),
+    "5.4.1": (LOG_INHIBITOR, lambda p, spec: _chk_5_4(p, spec, 1)),
+    "5.4.2": (LOG_INHIBITOR, lambda p, spec: _chk_5_4(p, spec, 2)),
     "5.5": (LOG_INHIBITOR, _chk_5_5),
     "5.6": (LOG_INHIBITOR, _chk_5_6),
     "5.7": (LOG_INHIBITOR, _chk_5_7),
-    "5.8.1": (LOG_INHIBITOR, lambda p: _chk_5_8(p, 1)),
-    "5.8.2": (LOG_INHIBITOR, lambda p: _chk_5_8(p, 2)),
+    "5.8.1": (LOG_INHIBITOR, lambda p, spec: _chk_5_8(p, spec, 1)),
+    "5.8.2": (LOG_INHIBITOR, lambda p, spec: _chk_5_8(p, spec, 2)),
     "5.9": (LOG_INHIBITOR, _chk_5_9),
     "5.10": (LOG_INHIBITOR, _chk_5_10),
     "5.11": (LOG_INHIBITOR, _chk_5_11),
@@ -734,13 +707,11 @@ def lemma_check(
         raise ValueError("pass either params or keyword overrides, not both")
     p = params if params is not None else LemmaParams(**overrides)
     ids = case_ids(lemma_id)
-    reports = []
-    for cid in ids:
-        variant, fn = _CASES[cid]
-        if spec is not None and spec != build(variant, p.n, p.gamma):
-            raise VariantMismatch(
-                f"supplied network is not the {variant} family at "
-                f"n={p.n}, gamma={p.gamma}"
-            )
-        reports.append(fn(p))
-    return reports
+    variant = _CASES[ids[0]][0]  # a check id prefix never spans both families
+    family = build(variant, p.n, p.gamma)
+    if spec is not None and spec != family:
+        raise VariantMismatch(
+            f"supplied network is not the {variant} family at "
+            f"n={p.n}, gamma={p.gamma}"
+        )
+    return [_CASES[cid][1](p, family) for cid in ids]

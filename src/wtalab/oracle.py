@@ -19,9 +19,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .classify import is_valid_configuration
-from .errors import NotValidConfiguration, StateSpaceTooLarge
-from .network import NetworkSpec
+from .classify import ConvergenceScan, is_valid_configuration, valid_outputs
+from .errors import LengthMismatch, NotValidConfiguration, StateSpaceTooLarge, WtaLabError
+from .network import NetworkSpec, sigmoid
 from .simulate import ExecutionWindow
 
 DEFAULT_STATE_CAP = 1 << 22
@@ -47,7 +47,9 @@ class WindowStateSpace:
 
     A window of ``h`` frames over ``m`` non-input neurons is indexed by
     ``sum_a code_a * 2**(m*a)`` where ``code_0`` is the most recent frame and
-    bit ``j`` of a frame code is the ``j``-th non-input neuron.
+    bit ``j`` of a frame code is the ``j``-th non-input neuron. ``cap``
+    bounds the entries of the one-step kernel, ``2**(m*h)`` states by
+    ``2**m`` next frames.
     """
 
     def __init__(self, spec: NetworkSpec, input_bits, cap: int = DEFAULT_STATE_CAP):
@@ -56,14 +58,14 @@ class WindowStateSpace:
         self.non_input = spec.non_input_indices
         self.m = int(self.non_input.size)
         self.h = spec.history
-        n_states = 1 << (self.m * self.h)
-        if n_states > cap:
+        if self.x.shape != spec.input_indices.shape:
+            raise LengthMismatch("input vector does not match the network")
+        if 1 << (self.m * (self.h + 1)) > cap:
             raise StateSpaceTooLarge(
-                f"2^({self.m}*{self.h}) window states exceed the cap {cap}"
+                f"2^({self.m}*{self.h}) window states x 2^{self.m} next frames "
+                f"exceed the cap {cap}"
             )
-        self.n_states = n_states
-        if self.x.size != spec.input_indices.size:
-            raise StateSpaceTooLarge("input vector does not match the network")
+        self.n_states = 1 << (self.m * self.h)
 
     @cached_property
     def frame_bits(self) -> np.ndarray:
@@ -96,9 +98,7 @@ class WindowStateSpace:
     @cached_property
     def valid_out(self) -> np.ndarray:
         """(2^m,) whether the frame code's output projection is valid."""
-        bits = self.frame_bits[:, self.out_positions]
-        backed = ~np.any(bits > self.x[None, :], axis=1)
-        return backed & (bits.sum(axis=1) == min(1, int(self.x.sum())))
+        return valid_outputs(self.x, self.frame_bits[:, self.out_positions])
 
     def frame_code(self, config) -> int:
         c = np.asarray(config, dtype=np.int64)
@@ -133,9 +133,7 @@ class WindowStateSpace:
         pot = -self.spec.biases[self.non_input][None, :].repeat(self.n_states, axis=0)
         for a in range(self.h):
             pot += contrib[a][codes[:, a]]
-        z = pot / self.spec.lam
-        e = np.exp(-np.abs(z))
-        return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+        return sigmoid(pot / self.spec.lam)
 
     @cached_property
     def kernel(self) -> np.ndarray:
@@ -181,37 +179,25 @@ def exact_step_distribution(
     """
     space = WindowStateSpace(spec, input_bits, cap=cap)
     s = space.window_index(window)
-    probs = space.kernel[s]
-    configs = np.zeros(((1 << space.m), spec.n_neurons), dtype=np.uint8)
-    configs[:, spec.input_indices] = space.x
-    configs[:, space.non_input] = space.frame_bits
-    return StepDistribution(configs=configs, probs=probs)
+    configs = space.full_frames.astype(np.uint8)
+    return StepDistribution(configs=configs, probs=space.kernel[s])
 
 
 def _initial_counter(space: WindowStateSpace, window, t_s: int) -> tuple[int, int]:
-    """Stability counter implied by the initial window's own frames.
+    """Stability counter implied by the initial window's own frames: how many
+    trailing frames repeat a valid output.
 
     Returns ``(counter, absorbed_at)`` with ``absorbed_at = h - 1`` when the
     window alone already certifies the hold (only possible for t_s < h).
     """
     frames = np.asarray(getattr(window, "frames", window), dtype=np.uint8)
-    if frames.ndim == 1:
-        frames = frames[None, :]
-    c = 0
-    prev_key = None
-    for frame in frames:
-        code = space.frame_code(frame)
-        key = int(space.out_key[code])
-        if not space.valid_out[code]:
-            c = 0
-        elif prev_key == key and c >= 1:
-            c += 1
-        else:
-            c = 1
-        prev_key = key
-    if c >= t_s + 1:
-        return t_s + 1, space.h - 1
-    return c, -1
+    outs = frames.reshape(-1, space.spec.n_neurons)[:, space.spec.output_indices]
+    scan = ConvergenceScan(space.x, t_s)
+    for t in range(outs.shape[0]):
+        if scan.update(t, outs[t : t + 1])[0]:
+            return t_s + 1, space.h - 1
+    run = outs.shape[0] - int(scan.start[0])
+    return (run if valid_outputs(space.x, outs[-1]) else 0), -1
 
 
 def convergence_cdf(
@@ -230,6 +216,8 @@ def convergence_cdf(
     expectation of the convergence time itself is recoverable as
     ``sum_t' t' * (cdf[t' + t_s] - cdf[t' + t_s - 1])`` plus residual mass.
     """
+    if t_s < 1 or t_max < 0:
+        raise WtaLabError(f"need t_s >= 1 and t_max >= 0, got t_s={t_s}, t_max={t_max}")
     space = WindowStateSpace(spec, input_bits, cap=cap)
     kernel = space.kernel
     shifted = space.next_state_indices()

@@ -333,6 +333,46 @@ def step(spec: NetworkSpec, window: ExecutionWindow, next_input, draws) -> np.nd
     return new
 
 
+def initial_windows_batch(
+    spec: NetworkSpec,
+    policy: str,
+    input_trace,
+    trial_ids,
+    rng: RandomnessContract,
+    explicit: ExecutionWindow | None = None,
+    t0: int = 0,
+) -> np.ndarray:
+    """(B, h, N) uint8 starting windows for a batch of trials.
+
+    Input bits come from the input trace at times ``t0..t0+h-1``; the policy
+    decides the non-input bits. ``uniform_random`` materializes them from the
+    randomness contract at those same times, so each trial's start is
+    independent and reproducible; ``explicit`` copies them from ``explicit``.
+    """
+    if policy not in INITIAL_POLICIES:
+        raise InvalidNetwork(f"unknown initial policy {policy!r}")
+    h, n_all = spec.history, spec.n_neurons
+    frames = np.zeros((len(trial_ids), h, n_all), dtype=np.uint8)
+    if policy == EXPLICIT:
+        if explicit is None:
+            raise InvalidNetwork("explicit policy needs an explicit window")
+        if explicit.frames.shape != (h, n_all):
+            raise InvalidNetwork(
+                f"explicit window shape {explicit.frames.shape} != ({h}, {n_all})"
+            )
+        frames[:] = explicit.frames
+    trace = as_input_trace(input_trace)
+    inputs, non_input = spec.input_indices, spec.non_input_indices
+    for t in range(h):
+        frames[:, t, inputs] = trace.bits_at(t0 + t, trial_ids, rng, inputs)
+        if policy == ALL_FIRE:
+            frames[:, t, non_input] = 1
+        elif policy == UNIFORM_RANDOM:
+            draws = rng.uniform_block(trial_ids, t0 + t, non_input)
+            frames[:, t, non_input] = draws < 0.5
+    return frames
+
+
 def initial_window(
     spec: NetworkSpec,
     policy: str,
@@ -341,35 +381,16 @@ def initial_window(
     trial: int = 0,
     explicit: ExecutionWindow | None = None,
 ) -> ExecutionWindow:
-    """Build the h-frame starting window for one trial.
-
-    Input bits always come from the input trace at times ``0..h-1``; the
-    policy decides the non-input bits. ``uniform_random`` materializes them
-    from the randomness contract at those same times, so random starts are
-    reproducible per trial.
-    """
-    if policy == EXPLICIT:
-        if explicit is None:
-            raise InvalidNetwork("explicit policy needs an explicit window")
+    """The h-frame starting window of one trial: ``initial_windows_batch``
+    over a batch of one, at times ``0..h-1``. An explicit window is returned
+    as given."""
+    if policy == EXPLICIT and explicit is not None:
         return explicit
-    if policy not in INITIAL_POLICIES:
-        raise InvalidNetwork(f"unknown initial policy {policy!r}")
-    h, n_all = spec.history, spec.n_neurons
-    trace = as_input_trace(input_trace)
-    frames = np.zeros((h, n_all), dtype=np.uint8)
-    non_input = spec.non_input_indices
-    for t in range(h):
-        frames[t, spec.input_indices] = trace.bits_at(
-            t, [trial], rng if rng is not None else RandomnessContract(0), spec.input_indices
-        )[0]
-        if policy == ALL_FIRE:
-            frames[t, non_input] = 1
-        elif policy == UNIFORM_RANDOM:
-            if rng is None:
-                raise InvalidNetwork("uniform_random policy needs a randomness contract")
-            draws = rng.uniform_block([trial], t, non_input)[0]
-            frames[t, non_input] = draws < 0.5
-    return ExecutionWindow(frames)
+    if policy == UNIFORM_RANDOM and rng is None:
+        raise InvalidNetwork("uniform_random policy needs a randomness contract")
+    rng = rng if rng is not None else RandomnessContract(0)
+    frames = initial_windows_batch(spec, policy, input_trace, np.asarray([trial]), rng)
+    return ExecutionWindow(frames[0])
 
 
 def run(

@@ -11,6 +11,7 @@ from wtalab import (
     MissingDelta,
     NetworkSpec,
     WtaInstance,
+    WtaLabError,
     WtaVariant,
     build_log_inhibitor,
     build_single_inhibitor,
@@ -200,3 +201,13 @@ class TestWtaInstance:
             variant=WtaVariant("two_inhibitor"),
         )
         assert inst.gamma == 6.0
+
+    @pytest.mark.parametrize("delta", [1.5, 1.0, 0.0, -0.1, float("nan")])
+    def test_delta_outside_unit_interval_rejected(self, delta):
+        with pytest.raises(WtaLabError):
+            WtaInstance(n=3, gamma=6.0, t_s=3, delta=delta, t_c=20)
+        v = WtaVariant("two_inhibitor", "high_probability")
+        with pytest.raises(WtaLabError):
+            gamma_for(v, 3, 3, delta)
+        with pytest.raises(WtaLabError):
+            tc_bound(v, 3, delta)

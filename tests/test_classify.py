@@ -7,6 +7,7 @@ from wtalab import (
     LengthMismatch,
     RandomnessContract,
     TopologyMismatch,
+    build_log_inhibitor,
     build_two_inhibitor,
     classify_log_inhibitor,
     classify_two_inhibitor,
@@ -18,6 +19,8 @@ from wtalab import (
     near_stable_pair,
     run,
 )
+
+from wtalab.classify import two_inhibitor_classes, typical, valid_outputs
 
 from conftest import brute_convergence_time
 
@@ -92,12 +95,21 @@ class TestClassifyTwoInhibitor:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_exhaustive_against_slow_checker(self, n):
-        for x in itertools.product([0, 1], repeat=n):
-            for rest in itertools.product([0, 1], repeat=n + 2):
-                c = list(x) + list(rest)
-                assert classify_two_inhibitor(list(x), c) == (
-                    slow_two_inhibitor_labels(list(x), c)
-                )
+        # every configuration at once, each row with its own input bits
+        configs = np.array(list(itertools.product([0, 1], repeat=2 * n + 2)), dtype=np.uint8)
+        masks = two_inhibitor_classes(configs[:, :n], configs)
+        out_valid = valid_outputs(configs[:, :n], configs[:, n : 2 * n])
+        for row, c in enumerate(configs.tolist()):
+            x = c[:n]
+            slow = slow_two_inhibitor_labels(x, c)
+            assert classify_two_inhibitor(x, c) == slow
+            assert masks.valid[row] == ("valid_wta" in slow)
+            assert masks.near_valid[row] == ("near_valid" in slow)
+            assert masks.k_wta[row] == any(l.startswith("k_wta(") for l in slow)
+            assert masks.reset[row] == ("reset" in slow)
+            assert masks.k[row] == sum(c[n : 2 * n])
+            backed = all(y <= xi for y, xi in zip(c[n : 2 * n], x))
+            assert out_valid[row] == (backed and sum(c[n : 2 * n]) == min(1, sum(x)))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_label_algebra(self, n):
@@ -127,6 +139,18 @@ class TestClassifyLogInhibitor:
         assert near_stable_pair(x, older, latest) is True
         labels = classify_log_inhibitor(x, np.array([older, latest]))
         assert "near_stable_pair" in labels
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_typical_batch_against_clauses(self, n):
+        levels = 1 + (n - 1).bit_length()  # a_s plus the graded chain
+        configs = np.array(list(itertools.product([0, 1], repeat=2 * n + levels)), dtype=np.uint8)
+        mask = typical(configs[:, :n], configs)
+        for row, c in enumerate(configs.tolist()):
+            x, y, chain = c[:n], c[n : 2 * n], c[2 * n :]
+            backed = all(yi <= xi for yi, xi in zip(y, x))
+            closed = all(chain[j] >= chain[j + 1] for j in range(levels - 1))
+            assert mask[row] == (backed and closed)
+            assert is_typical(x, c) == (backed and closed)
 
     def test_chain_gap_is_not_typical(self):
         x = [1, 1, 1, 1]
@@ -187,14 +211,24 @@ class TestConvergenceTime:
         assert out.converged_at == 9
 
     def test_against_independent_scanner(self):
-        spec = build_two_inhibitor(2, 12.0)
         x = np.array([1, 1], dtype=np.uint8)
         rng = RandomnessContract(7)
-        init = initial_window(spec, "uniform_random", x, rng, trial=0)
-        ex = run(spec, init, x, 60, rng, trial=0)
-        got = convergence_time(ex, x, 5)
-        ref = brute_convergence_time(ex.frames[:, 2:4], x, 5)
-        assert got.converged_at == ref
+        cases = itertools.product([build_two_inhibitor, build_log_inhibitor], [1, 5], range(20))
+        for build, t_s, trial in cases:
+            spec = build(2, 12.0)
+            init = initial_window(spec, "uniform_random", x, rng, trial=trial)
+            ex = run(spec, init, x, 60, rng, trial=trial)
+            got = convergence_time(ex, x, t_s)
+            outs = ex.frames[:, 2:4]
+            ref = brute_convergence_time(outs, x, t_s)
+            assert got.converged_at == ref
+            assert got.timed_out == (ref is None)
+            if ref is not None:
+                # stable_for counts every repeat of the converged output
+                end = ref + got.stable_for
+                assert got.stable_for >= t_s
+                assert (outs[ref : end + 1] == outs[ref]).all()
+                assert end + 1 == len(outs) or (outs[end + 1] != outs[ref]).any()
 
     def test_monotone_under_extension(self):
         spec = build_two_inhibitor(3, 10.0)

@@ -172,3 +172,51 @@ class TestProbeCommand:
         assert code == 0
         report = json.loads((tmp_path / "probe.probe.json").read_text())
         assert len(report["reconvergence_fractions"]) == 2
+
+
+class TestInvalidInputsExitThree:
+    """Inputs that once escaped as uncaught exceptions (exit 1 and a
+    traceback) or ran although out of range: each is a validation error."""
+
+    RUN = ["run", "--n", "2", "--gamma", "10", "--ts", "3", "--tc", "20",
+           "--trials", "5", "--seed", "1"]
+
+    def _exit_three(self, argv, capsys):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.startswith("error:")
+
+    @pytest.mark.parametrize("flags", [
+        ["--n", "1", "--samples", "1000"],
+        ["--lemma", "3.4", "--samples", "0"],
+        ["--lemma", "5.12", "--samples", "100", "--ts", "-1"],
+    ])
+    def test_lemma_check_params(self, tmp_path, capsys, flags):
+        self._exit_three(["lemma-check", *flags, "--out", str(tmp_path / "lc")], capsys)
+        assert not (tmp_path / "lc.csv").exists()
+
+    @pytest.mark.parametrize("content", [None, "not json", "[[1, 1, 1]]", "[[1, 1, 2, 0, 1, 0]]",
+                                         "[[1, 1], [1]]", '{"frames": 1}'])
+    def test_bad_init_file(self, tmp_path, capsys, content):
+        wfile = tmp_path / "win.json"
+        if content is not None:
+            wfile.write_text(content)
+        self._exit_three(self.RUN + ["--init", "file", "--init-file", str(wfile),
+                                     "--out", str(tmp_path / "r")], capsys)
+
+    @pytest.mark.parametrize("flags", [["--ts", "0"], ["--tmax", "-3"]])
+    def test_oracle_times(self, tmp_path, capsys, flags):
+        argv = ["oracle", "--n", "2", "--gamma", "10", "--ts", "3", "--tmax", "5",
+                "--out", str(tmp_path / "cdf")]
+        self._exit_three(argv + flags, capsys)
+
+    @pytest.mark.parametrize("flags", [
+        ["--gamma", "10", "--tc", "50", "--delta", "1.5"],
+        ["--gamma-auto", "--tc-auto", "--delta", "1"],
+        ["--gamma-auto", "--tc-auto", "--delta", "0"],
+    ])
+    def test_delta_outside_unit_interval(self, tmp_path, capsys, flags):
+        argv = ["run", "--n", "2", "--ts", "3", "--trials", "5", "--seed", "1",
+                "--out", str(tmp_path / "d")]
+        self._exit_three(argv + flags, capsys)
+        assert not (tmp_path / "d.csv").exists()

@@ -14,6 +14,9 @@ import pytest
 
 from wtalab import (
     GROUP_IDS,
+    InvalidSize,
+    LemmaParams,
+    WtaLabError,
     UnknownLemma,
     VariantMismatch,
     WindowStateSpace,
@@ -34,6 +37,19 @@ class TestCatalogApi:
     def test_group_expansion(self):
         reports = lemma_check("3.5", samples=2000, seed=0)
         assert [r.lemma_id for r in reports] == ["3.5.1", "3.5.2", "3.5.3"]
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("n", 1, InvalidSize), ("n", 0, InvalidSize),
+        ("samples", 0, WtaLabError), ("samples", -5, WtaLabError),
+        ("t_s", -1, WtaLabError),
+    ])
+    def test_params_rejected_when_built(self, field, value, error):
+        # n = 1 leaves the k >= 2 samplers no range; zero samples leave the
+        # verdict nothing to divide by; a negative t_s steps 5.12 no times
+        with pytest.raises(error):
+            LemmaParams(**{field: value})
+        with pytest.raises(error):
+            lemma_check("3.4", **{field: value})
 
     def test_unknown_id(self):
         with pytest.raises(UnknownLemma):

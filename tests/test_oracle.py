@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from wtalab import (
+    LengthMismatch,
     NetworkSpec,
     Neuron,
     NotValidConfiguration,
     RandomnessContract,
     StateSpaceTooLarge,
     WindowStateSpace,
+    WtaLabError,
+    build,
     build_log_inhibitor,
     build_two_inhibitor,
     convergence_cdf,
@@ -85,8 +88,44 @@ class TestStepDistribution:
         with pytest.raises(StateSpaceTooLarge):
             WindowStateSpace(spec, [1] * 30)
 
+    @pytest.mark.parametrize("tag, n_max", [
+        ("two_inhibitor", 9), ("single_inhibitor", 10), ("log_inhibitor", 4),
+    ])
+    def test_cap_counts_kernel_entries(self, tag, n_max):
+        # the kernel holds 2^(m*h) states x 2^m outcomes; the cap is 2^22 of them
+        WindowStateSpace(build(tag, n_max, 5.0), [1] * n_max)
+        with pytest.raises(StateSpaceTooLarge):
+            WindowStateSpace(build(tag, n_max + 1, 5.0), [1] * (n_max + 1))
+
+    def test_refused_before_allocating(self):
+        import tracemalloc
+
+        spec = build_two_inhibitor(20, 5.0)  # 2^22 states, 2^44 kernel entries
+        tracemalloc.start()
+        try:
+            with pytest.raises(StateSpaceTooLarge):
+                WindowStateSpace(spec, [1] * 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_input_length_mismatch_checked_before_the_cap(self):
+        with pytest.raises(LengthMismatch):
+            WindowStateSpace(build_two_inhibitor(2, 5.0), [1] * 3)
+        with pytest.raises(LengthMismatch):
+            WindowStateSpace(build_two_inhibitor(30, 5.0), [1] * 3)
+
 
 class TestConvergenceCdf:
+    @pytest.mark.parametrize("t_s, t_max", [(0, 5), (-1, 5), (3, -1)])
+    def test_rejects_out_of_range_times(self, t_s, t_max):
+        spec = build_two_inhibitor(2, 8.0)
+        init = np.zeros((1, 6), dtype=np.uint8)
+        init[0, :2] = 1
+        with pytest.raises(WtaLabError):
+            convergence_cdf(spec, [1, 1], init, t_s=t_s, t_max=t_max)
+
     def test_short_horizon_all_zero(self):
         spec = build_two_inhibitor(2, 8.0)
         init = np.zeros((1, 6), dtype=np.uint8)

@@ -5,6 +5,7 @@ from wtalab import (
     BernoulliInputTrace,
     ExecutionWindow,
     HorizonTooShort,
+    InvalidNetwork,
     MissingDraw,
     NetworkSpec,
     Neuron,
@@ -176,13 +177,32 @@ class TestInitialPolicies:
         assert np.array_equal(rand1.frames, rand2.frames)
 
     def test_batch_matches_single(self):
-        spec = build_two_inhibitor(3, 6.0)
         x = np.array([1, 1, 0], dtype=np.uint8)
         rng = RandomnessContract(8)
-        batch = initial_windows_batch(spec, "uniform_random", x, np.arange(6), rng)
-        for trial in range(6):
-            single = initial_window(spec, "uniform_random", x, rng, trial=trial)
-            assert np.array_equal(batch[trial], single.frames)
+        for build in (build_two_inhibitor, build_log_inhibitor):  # h = 1 and h = 2
+            spec = build(3, 6.0)
+            explicit = np.random.default_rng(4).integers(0, 2, (spec.history, spec.n_neurons))
+            explicit[:, spec.input_indices] = x
+            explicit = ExecutionWindow(explicit)
+            for policy in ("all_zero", "all_fire", "uniform_random", "explicit"):
+                batch = initial_windows_batch(
+                    spec, policy, x, np.arange(6), rng, explicit=explicit
+                )
+                assert batch.shape == (6, spec.history, spec.n_neurons)
+                for trial in range(6):
+                    single = initial_window(
+                        spec, policy, x, rng, trial=trial, explicit=explicit
+                    )
+                    assert single.frames.dtype == np.uint8
+                    assert np.array_equal(batch[trial], single.frames)
+
+    def test_explicit_window_must_fit_the_network(self):
+        spec = build_two_inhibitor(2, 6.0)
+        with pytest.raises(InvalidNetwork):
+            initial_windows_batch(
+                spec, "explicit", [1, 1], np.arange(2), RandomnessContract(0),
+                explicit=ExecutionWindow(np.ones((1, 5), dtype=np.uint8)),
+            )
 
 
 def permuted(spec, order):
