@@ -201,6 +201,13 @@ class WtaVariant:
             raise WtaLabError(f"unknown theorem mode {self.theorem_mode!r}")
 
 
+def _check_sizes(n: int, t_s: int = 1) -> None:
+    if n < 1:
+        raise InvalidSize(f"n must be >= 1, got {n}")
+    if t_s < 1:
+        raise WtaLabError(f"t_s must be >= 1, got {t_s}")
+
+
 def _check_delta(delta: float | None) -> None:
     if delta is not None and not 0 < delta < 1:
         raise WtaLabError(f"delta must lie in (0, 1), got {delta}")
@@ -222,6 +229,7 @@ def gamma_for(variant: WtaVariant, n: int, t_s: int, delta: float | None = None)
     High-probability regime needs ``delta``; the expected-time regime does
     not. The single-inhibitor family uses the two-inhibitor thresholds.
     """
+    _check_sizes(n, t_s)
     mode = _regime(variant, delta)
     if variant.tag in (TWO_INHIBITOR, SINGLE_INHIBITOR):
         if mode == HIGH_PROBABILITY:
@@ -234,6 +242,7 @@ def gamma_for(variant: WtaVariant, n: int, t_s: int, delta: float | None = None)
 
 def tc_bound(variant: WtaVariant, n: int, delta: float | None = None) -> int:
     """Convergence-time budget that comes with the family's guarantee."""
+    _check_sizes(n)
     mode = _regime(variant, delta)
     if variant.tag in (TWO_INHIBITOR, SINGLE_INHIBITOR):
         if mode == HIGH_PROBABILITY:
@@ -261,10 +270,7 @@ class WtaInstance:
     variant: WtaVariant = WtaVariant(TWO_INHIBITOR)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InvalidSize(f"n must be >= 1, got {self.n}")
-        if self.t_s < 1:
-            raise WtaLabError(f"t_s must be >= 1, got {self.t_s}")
+        _check_sizes(self.n, self.t_s)
         if self.t_c < 1:
             raise WtaLabError(f"t_c must be >= 1, got {self.t_c}")
         if not 0 < self.gamma < math.inf:

@@ -238,8 +238,11 @@ class ConvergenceOutcome:
 
 
 def output_projection(frames, n: int) -> np.ndarray:
+    """Output bits of each frame: the outputs an ``Execution`` records, or
+    the canonical slice ``n..2n-1`` of a bare frame array."""
     f = np.asarray(getattr(frames, "frames", frames), dtype=np.uint8)
-    return f[:, n : 2 * n]
+    outputs = getattr(frames, "output_indices", None)
+    return f[:, n : 2 * n] if outputs is None else f[:, outputs]
 
 
 class ConvergenceScan:

@@ -87,10 +87,9 @@ def _positive_gamma(text: str) -> float:
 def _parse_input_bits(text: str | None, n: int) -> tuple[int, ...]:
     if text is None:
         return tuple([1] * n)
-    bits = tuple(int(c) for c in text)
-    if len(bits) != n or any(b not in (0, 1) for b in bits):
+    if len(text) != n or any(c not in "01" for c in text):
         raise WtaLabError(f"--input must be {n} bits of 0/1")
-    return bits
+    return tuple(int(c) for c in text)
 
 
 def _params(args) -> dict:
@@ -275,8 +274,13 @@ def _cmd_stabilize_probe(args) -> int:
 
 
 def _cmd_rerun(args) -> int:
-    manifest = json.loads(Path(args.manifest).read_text())
-    params = manifest["parameters"]
+    try:
+        manifest = json.loads(Path(args.manifest).read_text())
+    except ValueError as e:
+        raise WtaLabError(f"cannot read manifest {args.manifest}: {e}") from None
+    params = manifest.get("parameters") if isinstance(manifest, dict) else None
+    if not isinstance(params, dict) or not isinstance(manifest.get("command"), str):
+        raise WtaLabError(f"{args.manifest} holds no command and parameters")
     argv = [manifest["command"]]
     for key, value in params.items():
         if value is None or key == "func":
@@ -329,14 +333,18 @@ def _add_common(p: argparse.ArgumentParser, seed_required: bool) -> None:
     p.add_argument("--out", required=True, help="output path stem")
 
 
-def _int_list(text: str):
-    values = [int(part) for part in text.split(",") if part]
+def _one_or_list(values: list):
+    if not values:
+        raise argparse.ArgumentTypeError("expected a number or a comma-separated list")
     return values if len(values) > 1 else values[0]
+
+
+def _int_list(text: str):
+    return _one_or_list([int(part) for part in text.split(",") if part])
 
 
 def _float_list(text: str):
-    values = [float(part) for part in text.split(",") if part]
-    return values if len(values) > 1 else values[0]
+    return _one_or_list([float(part) for part in text.split(",") if part])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -403,7 +411,9 @@ def main(argv: list[str] | None = None) -> int:
     except StateSpaceTooLarge as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
-    except WtaLabError as e:
+    except (WtaLabError, OSError) as e:
+        # an OSError here is an output or manifest path that cannot be
+        # written or read, which is the caller's input to fix
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
 

@@ -219,52 +219,45 @@ def convergence_cdf(
     if t_s < 1 or t_max < 0:
         raise WtaLabError(f"need t_s >= 1 and t_max >= 0, got t_s={t_s}, t_max={t_max}")
     space = WindowStateSpace(spec, input_bits, cap=cap)
-    kernel = space.kernel
-    shifted = space.next_state_indices()
-    mask = (1 << space.m) - 1
-    latest = np.arange(space.n_states, dtype=np.int64) & mask
+    S = space.n_states
+    latest = np.arange(S, dtype=np.int64) & ((1 << space.m) - 1)
     same = space.out_key[latest][:, None] == space.out_key[None, :]
-    valid_d = space.valid_out[None, :] & np.ones((space.n_states, 1), dtype=bool)
-    target = shifted[:, None] + np.arange(1 << space.m, dtype=np.int64)[None, :]
+    # Where each (window, next frame) pair lands, as row * S + next window:
+    # row 0 resets the counter (the new output is invalid), row 1 restarts
+    # it and row 2 extends it (valid and equal to the latest output). One
+    # index serves every counter: at counter 0 the latest output is invalid,
+    # so no pair extends (and counter 1 is where a restart lands anyway).
+    into = space.next_state_indices()[:, None] + np.arange(1 << space.m, dtype=np.int64)
+    into += S * space.valid_out
+    np.add(into, S, out=into, where=same & space.valid_out)
+    into = into.ravel()
 
     layers = t_s + 1  # counters 0..t_s; reaching t_s + 1 absorbs
-    mass = np.zeros((layers, space.n_states))
+    mass = np.zeros((layers, S))
     c0, absorbed_at = _initial_counter(space, initial_window, t_s)
     s0 = space.window_index(initial_window)
     absorbed = 0.0
     cdf = np.zeros(t_max + 1)
     if absorbed_at >= 0:
-        absorbed = 1.0
         if absorbed_at <= t_max:
             cdf[absorbed_at:] = 1.0
         return cdf
     mass[c0, s0] = 1.0
 
-    flat_target = target.ravel()
-    minlength = space.n_states
     for frame in range(space.h, t_max + 1):
         new_mass = np.zeros_like(mass)
         for c in range(layers):
             layer = mass[c]
             if not layer.any():
                 continue
-            flow = layer[:, None] * kernel
-            m_reset = ~valid_d
-            m_restart = valid_d & (~same if c >= 1 else np.ones_like(same))
-            m_extend = valid_d & same if c >= 1 else np.zeros_like(same)
-            for sel, c_next in ((m_reset, 0), (m_restart, 1)):
-                w = np.where(sel, flow, 0.0).ravel()
-                new_mass[c_next] += np.bincount(
-                    flat_target, weights=w, minlength=minlength
-                )
-            if c >= 1:
-                w = np.where(m_extend, flow, 0.0).ravel()
-                if c == t_s:
-                    absorbed += float(w.sum())
-                else:
-                    new_mass[c + 1] += np.bincount(
-                        flat_target, weights=w, minlength=minlength
-                    )
+            flow = (layer[:, None] * space.kernel).ravel()
+            reset, restart, extend = np.bincount(into, flow, 3 * S).reshape(3, S)
+            new_mass[0] += reset
+            new_mass[1] += restart
+            if c == t_s:
+                absorbed += float(extend.sum())
+            else:
+                new_mass[c + 1] += extend
         mass = new_mass
         cdf[frame] = absorbed
     return cdf

@@ -65,12 +65,14 @@ class ExecutionWindow:
 
 @dataclass(frozen=True)
 class Execution:
-    """A recorded execution: frames 0..T-1, the trial that produced it, and
-    a reference to the input trace its input bits follow."""
+    """A recorded execution: frames 0..T-1, the trial that produced it, a
+    reference to the input trace its input bits follow, and where its
+    network keeps the outputs (filled in by ``run``)."""
 
     frames: np.ndarray  # (T, N) uint8
     trial: int = 0
     trace: object = None
+    output_indices: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         f = np.ascontiguousarray(np.asarray(self.frames, dtype=np.uint8))
@@ -427,4 +429,4 @@ def run(
         bits = trace.bits_at(t, trials, randomness, spec.input_indices)
         window = runner.advance(window, t, trials, bits)
         frames_out[t] = window[0, -1]
-    return Execution(frames=frames_out, trial=trial, trace=trace)
+    return Execution(frames_out, trial, trace, spec.output_indices)

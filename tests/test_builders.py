@@ -211,3 +211,15 @@ class TestWtaInstance:
             gamma_for(v, 3, 3, delta)
         with pytest.raises(WtaLabError):
             tc_bound(v, 3, delta)
+
+    @pytest.mark.parametrize("tag", ["two_inhibitor", "log_inhibitor"])
+    @pytest.mark.parametrize("mode, delta", [("high_probability", 0.1), ("expected_time", None)])
+    def test_sizes_below_one_rejected(self, tag, mode, delta):
+        # the thresholds take logarithms of n and t_s
+        v = WtaVariant(tag, mode)
+        for n, t_s in ((0, 3), (-2, 3), (3, 0), (3, -1)):
+            with pytest.raises(WtaLabError):
+                gamma_for(v, n, t_s, delta)
+        for n in (0, -2):
+            with pytest.raises(WtaLabError):
+                tc_bound(v, n, delta)

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wtalab.cli import main
 
@@ -190,6 +194,7 @@ class TestInvalidInputsExitThree:
         ["--n", "1", "--samples", "1000"],
         ["--lemma", "3.4", "--samples", "0"],
         ["--lemma", "5.12", "--samples", "100", "--ts", "-1"],
+        ["--lemma", "3.4", "--samples", "100", "--seed", "-1"],
     ])
     def test_lemma_check_params(self, tmp_path, capsys, flags):
         self._exit_three(["lemma-check", *flags, "--out", str(tmp_path / "lc")], capsys)
@@ -220,3 +225,163 @@ class TestInvalidInputsExitThree:
                 "--out", str(tmp_path / "d")]
         self._exit_three(argv + flags, capsys)
         assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--gamma-auto", "--tc", "50", "--ts", "0"],
+        ["--gamma-auto", "--tc", "50", "--ts", "0", "--delta", "0.1"],
+        ["--gamma", "10", "--tc-auto", "--n", "0"],
+        ["--gamma", "10", "--tc-auto", "--n", "0", "--delta", "0.1"],
+        ["--gamma", "10", "--tc", "50", "--input", "2x"],
+    ])
+    def test_run_sizes_and_input(self, tmp_path, capsys, flags):
+        argv = ["run", "--n", "2", "--ts", "3", "--trials", "5", "--seed", "1",
+                "--out", str(tmp_path / "d")]
+        self._exit_three(argv + flags, capsys)
+        assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["build", "--variant", "two-inhibitor", "--n", "2", "--gamma", "10"],
+        RUN,
+        ["sweep", "--n", "2,3", "--gamma", "10", "--ts", "3", "--tc", "20",
+         "--trials", "5", "--seed", "1"],
+        ["oracle", "--n", "2", "--gamma", "10", "--ts", "3", "--tmax", "5"],
+        ["lemma-check", "--lemma", "3.4", "--samples", "100"],
+        ["stabilize-probe", "--n", "2", "--gamma", "10", "--ts", "3", "--tc", "20",
+         "--trials", "5", "--seed", "1", "--perturbations", "1"],
+    ])
+    def test_out_in_missing_directory(self, tmp_path, capsys, argv):
+        self._exit_three(argv + ["--out", str(tmp_path / "missing" / "x")], capsys)
+
+    def test_oracle_input_bits(self, tmp_path, capsys):
+        self._exit_three(["oracle", "--n", "2", "--gamma", "10", "--ts", "3", "--tmax", "5",
+                          "--input", "2x", "--out", str(tmp_path / "cdf")], capsys)
+
+    @pytest.mark.parametrize("content", [
+        None, "not json", "[1, 2]", '{"parameters": {}}', '{"command": "run"}',
+        '{"command": "run", "parameters": []}',
+    ])
+    def test_bad_manifest(self, tmp_path, capsys, content):
+        manifest = tmp_path / "r.manifest.json"
+        if content is not None:
+            manifest.write_text(content)
+        self._exit_three(["rerun", str(manifest)], capsys)
+
+
+class TestUsageErrorsExitTwo:
+    @pytest.mark.parametrize("flag", ["--n", "--ts", "--delta"])
+    def test_empty_list(self, tmp_path, capsys, flag):
+        argv = ["run", "--n", "2", "--gamma", "10", "--ts", "3", "--tc", "20",
+                "--trials", "5", "--seed", "1", "--out", str(tmp_path / "r"), flag, ""]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "error:" in err
+
+
+# -- fuzzing main -------------------------------------------------------------
+
+# Value pools per flag: valid values, then invalid ones. Every size (n,
+# trials, samples, tmax, perturbations, horizon) stays tiny so one example
+# runs well under a second: the builders allocate dense (h, N, N) weights,
+# so a large n is never drawn. ``{dir}`` stands for a temporary directory made
+# once per module.
+_POOLS = {
+    "--variant": (["two-inhibitor", "single-inhibitor", "log-inhibitor"], ["bogus"]),
+    "--n": (["1", "2", "3"], ["2,3", "0", "-1", "", "x"]),
+    "--gamma": (["10", "14"], ["0", "-1", "inf", "nan", "1e308", "x"]),
+    "--ts": (["1", "3"], ["1,2", "0", "-1", ""]),
+    "--delta": (["0.1"], ["0.1,0.2", "0", "1", "1.5", "nan", ""]),
+    "--tc": (["20", "1"], ["0", "-5"]),
+    "--trials": (["1", "5"], ["0", "-1"]),
+    "--horizon": (["8", "40"], ["1", "-1"]),
+    "--samples": (["1", "50"], ["0", "-1"]),
+    "--tmax": (["0", "5"], ["-3"]),
+    "--perturbations": (["1", "2"], ["0", "-1"]),
+    "--seed": (["0", "1"], ["-1", "x"]),
+    "--level": (["1", "2"], ["0", "9"]),
+    "--lemma": (["3.4", "3.11", "5.8", "5.12"], ["9.9"]),
+    "--init": (["zero", "fire", "random", "file"], ["bogus"]),
+    "--init-file": (["{dir}/win.json"], ["{dir}/bad.json", "{dir}/nope.json", "{dir}"]),
+    "--input": (["1", "10", "111"], ["2x", ""]),
+    "--out": (["{dir}/o"], ["{dir}/missing/o"]),
+}
+_SWITCHES = ["--gamma-auto", "--tc-auto", "--log-trials", "--bogus"]
+_AUTO = ["--gamma-auto", "--tc-auto"] * 2  # twice as likely as any other flag
+_COMMON = ["--variant", "--n", "--gamma", "--ts", "--delta", "--tc", "--trials",
+           "--horizon", "--seed", "--init", "--init-file", "--input", "--out"]
+_TRIALS = ["--n", "--gamma", "--tc", "--trials", "--horizon", "--seed", "--out"]
+# per command: the flags drawn at will, and the flags every argv carries
+# (the sizes and the required flags)
+_COMMANDS = {
+    "build": (["--variant", "--n", "--gamma", "--out"], ["--variant", "--n", "--gamma", "--out"]),
+    "run": (_COMMON + _AUTO + ["--log-trials"], _TRIALS),
+    "sweep": (_COMMON + _AUTO, _TRIALS),
+    "oracle": (["--variant", "--n", "--gamma", "--ts", "--tmax", "--init", "--input", "--out"],
+               ["--n", "--gamma", "--ts", "--tmax", "--out"]),
+    "lemma-check": (["--lemma", "--n", "--gamma", "--samples", "--seed", "--ts", "--level",
+                     "--out"], ["--n", "--samples", "--out"]),
+    "stabilize-probe": (_COMMON + _AUTO + ["--perturbations"], _TRIALS + ["--perturbations"]),
+}
+_MANIFESTS = ["{dir}/o.manifest.json", "{dir}/nope.json", "{dir}/bad.json", "{dir}/list.json",
+              "{dir}/no_command.json", "{dir}/no_parameters.json"]
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS) + ["rerun", "bogus"]))
+    if command == "rerun":
+        return ["rerun", draw(st.sampled_from(_MANIFESTS))]
+    flags, always = _COMMANDS.get(command, (_COMMON, []))
+    argv = [command]
+    for flag in always + draw(st.lists(st.sampled_from(flags + ["--bogus"]), max_size=6)):
+        if flag in _SWITCHES:
+            argv.append(flag)
+        else:
+            valid, invalid = _POOLS[flag]
+            argv += [flag, draw(st.sampled_from(valid * 8 + invalid))]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "win.json").write_text("[[1, 1, 1, 0, 1, 0]]")
+    (root / "bad.json").write_text("not json")
+    (root / "list.json").write_text("[1, 2]")
+    (root / "no_command.json").write_text('{"parameters": {}}')
+    (root / "no_parameters.json").write_text('{"command": "run"}')
+    return root
+
+
+_RUN = ["run", "--n", "2", "--gamma", "10", "--tc", "20", "--trials", "5", "--seed", "1"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=_argv())
+@example(argv=_RUN + ["--out", "{dir}/missing/o"])
+@example(argv=["build", "--variant", "two-inhibitor", "--n", "2", "--gamma", "10",
+               "--out", "{dir}/missing/o"])
+@example(argv=["rerun", "{dir}/nope.json"])
+@example(argv=["rerun", "{dir}/bad.json"])
+@example(argv=["rerun", "{dir}/list.json"])
+@example(argv=["rerun", "{dir}/no_command.json"])
+@example(argv=["rerun", "{dir}/no_parameters.json"])
+@example(argv=_RUN + ["--n", "", "--out", "{dir}/o"])
+@example(argv=_RUN + ["--ts", "", "--out", "{dir}/o"])
+@example(argv=_RUN + ["--delta", "", "--out", "{dir}/o"])
+@example(argv=_RUN + ["--input", "2x", "--out", "{dir}/o"])
+@example(argv=["lemma-check", "--lemma", "3.4", "--samples", "50", "--seed", "-1",
+               "--out", "{dir}/o"])
+@example(argv=_RUN + ["--gamma-auto", "--ts", "0", "--out", "{dir}/o"])
+@example(argv=_RUN + ["--tc-auto", "--n", "0", "--out", "{dir}/o"])
+def test_main_exits_with_a_documented_code(fuzz_dir, argv):
+    argv = [a.replace("{dir}", str(fuzz_dir)) for a in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse: usage errors, --help, --version
+            code = e.code
+    assert code in (0, 1, 2, 3, 4), argv
+    assert "Traceback" not in err.getvalue(), argv

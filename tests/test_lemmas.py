@@ -41,7 +41,7 @@ class TestCatalogApi:
     @pytest.mark.parametrize("field, value, error", [
         ("n", 1, InvalidSize), ("n", 0, InvalidSize),
         ("samples", 0, WtaLabError), ("samples", -5, WtaLabError),
-        ("t_s", -1, WtaLabError),
+        ("t_s", -1, WtaLabError), ("seed", -1, WtaLabError),
     ])
     def test_params_rejected_when_built(self, field, value, error):
         # n = 1 leaves the k >= 2 samplers no range; zero samples leave the
@@ -85,6 +85,124 @@ class TestCatalogApi:
         r = lemma_check("3.7", n=4, gamma=12.0, samples=50000, seed=1)[0]
         assert r.bound == 1.0 - 10.0 * math.exp(-6.0)
         assert r.frequency >= r.bound - 0.01
+
+
+# Every report at two parameter sets, recorded from the hand-written checks
+# that preceded the check table: (frequency, bound, passed[, extra details]).
+_PINNED_N8 = {
+    "3.4": (0.0, 0.0009118819655545162, True),
+    "3.5.1": (0.999, 0.9981762360688909, True),
+    "3.5.2": (0.99825, 0.9981762360688909, True),
+    "3.5.3": (1.0, 0.9981762360688909, True),
+    "3.6": (0.99825, 0.9908811803444548, True),
+    "3.7": (0.999, 0.9835861246200187, True),
+    "3.8": (1.0, 0.9927049442755639, True),
+    "3.9.1": (1.0, 0.9927049442755639, True),
+    "3.9.2": (0.49725, 0.5, True),
+    "3.10": (0.563, 0.4908811803444548, True),
+    "3.11.1": (1.0, 0.9908811803444548, True),
+    "3.11.2": (0.74525, 0.4908811803444548, True),
+    "3.11.3": (-0.14, 0.009118819655545162, True,
+               {"freq_zero": 0.06625, "freq_near_valid": 0.20625}),
+    "3.12": (0.9825, 0.47264354103336453, True),
+    "5.2": (0.0, 7.582560427911907e-10, True),
+    "5.3.1": (0.999, 0.9990881180344455, True),
+    "5.3.2": (1.0, 0.9990881180344455, True),
+    "5.4.1": (1.0, 0.9972643541033365, True),
+    "5.4.2": (0.99875, 0.9972643541033365, True),
+    "5.5": (1.0, 0.9890574164133458, True),
+    "5.6": (0.99925, 0.9927049442755639, True),
+    "5.7": (0.9985, 0.9927049442755639, True),
+    "5.8.1": (1.0, 0.9999999999944684, True),
+    "5.8.2": (0.10625, 0.1111111111111111, True, {'level': 3}),
+    "5.9": (0.4085, 0.06249999999446848, True),
+    "5.10": (0.59525, 0.12499999999446848, True),
+    "5.11": (0.99625, 0.9890574164133458, True),
+    "5.12": (0.9645, 0.781148328266916, True),
+}
+_PINNED_N3 = {
+    "3.4": (0.0, 0.0009118819655545162, True),
+    "3.5.1": (0.9996666666666667, 0.9981762360688909, True),
+    "3.5.2": (0.9983333333333333, 0.9981762360688909, True),
+    "3.5.3": (0.9996666666666667, 0.9981762360688909, True),
+    "3.6": (0.9986666666666667, 0.9954405901722274, True),
+    "3.7": (0.9996666666666667, 0.9927049442755639, True),
+    "3.8": (1.0, 0.9972643541033365, True),
+    "3.9.1": (1.0, 0.9972643541033365, True),
+    "3.9.2": (0.5103333333333333, 0.5, True),
+    "3.10": (0.5646666666666667, 0.4954405901722274, True),
+    "3.11.1": (1.0, 0.9954405901722274, True),
+    "3.11.2": (0.8093333333333333, 0.4954405901722274, True),
+    "3.11.3": (-0.26266666666666666, 0.004559409827772581, True,
+               {"freq_zero": 0.17933333333333334, "freq_near_valid": 0.442}),
+    "3.12": (0.892, 0.48632177051668224, True),
+    "5.2": (0.0, 7.582560427911907e-10, True),
+    "5.3.1": (0.9996666666666667, 0.9990881180344455, True),
+    "5.3.2": (1.0, 0.9990881180344455, True),
+    "5.4.1": (0.9993333333333333, 0.9981762360688909, True),
+    "5.4.2": (0.998, 0.9981762360688909, True),
+    "5.5": (1.0, 0.9945287082066729, True),
+    "5.6": (0.9996666666666667, 0.9972643541033365, True),
+    "5.7": (1.0, 0.9972643541033365, True),
+    "5.8.1": (1.0, 0.9999999999979257, True),
+    "5.8.2": (0.205, 0.2, True, {'level': 2}),
+    "5.9": (0.45, 0.06249999999792568, True),
+    "5.10": (0.6263333333333333, 0.12499999999792567, True),
+    "5.11": (0.9983333333333333, 0.9945287082066729, True),
+    "5.12": (0.99, 0.9179306231000935, True),
+}
+# (kind, description) at the default level 3 and t_s 10
+_DESCRIPTIONS = {
+    "3.4": ("upper", "output with silent input fires anyway"),
+    "3.5.1": ("lower", "no firing outputs: both inhibitors go silent"),
+    "3.5.2": ("lower", "one firing output: stability fires, convergence stays silent"),
+    "3.5.3": ("lower", "two or more firing outputs: both inhibitors fire"),
+    "3.6": ("lower", "a valid configuration repeats unchanged"),
+    "3.7": ("lower", "silent input: the whole network is quiet within two steps"),
+    "3.8": ("lower", "exactly one inhibitor active: outputs repeat verbatim"),
+    "3.9.1": ("lower", "both inhibitors active: no silent output starts firing"),
+    "3.9.2": ("exact", "both inhibitors active: a firing winner survives a fair coin"),
+    "3.10": ("lower", "near-valid configuration settles into the valid one"),
+    "3.11.1": ("lower", "competition only shrinks: fewer winners or a terminal state"),
+    "3.11.2": ("lower", "the firing-output count halves with a fair coin's odds"),
+    "3.11.3": ("upper_diff", "overshooting to zero outputs is no likelier than landing near-valid"),
+    "3.12": ("lower", "a reset restarts the competition into an active state"),
+    "5.2": ("upper", "output with silent input fires anyway"),
+    "5.3.1": ("lower", "no output fired in either frame: stability inhibitor silent"),
+    "5.3.2": ("lower", "an output fired recently: stability inhibitor fires"),
+    "5.4.1": ("lower", "at most one firing output: the graded chain stays silent"),
+    "5.4.2": ("lower", "the graded chain fires exactly up to its matching level"),
+    "5.5": ("lower", "one step from anywhere lands in a typical configuration"),
+    "5.6": ("lower", "stability inhibitor alone: outputs replay their recent union"),
+    "5.7": ("lower", "no inhibition: every driven output fires, nothing else does"),
+    "5.8.1": ("lower", "graded inhibition: only twice-firing outputs can survive"),
+    "5.8.2": ("exact", "a twice-firing winner survives with probability 1/(1+2^3)"),
+    "5.9": ("lower", "matched inhibition level: one step to a valid output"),
+    "5.10": ("lower", "excess inhibition level: one step to zero firing outputs"),
+    "5.11": ("lower", "a near-stable window advances to the next near-stable window"),
+    "5.12": ("lower", "from a near-stable window the winner holds for t_s=10 steps"),
+}
+_PIN_SETS = {
+    "n8": (dict(n=8, samples=4000, seed=7), _PINNED_N8, _DESCRIPTIONS),
+    "n3": (dict(n=3, samples=3000, seed=5, level=2), _PINNED_N3, {
+        **_DESCRIPTIONS,
+        "5.8.2": ("exact", "a twice-firing winner survives with probability 1/(1+2^2)"),
+    }),
+}
+
+
+@pytest.mark.parametrize("case_id", list(_DESCRIPTIONS))
+@pytest.mark.parametrize("pin_set", list(_PIN_SETS))
+def test_report_pinned(pin_set, case_id):
+    params, pinned, descriptions = _PIN_SETS[pin_set]
+    kind, description = descriptions[case_id]
+    frequency, bound, passed, *extra = pinned[case_id]
+    (report,) = lemma_check(case_id, **params)
+    assert report.as_dict() == {
+        "lemma": case_id, "description": description, "frequency": frequency,
+        "bound": bound, "kind": kind, "samples": params["samples"],
+        "passed": passed, **(extra[0] if extra else {}),
+    }
 
 
 @pytest.fixture(scope="module")

@@ -13,6 +13,7 @@ from wtalab import (
     build_log_inhibitor,
     build_single_inhibitor,
     build_two_inhibitor,
+    convergence_time,
     initial_window,
     potential,
     run,
@@ -249,6 +250,7 @@ class TestBatchScanner:
             ex = run(spec, ExecutionWindow(windows0[trial]), x, horizon, rng, trial=trial)
             ref = brute_convergence_time(ex.frames[:, spec.output_indices], x, t_s)
             assert got[trial] == (-1 if ref is None else ref)
+            assert convergence_time(ex, x, t_s).converged_at == ref
 
 
 def dense_potentials(spec, frames):
