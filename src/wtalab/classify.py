@@ -9,8 +9,11 @@ auxiliary neurons may do what they like.
 
 Predicates work on the last axis, over a whole batch at once; the scalar
 functions are batch-of-one views of them. ``ConvergenceScan`` is the one
-convergence scanner. Classifiers assume the canonical builder layout (inputs,
-then outputs, then auxiliaries with the stability inhibitor first).
+convergence scanner; it keeps the previous output frame bit-packed, so each
+update packs the new outputs in one pass and tests change, count and
+backing on n/8 bytes per execution. Classifiers assume the canonical
+builder layout (inputs, then outputs, then auxiliaries with the stability
+inhibitor first).
 """
 
 from __future__ import annotations
@@ -245,30 +248,50 @@ def output_projection(frames, n: int) -> np.ndarray:
     return f[:, n : 2 * n] if outputs is None else f[:, outputs]
 
 
+# set bits of every byte value, for counting firing outputs in packed rows
+_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
+
+
 class ConvergenceScan:
     """Online detector of the first valid output run of ``t_s + 1`` frames,
-    over a batch of executions that share one input vector ``x``."""
+    over a batch of executions that share one input vector ``x``.
+
+    The previous frame is kept bit-packed along the output axis
+    (``np.packbits``, zero padding bits), so an update packs the new (B, n)
+    outputs once and decides the rest on n/8 bytes per row: a change test, a
+    popcount for the firing-output count, and the backed test on the bytes
+    that hold some output whose input is silent.
+    """
 
     def __init__(self, x, t_s: int):
         self.x = _bits(x)
         self.t_s = t_s
+        silent = np.packbits(self.x == 0)
+        self._silent_bytes = np.flatnonzero(silent)
+        self._silent_bits = silent[self._silent_bytes]
+        self._want = min(1, int(self.x.sum()))
         self.prev: np.ndarray | None = None
         self.start: np.ndarray | None = None
         self.converged_at: np.ndarray | None = None
 
     def update(self, t: int, out: np.ndarray) -> np.ndarray:
-        """Feed frame ``t``'s (B, n) output projection; returns the mask of
-        newly converged executions. The scanner keeps ``out`` as the previous
-        frame, so the caller must not write into it afterwards."""
+        """Feed frame ``t``'s (B, n) 0/1 output projection; returns the mask
+        of newly converged executions."""
+        if out.shape[-1] != self.x.size:
+            raise LengthMismatch(f"|X|={self.x.shape} vs |Y|={out.shape}")
+        packed = np.packbits(out, axis=-1)
         if self.prev is None:
             batch = out.shape[0]
             self.start = np.zeros(batch, dtype=np.int64)
             self.converged_at = np.full(batch, -1, dtype=np.int64)
         else:
-            changed = np.any(out != self.prev, axis=1)
+            changed = np.any(packed != self.prev, axis=1)
             self.start[changed] = t
-        self.prev = out
-        hit = valid_outputs(self.x, out) & (t - self.start >= self.t_s) & (self.converged_at < 0)
+        self.prev = packed
+        k = _POPCOUNT[packed].sum(axis=1)
+        unbacked = np.any(packed[:, self._silent_bytes] & self._silent_bits, axis=1)
+        hit = (k == self._want) & ~unbacked
+        hit &= (t - self.start >= self.t_s) & (self.converged_at < 0)
         self.converged_at[hit] = self.start[hit]
         return hit
 

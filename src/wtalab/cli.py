@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -97,6 +98,20 @@ def _params(args) -> dict:
     params.pop("func", None)
     params.pop("command", None)
     return params
+
+
+def _check_out(out: str) -> None:
+    """Refuse an ``--out`` stem that no output could be written to, before
+    any work runs: every output name is derived from the stem, so it must
+    name a file inside a writable directory."""
+    path = Path(out)
+    if out.endswith(tuple(filter(None, (os.sep, os.altsep)))) or path.is_dir():
+        raise WtaLabError(f"--out {out} names a directory; give a file stem inside it")
+    parent = path.parent
+    if not parent.is_dir():
+        raise WtaLabError(f"--out {out}: {parent} is not an existing directory")
+    if not os.access(parent, os.W_OK | os.X_OK):
+        raise WtaLabError(f"--out {out}: directory {parent} is not writable")
 
 
 def _write_manifest(out: Path, command: str, params: dict, outputs: list[str]) -> None:
@@ -407,6 +422,8 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "out", None) is not None:
+            _check_out(args.out)
         return args.func(args)
     except StateSpaceTooLarge as e:
         print(f"error: {e}", file=sys.stderr)

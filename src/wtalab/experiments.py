@@ -33,6 +33,7 @@ from .simulate import (
     UNIFORM_RANDOM,
     BatchRunner,
     ExecutionWindow,
+    _selector,
     initial_windows_batch,
 )
 
@@ -81,7 +82,7 @@ def batch_convergence_times(
     h = spec.history
     if t0 is None:
         t0 = h
-    outputs = spec.output_indices
+    outputs = _selector(spec.output_indices)  # a slice reads outputs as a view
     scan = ConvergenceScan(x, t_s)
     frames = np.asarray(windows0, dtype=np.uint8)
     for j in range(h):

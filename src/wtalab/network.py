@@ -334,17 +334,24 @@ def potential(spec: NetworkSpec, window, u: int) -> float:
     return float(pot)
 
 
-def sigmoid(z) -> np.ndarray | float:
+def sigmoid(z, out=None) -> np.ndarray | float:
     """Numerically stable logistic function.
 
     Only ever exponentiates a nonpositive argument, so it saturates cleanly
-    to 0.0 / 1.0 instead of overflowing for ``|z|`` beyond ~745.
+    to 0.0 / 1.0 instead of overflowing for ``|z|`` beyond ~745. ``out``, a
+    float64 array of ``z``'s shape (``z`` itself included), receives the
+    result; without it a scalar gives a float and an array a new array.
     """
     z = np.asarray(z, dtype=np.float64)
-    e = np.exp(-np.abs(z))
+    nonneg = z >= 0.0
+    e = np.abs(z, out=np.empty_like(z) if out is None else out)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    den = e + 1.0
     # numerator 1 where z >= 0, else e: e <= 1, so a max picks it without a branch
-    out = np.maximum(e, z >= 0.0) / (1.0 + e)
-    return float(out) if out.ndim == 0 else out
+    np.maximum(e, nonneg, out=e)
+    np.divide(e, den, out=e)
+    return float(e) if out is None and e.ndim == 0 else e
 
 
 def spike_probability(spec: NetworkSpec, pot: float) -> float:

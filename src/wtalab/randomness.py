@@ -7,11 +7,19 @@ evaluating draws out of order cannot perturb any other draw.
 
 The derivation hashes the four integers through three rounds of the
 splitmix64 finalizer, then maps the top 53 bits to ``[0, 1)``.
+
+The hash runs in place: ``_mix`` rewrites its array with one scratch array
+of the same shape, and ``uniform_block`` hashes the (trials x neurons) block
+inside the float64 array it returns, viewed as uint64. A caller that steps a
+batch tile by tile passes that array as ``out=`` and reuses it, so a block
+costs no allocation beyond its one scratch array; without ``out`` the block
+is a fresh array. Both give the same bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,11 +38,21 @@ _S11 = np.uint64(11)
 _INV_2_53 = 2.0 ** -53
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, elementwise on uint64 arrays."""
-    z = (z ^ (z >> _S30)) * _M1
-    z = (z ^ (z >> _S27)) * _M2
-    return z ^ (z >> _S31)
+def _mix(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer, elementwise and in place on a uint64 array;
+    ``scratch`` is a uint64 array of the same shape that it overwrites."""
+    for shift, mult in ((_S30, _M1), (_S27, _M2)):
+        np.right_shift(z, shift, out=scratch)
+        z ^= scratch
+        z *= mult
+    np.right_shift(z, _S31, out=scratch)
+    z ^= scratch
+    return z
+
+
+def _mixed(z: np.ndarray) -> np.ndarray:
+    """``_mix`` of a fresh array, for the small per-trial words."""
+    return _mix(z, np.empty_like(z))
 
 
 @dataclass(frozen=True)
@@ -43,24 +61,35 @@ class RandomnessContract:
 
     root_seed: int
 
+    @cached_property
     def _seed_word(self) -> np.ndarray:
+        """The root seed's hash word, computed once per contract."""
         s = np.asarray([self.root_seed & _MASK64], dtype=np.uint64)
-        return _mix(s * _K_SEED + _M2)
+        return _mixed(s * _K_SEED + _M2)
 
-    def uniform_block(self, trials, time: int, neurons) -> np.ndarray:
+    def uniform_block(self, trials, time: int, neurons, out=None) -> np.ndarray:
         """Uniform draws in ``[0, 1)`` for a trial x neuron block at one time.
 
         ``trials`` and ``neurons`` are nonnegative integer arrays; the result
         has shape ``(len(trials), len(neurons))`` and entry ``[i, j]`` depends
-        only on ``(root_seed, trials[i], time, neurons[j])``.
+        only on ``(root_seed, trials[i], time, neurons[j])``. ``out``, a
+        float64 array of that shape, receives the draws and is returned.
         """
         t = np.asarray(trials, dtype=np.uint64)
         u = np.asarray(neurons, dtype=np.uint64)
         tw = np.asarray([int(time) & _MASK64], dtype=np.uint64)
-        a = _mix(self._seed_word() ^ (t * _K_TRIAL))
-        b = _mix(a ^ (tw * _K_TIME))
-        c = _mix(b[:, None] ^ (u * _K_NEURON)[None, :])
-        return (c >> _S11).astype(np.float64) * _INV_2_53
+        a = _mixed(self._seed_word ^ (t * _K_TRIAL))
+        b = _mixed(a ^ (tw * _K_TIME))
+        if out is None:
+            out = np.empty((t.size, u.size))
+        c = out.view(np.uint64)
+        np.bitwise_xor(b[:, None], u * _K_NEURON, out=c)
+        scratch = np.empty_like(c)
+        _mix(c, scratch)
+        np.right_shift(c, _S11, out=scratch)
+        # exact: the top 53 bits fit a double, and the scale is a power of 2;
+        # converting from the scratch array, not in place, spares a copy
+        return np.multiply(scratch, _INV_2_53, out=out)
 
     def uniform(self, trial: int, time: int, neuron: int) -> float:
         """Scalar uniform draw for one (trial, time, neuron) triple."""

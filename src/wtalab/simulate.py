@@ -9,6 +9,19 @@ from a ``RandomnessContract`` keyed by ``(trial, time, neuron)``.
 potential kernel built from the spec's synapse view. ``step`` and ``run`` are
 thin wrappers over the same code path, so scalar and batched simulations
 agree bit for bit.
+
+A step works through the batch in row tiles of about ``_TILE_ELEMS``
+neuron slots. For each tile the runner computes the potentials, divides by
+the temperature and applies the sigmoid in one float64 buffer, draws into a
+second and compares into a bool buffer, then copies the fired bits into the
+new frame. The three buffers are the runner's workspace: allocated by its
+first step (never by ``__init__``), grown when a larger tile arrives, reused
+by every later step. The layers take them through ``out=`` keywords
+(``potentials``, ``probabilities``, ``network.sigmoid``,
+``RandomnessContract.uniform_block``); without ``out`` each returns a new
+array with the same bits. A row goes through the same operations whatever
+rows share its tile, so the tile size changes no result (the tests check
+this bit for bit on all three builders).
 """
 
 from __future__ import annotations
@@ -144,6 +157,12 @@ def _selector(indices: np.ndarray) -> np.ndarray | slice:
     return indices
 
 
+# Elements of one (rows x m) tile of a step. Each float64 tile buffer is then
+# 256 KiB, so a tile's buffers and temporaries stay in a core's L2 cache
+# while every operation of the step passes over them.
+_TILE_ELEMS = 32768
+
+
 def _add_into(pot: np.ndarray, cols, x: np.ndarray) -> None:
     """``pot[:, cols] += x``, in place when ``cols`` is a slice (``+=`` on a
     subscript would copy the view back onto itself)."""
@@ -243,6 +262,9 @@ class BatchRunner:
         rows, self.row_block, rest = _dense_block(src, col, weight, h * n_all, m, threshold)
         self.rows = _selector(rows)
         self.slots = _gather_slots(src[rest], col[rest], weight[rest], m)
+        # (probability, draw, fired) tile buffers: the first step allocates
+        # them and a larger tile grows them
+        self._tile_bufs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @cached_property
     def w_cols(self) -> list[np.ndarray]:
@@ -253,11 +275,12 @@ class BatchRunner:
             for lag0 in range(self.spec.history)
         ]
 
-    def potentials(self, frames: np.ndarray) -> np.ndarray:
-        """Potentials of all non-input neurons. ``frames``: (B, h, N) 0/1."""
+    def potentials(self, frames: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Potentials of all non-input neurons. ``frames``: (B, h, N) 0/1.
+        ``out``, a float64 (B, m) array, receives them and is returned."""
         rows = frames.shape[0]
         f = frames.reshape(rows, self.spec.history * self.spec.n_neurons)
-        pot = np.empty((rows, self.b.size))
+        pot = np.empty((rows, self.b.size)) if out is None else out
         np.negative(self.b, out=pot)  # broadcasts -b over the batch
         for cols, src, val in self.slots:
             _add_into(pot, cols, f[:, src] * val)
@@ -267,23 +290,39 @@ class BatchRunner:
             _add_into(pot, self.cols, f[:, self.col_src] @ self.col_block)
         return pot
 
-    def probabilities(self, frames: np.ndarray) -> np.ndarray:
-        pot = self.potentials(frames)
-        pot /= self.spec.lam
-        return sigmoid(pot)
+    def probabilities(self, frames: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Firing probabilities of all non-input neurons, computed in the
+        potentials' array (``out`` when given)."""
+        pot = self.potentials(frames, out=out)
+        if self.spec.lam != 1.0:  # dividing by 1.0 changes no bit
+            pot /= self.spec.lam
+        return sigmoid(pot, out=pot)
 
     def step_bits(self, frames: np.ndarray, t: int, trials, input_bits) -> np.ndarray:
         """One synchronous step. Returns the new (B, N) uint8 frame.
 
         ``input_bits`` is the input configuration at time ``t``, either one
-        vector shared by the batch or one row per trial.
+        vector shared by the batch or one row per trial. The non-input bits
+        are made one row tile at a time, in the workspace's buffers.
         """
-        p = self.probabilities(frames)
-        draws = self.rng.uniform_block(trials, t, self.non_input)
-        new = np.empty((frames.shape[0], self.spec.n_neurons), dtype=np.uint8)
+        batch = frames.shape[0]
+        new = np.empty((batch, self.spec.n_neurons), dtype=np.uint8)
         if self.input_ids.size:
             new[:, self._input_sel] = input_bits
-        new[:, self._non_input_sel] = draws < p
+        trials = np.asarray(trials)
+        tile = max(1, min(batch, _TILE_ELEMS // max(1, self.b.size)))
+        if self._tile_bufs is None or self._tile_bufs[0].shape[0] < tile:
+            shape = (tile, self.b.size)
+            self._tile_bufs = (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool))
+        p_buf, d_buf, fired = self._tile_bufs
+        for lo in range(0, batch, tile):
+            rows = min(tile, batch - lo)
+            p = self.probabilities(frames[lo : lo + rows], out=p_buf[:rows])
+            draws = self.rng.uniform_block(
+                trials[lo : lo + rows], t, self.non_input, out=d_buf[:rows]
+            )
+            np.less(draws, p, out=fired[:rows])
+            new[lo : lo + rows, self._non_input_sel] = fired[:rows]
         return new
 
     def advance(self, frames: np.ndarray, t: int, trials, input_bits) -> np.ndarray:

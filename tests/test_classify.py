@@ -20,7 +20,7 @@ from wtalab import (
     run,
 )
 
-from wtalab.classify import two_inhibitor_classes, typical, valid_outputs
+from wtalab.classify import ConvergenceScan, two_inhibitor_classes, typical, valid_outputs
 
 from conftest import brute_convergence_time
 
@@ -249,3 +249,69 @@ class TestConvergenceTime:
         frames[:, :2] = 1
         out = convergence_time(frames, x, 10)
         assert out.timed_out and out.converged_at is None
+
+
+def _output_runs(g, x, batch, frames):
+    """(batch, frames, n) output sequences that mostly repeat, drawn from
+    valid outputs, winners whose input is silent, silence and many winners."""
+    n = x.size
+    backed, silent = np.flatnonzero(x), np.flatnonzero(x == 0)
+    outs = np.zeros((batch, frames, n), dtype=np.uint8)
+    for b in range(batch):
+        y = np.zeros(n, dtype=np.uint8)
+        for t in range(frames):
+            if t == 0 or g.random() > 0.75:
+                y = np.zeros(n, dtype=np.uint8)
+                kind = g.integers(4)
+                if kind == 0 and backed.size:
+                    y[g.choice(backed)] = 1
+                elif kind == 1 and silent.size:
+                    y[g.choice(silent)] = 1
+                elif kind == 2:
+                    y[:] = g.random(n) < 0.5
+            outs[b, t] = y
+    return outs
+
+
+class TestPackedScan:
+    """``ConvergenceScan`` keeps its previous frame bit-packed; it must agree
+    with the literal scanner wherever n leaves padding bits in the last byte."""
+
+    @pytest.mark.parametrize("n", [1, 7, 9, 64, 65])
+    @pytest.mark.parametrize("t_s", [1, 4])
+    def test_against_independent_scanner(self, n, t_s):
+        g = np.random.default_rng(1000 * n + t_s)
+        frames = 40
+        for x in (g.random(n) < 0.5, np.ones(n), np.zeros(n), np.eye(1, n, n - 1)[0]):
+            x = x.astype(np.uint8)
+            outs = _output_runs(g, x, 30, frames)
+            scan = ConvergenceScan(x, t_s)
+            alive = np.arange(outs.shape[0])
+            got = {}
+            for t in range(frames):
+                hit = scan.update(t, outs[alive, t])
+                got.update(zip(alive[hit].tolist(), scan.converged_at[hit].tolist()))
+                # drop the converged rows, and now and then some running ones
+                keep = scan.converged_at < 0
+                if t % 9 == 4:
+                    keep &= g.random(alive.size) < 0.8
+                scan.drop(keep)
+                alive = alive[keep]
+            for b in range(outs.shape[0]):
+                ref = brute_convergence_time(outs[b], x, t_s)
+                if b in got or b in alive:
+                    assert got.get(b) == ref, (x.tolist(), b)
+            assert len(got) > 0
+
+    def test_unbacked_winner_never_converges(self):
+        x = np.array([1] * 8 + [0], dtype=np.uint8)  # the silent input sits in a padded byte
+        y = np.zeros((3, 9), dtype=np.uint8)
+        y[0, 8] = 1  # winner without input
+        y[1, 3] = 1  # backed winner
+        y[2, [3, 8]] = 1
+        scan = ConvergenceScan(x, 0)
+        assert scan.update(0, y).tolist() == [False, True, False]
+
+    def test_length_mismatch(self):
+        with pytest.raises(LengthMismatch):
+            ConvergenceScan(np.ones(3), 1).update(0, np.zeros((2, 4), dtype=np.uint8))

@@ -1,12 +1,14 @@
 import contextlib
 import io
 import json
+import os
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wtalab import cli
 from wtalab.cli import main
 
 
@@ -239,7 +241,7 @@ class TestInvalidInputsExitThree:
         self._exit_three(argv + flags, capsys)
         assert not (tmp_path / "d.csv").exists()
 
-    @pytest.mark.parametrize("argv", [
+    COMMANDS = [
         ["build", "--variant", "two-inhibitor", "--n", "2", "--gamma", "10"],
         RUN,
         ["sweep", "--n", "2,3", "--gamma", "10", "--ts", "3", "--tc", "20",
@@ -248,9 +250,45 @@ class TestInvalidInputsExitThree:
         ["lemma-check", "--lemma", "3.4", "--samples", "100"],
         ["stabilize-probe", "--n", "2", "--gamma", "10", "--ts", "3", "--tc", "20",
          "--trials", "5", "--seed", "1", "--perturbations", "1"],
-    ])
+    ]
+
+    @pytest.mark.parametrize("argv", COMMANDS)
     def test_out_in_missing_directory(self, tmp_path, capsys, argv):
         self._exit_three(argv + ["--out", str(tmp_path / "missing" / "x")], capsys)
+
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_out_naming_a_directory(self, tmp_path, capsys, argv):
+        target = tmp_path / "results"
+        target.mkdir()
+        for out in (str(target), str(target) + os.sep, str(tmp_path / "fresh") + os.sep):
+            self._exit_three(argv + ["--out", out], capsys)
+        # nothing was written inside the directory or beside it
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["results"]
+
+    @staticmethod
+    def _refuse_work(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        for name in ("build", "run_trials", "sweep", "self_stabilization_probe",
+                     "lemma_check", "convergence_cdf"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_out_checked_before_any_work(self, tmp_path, capsys, monkeypatch, argv):
+        self._refuse_work(monkeypatch)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for out in (tmp_path / "missing" / "x", blocker / "x"):
+            self._exit_three(argv + ["--out", str(out)], capsys)
+
+    def test_out_in_unwritable_directory(self, tmp_path, capsys, monkeypatch):
+        # a permission bit cannot stop root, so the access check is what is tested
+        real_access = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode, **kw: (
+            False if Path(path) == tmp_path else real_access(path, mode, **kw)))
+        self._refuse_work(monkeypatch)
+        self._exit_three(self.RUN + ["--out", str(tmp_path / "r")], capsys)
 
     def test_oracle_input_bits(self, tmp_path, capsys):
         self._exit_three(["oracle", "--n", "2", "--gamma", "10", "--ts", "3", "--tmax", "5",

@@ -218,6 +218,27 @@ class TestSpikeProbability:
         assert np.array_equal(sigmoid(z), branch, equal_nan=True)
         assert sigmoid(-0.0) == 0.5 and isinstance(sigmoid(3.0), float)
 
+    def test_out_is_bit_identical(self, nprng):
+        z = np.concatenate([
+            nprng.standard_normal(5000) * 40.0,
+            nprng.standard_normal(502),
+            [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, -5e-324],
+        ]).reshape(-1, 11)
+        want = sigmoid(z)
+        out = np.full_like(z, 7.0)
+        assert sigmoid(z, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        # in place, as the stepper uses it, and into a row slice of a buffer
+        same = z.copy()
+        assert sigmoid(same, out=same) is same
+        assert same.tobytes() == want.tobytes()
+        buf = np.zeros((z.shape[0] + 4, 11))
+        sigmoid(z, out=buf[:-4])
+        assert buf[:-4].tobytes() == want.tobytes() and not buf[-4:].any()
+        # a 0-d array given as out stays an array
+        cell = np.empty(())
+        assert sigmoid(np.float64(-0.0), out=cell) is cell and cell == 0.5
+
     @given(st.floats(min_value=-700, max_value=700))
     @settings(max_examples=100, deadline=None)
     def test_range_and_symmetry(self, z):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from wtalab import RandomnessContract
@@ -55,3 +56,57 @@ def test_pure_function_of_triple(seed, trial, time, neuron):
     u2 = RandomnessContract(seed).uniform(trial, time, neuron)
     assert u1 == u2
     assert 0.0 <= u1 < 1.0
+
+
+# Draws recorded from the allocating implementation, before the hash ran in
+# place: trials (2**40 + 3, 0, 17) by neurons (2049, 5, 0), ids deliberately
+# out of order and far apart. Any change to the derivation shows here.
+_GOLDEN_TRIALS = [2**40 + 3, 0, 17]
+_GOLDEN_NEURONS = [2049, 5, 0]
+_GOLDEN = {
+    (0, 0): [[0.7713486179820532, 0.3019131823997562, 0.882773433325146],
+             [0.306425196300931, 0.5841807255255006, 0.9336827781604518],
+             [0.8525727564627219, 0.3441715746922476, 0.4478067827297565]],
+    (0, 10**9): [[0.8367344514202777, 0.9088447461517765, 0.18180844335998814],
+                 [0.9740858047107017, 0.3025719364085333, 0.8397474124030079],
+                 [0.5088956974266347, 0.4761578460097351, 0.7094863249957963]],
+    (2**63 + 5, 0): [[0.8249674064611398, 0.39655815972039643, 0.8639319587319156],
+                     [0.39125753898463556, 0.060817748366559954, 0.31749491191777324],
+                     [0.13478581260383093, 0.5753128576055757, 0.6671486357388028]],
+    (2**63 + 5, 10**9): [[0.23485044856321435, 0.8221659225378326, 0.11730994331584532],
+                         [0.025135743742631056, 0.023196883556424464, 0.8825979784914663],
+                         [0.6024375788829787, 0.9398275457506393, 0.037815797868866574]],
+    (2**64 - 1, 0): [[0.07766668298654344, 0.25915602601092325, 0.8708774207490444],
+                     [0.674927128197369, 0.19103481870297956, 0.24612051713556027],
+                     [0.8931249402961479, 0.4551586734938332, 0.9181586079036931]],
+    (2**64 - 1, 10**9): [[0.558687549585241, 0.17043886282170628, 0.6509005779371362],
+                         [0.8546758698925674, 0.6692552210145875, 0.008717013998693846],
+                         [0.5867794633109257, 0.0447905510984592, 0.8748146826543954]],
+}
+
+
+@pytest.mark.parametrize("seed, time", sorted(_GOLDEN))
+def test_golden_draws(seed, time):
+    rng = RandomnessContract(seed)
+    got = rng.uniform_block(_GOLDEN_TRIALS, time, _GOLDEN_NEURONS)
+    assert got.dtype == np.float64
+    assert got.tolist() == _GOLDEN[(seed, time)]
+    out = np.full((3, 3), np.nan)
+    assert rng.uniform_block(_GOLDEN_TRIALS, time, _GOLDEN_NEURONS, out=out) is out
+    assert out.tobytes() == got.tobytes()
+
+
+def test_out_matches_allocating_call():
+    g = np.random.default_rng(3)
+    trials = g.integers(0, 2**62, 41)
+    neurons = g.integers(0, 2**40, 29)
+    for seed in (0, 2**63 + 5, 2**64 - 1):
+        rng = RandomnessContract(seed)
+        for time in (0, 1, 10**9, 2**64 - 1):
+            want = rng.uniform_block(trials, time, neurons)
+            # a row slice of a larger buffer, the way a tile reuses its workspace
+            buf = np.full((50, 29), -1.0)
+            got = rng.uniform_block(trials, time, neurons, out=buf[:41])
+            assert got.base is buf
+            assert got.tobytes() == want.tobytes()
+            assert (buf[41:] == -1.0).all()

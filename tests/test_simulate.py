@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,9 @@ from wtalab import (
     NetworkSpec,
     Neuron,
     RandomnessContract,
+    TrialPlan,
+    WtaInstance,
+    WtaVariant,
     build_log_inhibitor,
     build_single_inhibitor,
     build_two_inhibitor,
@@ -17,11 +22,13 @@ from wtalab import (
     initial_window,
     potential,
     run,
+    run_trials,
     spike_probability,
     step,
 )
 from wtalab.experiments import batch_convergence_times, initial_windows_batch
 from wtalab.network import AUXILIARY, EXCITATORY, INHIBITORY, INPUT, OUTPUT
+from wtalab import simulate
 from wtalab.simulate import BatchRunner
 
 from conftest import brute_convergence_time, random_network
@@ -358,3 +365,81 @@ class TestKernel:
         assert len(runner.w_cols) == 2
         for lag in (1, 2):
             assert np.array_equal(runner.w_cols[lag - 1], spec.weights[lag - 1][:, ni])
+
+
+def _tile_rows(monkeypatch, spec, rows):
+    """Make every step tile ``rows`` rows (None: one tile for any batch)."""
+    m = spec.non_input_indices.size
+    monkeypatch.setattr(simulate, "_TILE_ELEMS", 10**12 if rows is None else rows * m)
+
+
+class TestTiles:
+    """A step makes its non-input bits one row tile at a time, in buffers
+    the runner reuses; where the tiles fall must not change a bit."""
+
+    @pytest.mark.parametrize("build, n", [
+        (build_two_inhibitor, 5), (build_single_inhibitor, 5), (build_log_inhibitor, 4),
+    ])
+    def test_step_and_advance_match_untiled(self, monkeypatch, nprng, build, n):
+        spec = build(n, 9.0)
+        rng = RandomnessContract(2**63 + 11)
+        batch = 23  # a multiple of no tile below
+        x_rows = (nprng.random((batch, n)) < 0.7).astype(np.uint8)
+        frames = random_frames(nprng, spec, batch, np.uint8)
+        frames[:, :, spec.input_indices] = x_rows[:, None, :]
+        trials = nprng.permutation(10_000)[:batch]
+
+        def steps(runner):
+            # per-row inputs (the lemma path) and one shared input vector
+            return [
+                runner.step_bits(frames, 5, trials, x_rows),
+                runner.advance(frames, 6, trials, x_rows),
+                runner.advance(frames, 7, trials, x_rows[0]),
+            ]
+
+        _tile_rows(monkeypatch, spec, None)
+        want = steps(BatchRunner(spec, rng))
+        for rows in (1, 3, 7):
+            _tile_rows(monkeypatch, spec, rows)
+            runner = BatchRunner(spec, rng)
+            # a small batch first, so the workspace grows between calls
+            small = runner.step_bits(frames[:2], 5, trials[:2], x_rows[:2])
+            assert np.array_equal(small, want[0][:2])
+            for got, ref in zip(steps(runner), want):
+                assert got.dtype == np.uint8 and np.array_equal(got, ref)
+
+    def test_run_trials_under_tiles_and_chunks(self, monkeypatch):
+        inst = WtaInstance(n=3, gamma=10.0, t_s=3, delta=None, t_c=20,
+                           input_bits=(1, 0, 1), variant=WtaVariant("two_inhibitor"))
+        spec = inst.build()
+
+        def converged(chunk):
+            plan = TrialPlan(instance=inst, trials=60, seed=4, horizon=40, chunk_size=chunk)
+            return run_trials(plan, spec=spec).converged_at
+
+        _tile_rows(monkeypatch, spec, None)
+        want = converged(None)
+        assert (want >= 0).any()
+        for rows in (1, 3, 7):
+            _tile_rows(monkeypatch, spec, rows)
+            for chunk in (1, 7, None):
+                assert np.array_equal(converged(chunk), want)
+
+    def test_warm_advance_allocates_no_batch_sized_temporaries(self):
+        # One (250 x 1026) float64 array is 2 MB: a step that allocated one per
+        # operation peaked above 8 MB here. The new (250 x 2050) uint8 frame
+        # is 0.5 MB and the tile buffers are reused.
+        spec = build_two_inhibitor(1024, 10.0)
+        rng = RandomnessContract(3)
+        runner = BatchRunner(spec, rng)
+        trials = np.arange(250)
+        x = np.ones(1024, dtype=np.uint8)
+        frames = initial_windows_batch(spec, "uniform_random", x, trials, rng)
+        frames = runner.advance(frames, 1, trials, x)  # allocates the workspace
+        tracemalloc.start()
+        try:
+            runner.advance(frames, 2, trials, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
