@@ -42,6 +42,7 @@ from .lemmas import GROUP_IDS, LemmaCheckReport, LemmaParams, lemma_check
 from .network import (
     NetworkSpec,
     Neuron,
+    Synapses,
     potential,
     rescale_temperature,
     sigmoid,

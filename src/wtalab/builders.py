@@ -34,6 +34,7 @@ from .network import (
     OUTPUT,
     NetworkSpec,
     Neuron,
+    Synapses,
     validate_network,
 )
 
@@ -62,11 +63,44 @@ def _check_args(n: int, gamma: float, min_n: int) -> None:
         raise InvalidGamma(f"gamma must be finite and > 0, got {gamma}")
 
 
-def _competition_neurons(n: int, n_aux: int) -> tuple[Neuron, ...]:
+def _network(
+    n: int, *, out_bias: float, aux_biases: list, drive: float, inhibit: dict, fans: list
+) -> NetworkSpec:
+    """The validated competition network: inputs, outputs (bias ``out_bias``)
+    and one auxiliary per entry of ``aux_biases``, with history ``len(fans)``.
+
+    Its synapses, emitted in scan order: at lag 1, ``x_i -> y_i`` with
+    weight ``drive``; then the first fan ``(loop, excite)``, each ``y_i`` onto
+    itself with ``loop`` and onto every auxiliary ``a`` of ``excite`` with
+    ``excite[a]``; then every auxiliary ``a`` of ``inhibit`` onto each output
+    with ``inhibit[a]``. At lag ``l > 1``, the ``l``-th fan. The dicts list
+    auxiliaries in index order. Array methods stand in for ``np.tile``: at
+    small n, numpy call overhead is what a build costs."""
     neurons = [Neuron(i, INPUT, EXCITATORY) for i in range(n)]
     neurons += [Neuron(n + i, OUTPUT, EXCITATORY) for i in range(n)]
-    neurons += [Neuron(2 * n + j, AUXILIARY, INHIBITORY) for j in range(n_aux)]
-    return tuple(neurons)
+    neurons += [Neuron(2 * n + j, AUXILIARY, INHIBITORY) for j in range(len(aux_biases))]
+    b = np.zeros(len(neurons))
+    b[n : 2 * n] = out_bias
+    b[2 * n :] = aux_biases
+    xs, ys = np.arange(2 * n).reshape(2, n)
+    inhibitors = np.array(list(inhibit))
+    pre, post, weight, sizes = [], [], [], []
+    for lag0, (loop, excite) in enumerate(fans):
+        fan = ys.repeat(1 + len(excite))
+        fan_post = fan.copy()
+        fan_post.reshape(n, -1)[:, 1:] = list(excite)
+        fan_weight = np.array([[loop, *excite.values()]]).repeat(n, 0).ravel()
+        if lag0:
+            pre.append(fan)
+            post.append(fan_post)
+            weight.append(fan_weight)
+        else:  # lag 1 puts the drive before the fan and the inhibition after it
+            pre += (xs, fan, inhibitors.repeat(n))
+            post += (ys, fan_post, ys[None].repeat(inhibitors.size, 0).ravel())
+            weight += (np.full(n, drive), fan_weight, np.array(list(inhibit.values())).repeat(n))
+        sizes.append(fan.size + (0 if lag0 else n + inhibitors.size * n))
+    syn = Synapses(np.arange(len(fans)).repeat(sizes), *map(np.concatenate, (pre, post, weight)))
+    return validate_network(NetworkSpec(tuple(neurons), syn, b, history=len(fans)))
 
 
 def build_two_inhibitor(n: int, gamma: float) -> NetworkSpec:
@@ -78,23 +112,10 @@ def build_two_inhibitor(n: int, gamma: float) -> NetworkSpec:
     two are needed.
     """
     _check_args(n, gamma, 1)
-    xs = np.arange(n)
-    ys = np.arange(n, 2 * n)
-    a_s, a_c = 2 * n, 2 * n + 1
-    big_n = 2 * n + 2
-    w = np.zeros((1, big_n, big_n))
-    w[0, xs, ys] = 3 * gamma
-    w[0, ys, ys] = 2 * gamma
-    w[0, a_s, ys] = -gamma
-    w[0, a_c, ys] = -gamma
-    w[0, ys, a_s] = gamma
-    w[0, ys, a_c] = gamma
-    b = np.zeros(big_n)
-    b[ys] = 3 * gamma
-    b[a_s] = gamma / 2
-    b[a_c] = 3 * gamma / 2
-    return validate_network(
-        NetworkSpec(_competition_neurons(n, 2), w, b, lam=1.0, history=1)
+    a_s, a_c, g = 2 * n, 2 * n + 1, gamma
+    return _network(
+        n, out_bias=3 * g, aux_biases=[g / 2, 3 * g / 2], drive=3 * g,
+        inhibit={a_s: -g, a_c: -g}, fans=[(2 * g, {a_s: g, a_c: g})],
     )
 
 
@@ -105,20 +126,10 @@ def build_single_inhibitor(n: int, gamma: float) -> NetworkSpec:
     two-inhibitor network would have with both inhibitors active.
     """
     _check_args(n, gamma, 1)
-    xs = np.arange(n)
-    ys = np.arange(n, 2 * n)
-    a_c = 2 * n
-    big_n = 2 * n + 1
-    w = np.zeros((1, big_n, big_n))
-    w[0, xs, ys] = 3 * gamma
-    w[0, ys, ys] = 2 * gamma
-    w[0, a_c, ys] = -2 * gamma
-    w[0, ys, a_c] = gamma
-    b = np.zeros(big_n)
-    b[ys] = 3 * gamma
-    b[a_c] = 3 * gamma / 2
-    return validate_network(
-        NetworkSpec(_competition_neurons(n, 1), w, b, lam=1.0, history=1)
+    a_c, g = 2 * n, gamma
+    return _network(
+        n, out_bias=3 * g, aux_biases=[3 * g / 2], drive=3 * g,
+        inhibit={a_c: -2 * g}, fans=[(2 * g, {a_c: g})],
     )
 
 
@@ -133,30 +144,13 @@ def build_log_inhibitor(n: int, gamma: float) -> NetworkSpec:
     """
     _check_args(n, gamma, 2)
     levels = ceil_log2(n)
-    xs = np.arange(n)
-    ys = np.arange(n, 2 * n)
-    a_s = 2 * n
-    a_levels = np.arange(2 * n + 1, 2 * n + 1 + levels)
-    big_n = 2 * n + 1 + levels
-    w = np.zeros((2, big_n, big_n))
-    w[0, xs, ys] = 6 * gamma
-    w[0, ys, ys] = 2 * gamma
-    w[1, ys, ys] = 2 * gamma
-    w[0, a_s, ys] = -gamma
-    w[0, a_levels[0], ys] = -7 * gamma / 2 - LN2
-    for a in a_levels[1:]:
-        w[0, a, ys] = -LN2
-    w[0, ys, a_s] = gamma
-    w[1, ys, a_s] = gamma
-    for a in a_levels:
-        w[0, ys, a] = gamma
-    b = np.zeros(big_n)
-    b[ys] = 11 * gamma / 2
-    b[a_s] = gamma / 2
-    for j, a in enumerate(a_levels, start=1):
-        b[a] = (2 ** j) * gamma - gamma / 2
-    return validate_network(
-        NetworkSpec(_competition_neurons(n, 1 + levels), w, b, lam=1.0, history=2)
+    a_s, g = 2 * n, gamma
+    a_levels = range(2 * n + 1, 2 * n + 1 + levels)
+    aux_biases = [g / 2] + [(2 ** j) * g - g / 2 for j in range(1, levels + 1)]
+    inhibit = {a_s: -g, a_levels[0]: -7 * g / 2 - LN2, **dict.fromkeys(a_levels[1:], -LN2)}
+    return _network(
+        n, out_bias=11 * g / 2, aux_biases=aux_biases, drive=6 * g, inhibit=inhibit,
+        fans=[(2 * g, dict.fromkeys([a_s, *a_levels], g)), (2 * g, {a_s: g})],
     )
 
 

@@ -15,14 +15,17 @@ Structural rules enforced here:
   weights, an inhibitory one only nonpositive, at every lag;
 * weights, biases and the temperature are finite.
 
-``NetworkSpec.synapses`` is the one sparse view of the weights: validation,
-``edges`` and the batch stepper all read it.
+``NetworkSpec.synapses``, parallel arrays of every nonzero weight, is the one
+stored form of the weights: validation, potentials, ``edges`` and the batch
+stepper all read it. The dense ``(h, N, N)`` tensor ``NetworkSpec.weights`` is
+a view built on first access, for the exact oracle over small networks.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
@@ -63,15 +66,16 @@ class Neuron:
             raise InvalidNetwork(f"unknown polarity {self.polarity!r}")
 
 
-def _readonly(a: np.ndarray, dtype=np.float64) -> np.ndarray:
+def _readonly(a, dtype=np.float64) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
 
 class Synapses(NamedTuple):
-    """Every nonzero weight as parallel read-only arrays, in ``weights`` scan
-    order (lag, then pre, then post): ``weights[lag0, pre, post] == weight``."""
+    """Every nonzero weight as parallel read-only arrays, in scan order (lag,
+    then pre, then post): the stored form of a spec's weights, with
+    ``weights[lag0, pre, post] == weight``."""
 
     lag0: np.ndarray
     pre: np.ndarray
@@ -83,26 +87,20 @@ class Synapses(NamedTuple):
 class NetworkSpec:
     """Immutable network description.
 
-    ``weights`` has shape ``(history, N, N)`` with ``weights[l-1, pre, post]``
-    the strength of the lag-``l`` synapse from ``pre`` to ``post``. ``biases``
-    has shape ``(N,)``. ``lam`` is the sigmoid temperature.
+    ``synapses`` holds every nonzero weight, the lag-``lag0 + 1`` synapse
+    from ``pre`` to ``post``, once each and in scan order. ``weights`` is the
+    dense ``(history, N, N)`` view of them, built on first access.
+    ``biases`` has shape ``(N,)``. ``lam`` is the sigmoid temperature.
     """
 
     neurons: tuple[Neuron, ...]
-    weights: np.ndarray
+    synapses: Synapses
     biases: np.ndarray
     lam: float = 1.0
     history: int = 1
 
     def __post_init__(self) -> None:
         n = len(self.neurons)
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.ndim == 2:
-            w = w[None, :, :]
-        if w.shape != (self.history, n, n):
-            raise InvalidNetwork(
-                f"weights shape {w.shape} != ({self.history}, {n}, {n})"
-            )
         b = np.asarray(self.biases, dtype=np.float64)
         if b.shape != (n,):
             raise InvalidNetwork(f"biases shape {b.shape} != ({n},)")
@@ -112,33 +110,26 @@ class NetworkSpec:
             raise InvalidNetwork(f"lam must be finite, got {self.lam}")
         if not self.lam > 0:
             raise NonpositiveTemperature(f"lam must be > 0, got {self.lam}")
-        bad = np.flatnonzero(~np.isfinite(b))
-        if bad.size:
+        if np.count_nonzero(np.isfinite(b)) < n:
+            bad = np.flatnonzero(~np.isfinite(b))
             raise InvalidNetwork(f"non-finite bias {b[bad[0]]} at neuron {bad[0]}")
-        object.__setattr__(self, "weights", _readonly(w))
+        syn = Synapses(*map(_readonly, self.synapses, (np.intp, np.intp, np.intp, np.float64)))
+        object.__setattr__(self, "synapses", syn)
         object.__setattr__(self, "biases", _readonly(b))
         object.__setattr__(self, "neurons", tuple(self.neurons))
-        # NaN and inf compare unequal to 0.0, so the synapse scan sees them all
-        syn = self.synapses
-        bad = np.flatnonzero(~np.isfinite(syn.weight))
-        if bad.size:
-            k = bad[0]
-            raise InvalidNetwork(
-                f"non-finite weight {syn.weight[k]} at lag {syn.lag0[k] + 1} "
-                f"from neuron {syn.pre[k]} to neuron {syn.post[k]}"
-            )
+        _check_synapses(syn, self.history, n)
 
     @cached_property
-    def synapses(self) -> Synapses:
-        """The nonzero synapses, found by one scan of ``weights``."""
-        flat = np.flatnonzero(self.weights.ravel() != 0.0)
-        lag0, pre, post = np.unravel_index(flat, self.weights.shape)
-        return Synapses(
-            _readonly(lag0, np.intp),
-            _readonly(pre, np.intp),
-            _readonly(post, np.intp),
-            _readonly(self.weights.ravel()[flat]),
-        )
+    def weights(self) -> np.ndarray:
+        """The dense ``(history, N, N)`` view of ``synapses``, with
+        ``weights[l-1, pre, post]`` the lag-``l`` weight from ``pre`` to
+        ``post``. Built on first access; only the exact oracle and
+        ``BatchRunner.w_cols`` read it."""
+        n = self.n_neurons
+        w = np.zeros((self.history, n, n))
+        syn = self.synapses
+        w[syn.lag0, syn.pre, syn.post] = syn.weight
+        return _readonly(w)
 
     # -- layout ---------------------------------------------------------
 
@@ -146,26 +137,14 @@ class NetworkSpec:
     def n_neurons(self) -> int:
         return len(self.neurons)
 
-    def _indices_of(self, kind: str) -> np.ndarray:
-        return np.asarray([u.index for u in self.neurons if u.kind == kind], dtype=np.intp)
+    def _indices_of(self, *kinds: str) -> np.ndarray:
+        return _readonly([u.index for u in self.neurons if u.kind in kinds], np.intp)
 
-    @property
-    def input_indices(self) -> np.ndarray:
-        return self._indices_of(INPUT)
-
-    @property
-    def output_indices(self) -> np.ndarray:
-        return self._indices_of(OUTPUT)
-
-    @property
-    def auxiliary_indices(self) -> np.ndarray:
-        return self._indices_of(AUXILIARY)
-
-    @property
-    def non_input_indices(self) -> np.ndarray:
-        return np.asarray(
-            [u.index for u in self.neurons if u.kind != INPUT], dtype=np.intp
-        )
+    # read-only index arrays of each role, found on first access
+    input_indices = cached_property(lambda self: self._indices_of(INPUT))
+    output_indices = cached_property(lambda self: self._indices_of(OUTPUT))
+    auxiliary_indices = cached_property(lambda self: self._indices_of(AUXILIARY))
+    non_input_indices = cached_property(lambda self: self._indices_of(OUTPUT, AUXILIARY))
 
     def is_input(self, index: int) -> bool:
         return self.neurons[index].kind == INPUT
@@ -173,7 +152,9 @@ class NetworkSpec:
     def weight(self, pre: int, post: int, lag: int = 1) -> float:
         if not 1 <= lag <= self.history:
             raise LagOutOfRange(f"lag {lag} outside 1..{self.history}")
-        return float(self.weights[lag - 1, pre, post])
+        syn = self.synapses
+        at = np.flatnonzero((syn.lag0 == lag - 1) & (syn.pre == pre) & (syn.post == post))
+        return float(syn.weight[at[0]]) if at.size else 0.0
 
     def bias(self, index: int) -> float:
         return float(self.biases[index])
@@ -193,7 +174,7 @@ class NetworkSpec:
             self.neurons == other.neurons
             and self.history == other.history
             and self.lam == other.lam
-            and np.array_equal(self.weights, other.weights)
+            and all(map(np.array_equal, self.synapses, other.synapses))
             and np.array_equal(self.biases, other.biases)
         )
 
@@ -208,22 +189,46 @@ class NetworkSpec:
         lam: float = 1.0,
         history: int = 1,
     ) -> "NetworkSpec":
-        """Build a spec from sparse ``(pre, post, lag) -> weight`` entries."""
+        """Build a spec from sparse ``(pre, post, lag) -> weight`` entries.
+
+        Entries may come in any order; the last of repeated keys wins and
+        zero weights (``-0.0`` too) are dropped.
+        """
         neurons = tuple(neurons)
-        n = len(neurons)
-        w = np.zeros((history, n, n))
         if isinstance(edges, Mapping):
-            items = [(p, q, lag, v) for (p, q, lag), v in edges.items()]
-        else:
-            items = list(edges)
-        for pre, post, lag, value in items:
+            edges = [(p, q, lag, v) for (p, q, lag), v in edges.items()]
+        latest = {}
+        for pre, post, lag, value in edges:
             if not 1 <= lag <= history:
                 raise LagOutOfRange(f"lag {lag} outside 1..{history}")
-            w[lag - 1, pre, post] = value
-        b = np.zeros(n)
+            try:
+                latest[operator.index(lag) - 1, operator.index(pre), operator.index(post)] = value
+            except TypeError:
+                raise InvalidNetwork(f"edge {pre, post, lag} has a non-integer index") from None
+        # tuples sort as (lag0, pre, post): scan order
+        keys = sorted(k for k, v in latest.items() if v != 0.0)
+        lag0, pre, post = np.reshape(np.asarray(keys, dtype=np.intp), (len(keys), 3)).T
+        weight = [latest[k] for k in keys]
+        b = np.zeros(len(neurons))
         for idx, value in biases.items():
             b[idx] = value
-        return cls(neurons=neurons, weights=w, biases=b, lam=lam, history=history)
+        return cls(neurons, Synapses(lag0, pre, post, weight), b, lam=lam, history=history)
+
+    @classmethod
+    def from_dense(
+        cls, neurons: Iterable[Neuron], weights, biases, lam: float = 1.0, history: int = 1
+    ) -> "NetworkSpec":
+        """Build a spec from a dense ``(history, N, N)`` weight tensor, keeping
+        its nonzero entries."""
+        neurons = tuple(neurons)
+        n = len(neurons)
+        w = np.asarray(weights, dtype=np.float64)
+        if w.shape != (history, n, n):
+            raise InvalidNetwork(f"weights shape {w.shape} != ({history}, {n}, {n})")
+        # NaN and inf compare unequal to 0.0, so the constructor sees them all
+        flat = np.flatnonzero(w.ravel() != 0.0)
+        lag0, pre, post = np.unravel_index(flat, w.shape)
+        return cls(neurons, Synapses(lag0, pre, post, w.ravel()[flat]), biases, lam, history)
 
     # -- serialization --------------------------------------------------
 
@@ -272,6 +277,35 @@ class NetworkSpec:
         return cls.from_json_dict(json.loads(text))
 
 
+def _check_synapses(syn: Synapses, history: int, n: int) -> None:
+    """Raise ``InvalidNetwork`` unless the synapse arrays are 1-D and of one
+    length, every lag0, pre and post is in range, the keys run strictly up in
+    scan order (so each appears once), and every weight is nonzero and finite."""
+    size = syn.weight.size
+    if not syn.lag0.shape == syn.pre.shape == syn.post.shape == syn.weight.shape == (size,):
+        raise InvalidNetwork(f"synapse arrays must be 1-D of one length: {[a.shape for a in syn]}")
+
+    def where(k: int) -> str:
+        return f"at lag {syn.lag0[k] + 1} from neuron {syn.pre[k]} to neuron {syn.post[k]}"
+
+    try:
+        key = np.ravel_multi_index(syn[:3], (history, n, n))
+    except ValueError:
+        idx = np.stack(syn[:3], axis=1)
+        k = np.flatnonzero(((idx < 0) | (idx >= (history, n, n))).any(axis=1))[0]
+        raise InvalidNetwork(f"synapse {k} {where(k)} is outside the network") from None
+    # count_nonzero, not any/all: at small n each check's call overhead is its cost
+    if np.count_nonzero(key[1:] <= key[:-1]):
+        k = np.flatnonzero(key[1:] <= key[:-1])[0] + 1
+        what = "repeats" if key[k] == key[k - 1] else "breaks the scan order"
+        raise InvalidNetwork(f"synapse {k} {where(k)} {what}")
+    w = syn.weight
+    if np.count_nonzero(w) < size or np.count_nonzero(np.isfinite(w)) < size:
+        k = np.flatnonzero(~np.isfinite(w) | (w == 0.0))[0]
+        kind = "zero" if w[k] == 0.0 else "non-finite"
+        raise InvalidNetwork(f"{kind} weight {w[k]} {where(k)}")
+
+
 def validate_network(spec: NetworkSpec) -> NetworkSpec:
     """Check every structural invariant and return the spec unchanged.
 
@@ -291,22 +325,18 @@ def validate_network(spec: NetworkSpec) -> NetworkSpec:
     syn = spec.synapses
     is_input = np.zeros(n, dtype=bool)
     is_input[spec.input_indices] = True
-    into_input = np.flatnonzero(is_input[syn.post])
-    if into_input.size:
-        k = into_input[0]
-        raise InputTargeted(
-            f"synapse from neuron {syn.pre[k]} targets input neuron {syn.post[k]}"
-        )
+    if np.count_nonzero(is_input[syn.post]):
+        k = np.flatnonzero(is_input[syn.post])[0]
+        raise InputTargeted(f"synapse from neuron {syn.pre[k]} targets input neuron {syn.post[k]}")
     excitatory = np.asarray([u.polarity == EXCITATORY for u in spec.neurons], dtype=bool)
-    wrong_sign = np.where(excitatory[syn.pre], syn.weight < 0.0, syn.weight > 0.0)
-    if wrong_sign.any():
+    # every weight is nonzero, so its sign is wrong where it is positive and
+    # its source inhibitory, or the other way round
+    wrong_sign = (syn.weight > 0.0) != excitatory[syn.pre]
+    if np.count_nonzero(wrong_sign):
         u = int(syn.pre[wrong_sign].min())
-        if excitatory[u]:
-            raise DalesPrincipleViolation(
-                f"excitatory neuron {u} has a negative outgoing weight"
-            )
+        sign = "negative" if excitatory[u] else "positive"
         raise DalesPrincipleViolation(
-            f"inhibitory neuron {u} has a positive outgoing weight"
+            f"{spec.neurons[u].polarity} neuron {u} has a {sign} outgoing weight"
         )
     return spec
 
@@ -328,10 +358,11 @@ def potential(spec: NetworkSpec, window, u: int) -> float:
         raise InvalidNetwork(
             f"window shape {frames.shape} != ({h}, {spec.n_neurons})"
         )
-    pot = -spec.biases[u]
-    for lag in range(1, h + 1):
-        pot += float(frames[h - lag] @ spec.weights[lag - 1, :, u])
-    return float(pot)
+    syn = spec.synapses
+    into = np.flatnonzero(syn.post == u)
+    # frame h-1-lag0 of the window holds the bits a lag0+1 synapse reads
+    fired = frames[h - 1 - syn.lag0[into], syn.pre[into]]
+    return float(fired @ syn.weight[into] - spec.biases[u])
 
 
 def sigmoid(z, out=None) -> np.ndarray | float:
@@ -370,10 +401,8 @@ def rescale_temperature(spec: NetworkSpec, new_lambda: float) -> NetworkSpec:
     if not new_lambda > 0:
         raise NonpositiveTemperature(f"new_lambda must be > 0, got {new_lambda}")
     factor = new_lambda / spec.lam
-    return NetworkSpec(
-        neurons=spec.neurons,
-        weights=spec.weights * factor,
-        biases=spec.biases * factor,
-        lam=new_lambda,
-        history=spec.history,
-    )
+    syn = spec.synapses
+    w = syn.weight * factor
+    keep = w != 0.0  # a weight that underflows to zero is no synapse
+    scaled = Synapses(syn.lag0[keep], syn.pre[keep], syn.post[keep], w[keep])
+    return NetworkSpec(spec.neurons, scaled, spec.biases * factor, new_lambda, spec.history)

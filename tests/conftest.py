@@ -45,7 +45,7 @@ def random_network(
     b = rng.uniform(-scale, scale, size=big_n)
     b[:n_inputs] = 0.0
     return validate_network(
-        NetworkSpec(tuple(neurons), w, b, lam=lam, history=h)
+        NetworkSpec.from_dense(tuple(neurons), w, b, lam=lam, history=h)
     )
 
 

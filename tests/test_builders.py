@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,15 +12,18 @@ from wtalab import (
     InvalidSize,
     MissingDelta,
     NetworkSpec,
+    TrialPlan,
     WtaInstance,
     WtaLabError,
     WtaVariant,
+    build,
     build_log_inhibitor,
     build_single_inhibitor,
     build_two_inhibitor,
     ceil_log2,
     gamma_for,
     potential,
+    run_trials,
     tc_bound,
     validate_network,
 )
@@ -223,3 +228,53 @@ class TestWtaInstance:
         for n in (0, -2):
             with pytest.raises(WtaLabError):
                 tc_bound(v, n, delta)
+
+
+# sha256 of build(tag, n, 13.7).to_json(), recorded from the dense-tensor
+# builders: the edge-list builders must emit the same networks bit for bit
+PINNED_JSON_SHA256 = {
+    ("two_inhibitor", 1): "e724cef34391c04374d0ffc560ea5fcf9a663b964b87be0a095ff78b549518eb",
+    ("two_inhibitor", 2): "3e4172774e0e7d7b84ec652fa39ff6a28b6a1f481239816d49bbb1de2d3298da",
+    ("two_inhibitor", 3): "9f6cfe8f5f6f9add78d0e694051de8f61857879cabe174bf8ef249c4c2fc87f0",
+    ("two_inhibitor", 8): "1d5ede69e2c90c371758f53acd3f81af881b79c1bc718801c3a9df976022e957",
+    ("two_inhibitor", 37): "fad73f85800eb562972afddbec6322c8a5b10111839c44c584423c696d983447",
+    ("two_inhibitor", 1024): "5888361866940d40500d2e20e1416c4d37e8aa6ef70c3a84b6e7b4f66574a15f",
+    ("single_inhibitor", 1): "66beae627effb1fb52f394948d380f85836ddb11a2315e02ed8198102eded7b8",
+    ("single_inhibitor", 2): "5fe39caa5ae0373cf9427ef17669556b6784594a2a538d437cb746a1d084b630",
+    ("single_inhibitor", 3): "a570f5b544f581bc5bddb6285fab16ab4c84588ba76d333a3534ed7a2c63b3c5",
+    ("single_inhibitor", 8): "1f26c7de61250952da994c231656a9b008b78f3bb3cb85ea7311b5915b53f4c8",
+    ("single_inhibitor", 37): "a73c05228e0d77691b5b4e42b5c01c2805e647d58b5c3b41b0d14254d4151d02",
+    ("single_inhibitor", 1024): "d9ab177cc2e04b7713f736ee49e2f67e402f8ac403397cb378fb7f32fad00dec",
+    ("log_inhibitor", 2): "c8f6c479b3cee32f26a2d4dbdf16b83c1ffa8fe16cb682a8dcc993582575377b",
+    ("log_inhibitor", 3): "3c8f4e713ef418477644c12e557e1ca27adc3a727bbe814e189b882209954912",
+    ("log_inhibitor", 8): "cdc5c612688af84aeb9864ae998ce040ae59830f220d3866b619d978283a25f6",
+    ("log_inhibitor", 37): "cd830717a18e4c7b0055f6472c7a7613461aca0e14f84a8607fb3f50eff298ee",
+    ("log_inhibitor", 1024): "5005b266903405feb0eb7ff2b5d29e51ae06fd9bf895df211f8859ff18a114f4",
+}
+
+
+class TestSparseBuilders:
+    @pytest.mark.parametrize("tag, n", sorted(PINNED_JSON_SHA256))
+    def test_json_pinned(self, tag, n):
+        text = build(tag, n, 13.7).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_JSON_SHA256[tag, n]
+
+    # A dense (h, N, N) float64 tensor at n = 2^14 would take 8.6 GB for the
+    # two-inhibitor family (N = 2n + 2, h = 1) and 17.2 GB for the graded one
+    # (h = 2); the synapse arrays take a few MB.
+    @pytest.mark.parametrize("tag, limit", [("two_inhibitor", 50e6), ("log_inhibitor", 100e6)])
+    def test_large_n_builds_in_little_memory(self, tag, limit):
+        tracemalloc.start()
+        try:
+            spec = build(tag, 1 << 14, 10.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
+        assert "weights" not in vars(spec)
+
+    def test_monte_carlo_never_builds_the_dense_weights(self):
+        inst = WtaInstance.for_theorem("two_inhibitor", "expected_time", 1024, t_s=10)
+        spec = inst.build()
+        run_trials(TrialPlan(instance=inst, trials=8, seed=1), spec=spec)
+        assert "weights" not in vars(spec)

@@ -321,9 +321,8 @@ class TestUsageErrorsExitTwo:
 
 # Value pools per flag: valid values, then invalid ones. Every size (n,
 # trials, samples, tmax, perturbations, horizon) stays tiny so one example
-# runs well under a second: the builders allocate dense (h, N, N) weights,
-# so a large n is never drawn. ``{dir}`` stands for a temporary directory made
-# once per module.
+# runs well under a second, so a large n is never drawn. ``{dir}`` stands for
+# a temporary directory made once per module.
 _POOLS = {
     "--variant": (["two-inhibitor", "single-inhibitor", "log-inhibitor"], ["bogus"]),
     "--n": (["1", "2", "3"], ["2,3", "0", "-1", "", "x"]),

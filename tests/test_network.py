@@ -21,6 +21,7 @@ from wtalab import (
     run,
     sigmoid,
     spike_probability,
+    Synapses,
     validate_network,
 )
 from wtalab.network import EXCITATORY, INPUT, OUTPUT
@@ -46,7 +47,7 @@ class TestValidate:
         w = spec.weights.copy()
         w[0, 4, 0] = 1.0  # a_s -> x_0 is forbidden regardless of sign rules
         with pytest.raises(InputTargeted):
-            validate_network(NetworkSpec(spec.neurons, np.abs(w), spec.biases))
+            validate_network(NetworkSpec.from_dense(spec.neurons, np.abs(w), spec.biases))
 
     def test_mixed_sign_out_weights_rejected(self):
         spec = build_two_inhibitor(2, 5.0)
@@ -54,7 +55,7 @@ class TestValidate:
         w[0, 2, 4] = -1.0  # excitatory y_0 -> a_s with negative weight
         with pytest.raises(DalesPrincipleViolation):
             validate_network(
-                NetworkSpec(spec.neurons, w, spec.biases, spec.lam, spec.history)
+                NetworkSpec.from_dense(spec.neurons, w, spec.biases, spec.lam, spec.history)
             )
 
     def test_lag_out_of_range(self):
@@ -74,15 +75,15 @@ class TestValidate:
         w = spec.weights.copy()
         w[0, 4, 1] = 1.0
         with pytest.raises(InputTargeted, match="input neuron 1"):
-            validate_network(NetworkSpec(spec.neurons, np.abs(w), spec.biases))
+            validate_network(NetworkSpec.from_dense(spec.neurons, np.abs(w), spec.biases))
         w = spec.weights.copy()
         w[0, 3, 5] = -1.0  # excitatory y_1; inhibitory a_s -> y_0 stays legal
         with pytest.raises(DalesPrincipleViolation, match="excitatory neuron 3 "):
-            validate_network(NetworkSpec(spec.neurons, w, spec.biases))
+            validate_network(NetworkSpec.from_dense(spec.neurons, w, spec.biases))
         w = spec.weights.copy()
         w[0, 5, 2] = 1.0  # inhibitory a_c
         with pytest.raises(DalesPrincipleViolation, match="inhibitory neuron 5 "):
-            validate_network(NetworkSpec(spec.neurons, w, spec.biases))
+            validate_network(NetworkSpec.from_dense(spec.neurons, w, spec.biases))
 
 
 class TestSynapses:
@@ -113,6 +114,93 @@ class TestSynapses:
         assert spec.synapses.weight.size == 0
         assert validate_network(spec) is spec
 
+    def test_role_indices_are_cached_read_only(self):
+        spec = build_log_inhibitor(5, 4.0)
+        want = {
+            "input_indices": [0, 1, 2, 3, 4],
+            "output_indices": [5, 6, 7, 8, 9],
+            "auxiliary_indices": [10, 11, 12, 13],
+            "non_input_indices": list(range(5, 14)),
+        }
+        for name, indices in want.items():
+            a = getattr(spec, name)
+            assert getattr(spec, name) is a
+            assert not a.flags.writeable
+            assert a.dtype == np.intp and a.tolist() == indices
+
+    def test_dense_weights_are_a_view_built_on_demand(self, nprng):
+        for _ in range(5):
+            spec = random_network(nprng)
+            assert "weights" not in vars(spec)
+            w = spec.weights
+            assert spec.weights is w and not w.flags.writeable
+            assert w.shape == (spec.history, spec.n_neurons, spec.n_neurons)
+            syn = spec.synapses
+            assert np.count_nonzero(w) == syn.weight.size
+            assert np.array_equal(w[syn.lag0, syn.pre, syn.post], syn.weight)
+            same = NetworkSpec.from_dense(spec.neurons, w, spec.biases, spec.lam, spec.history)
+            assert same == spec
+
+
+def _three_neurons():
+    return (Neuron(0, INPUT, EXCITATORY), Neuron(1, OUTPUT, EXCITATORY),
+            Neuron(2, OUTPUT, EXCITATORY))
+
+
+class TestSynapseChecks:
+    """The constructor takes synapse arrays only in scan order, each key once,
+    in range and with nonzero finite weights."""
+
+    @pytest.mark.parametrize(
+        "lag0, pre, post, weight, match",
+        [
+            ([0, 0], [0, 0], [1], [1.0, 2.0], "1-D of one length"),
+            ([[0]], [[0]], [[1]], [[1.0]], "1-D of one length"),
+            ([1], [0], [1], [1.0], "outside"),  # lag 2 at history 1
+            ([-1], [0], [1], [1.0], "outside"),
+            ([0], [3], [1], [1.0], "outside"),
+            ([0], [-1], [1], [1.0], "outside"),
+            ([0], [0], [3], [1.0], "outside"),
+            ([0, 0], [0, 0], [1, 1], [1.0, 2.0], "repeats"),
+            ([0, 0], [0, 0], [2, 1], [1.0, 1.0], "scan order"),
+            ([0, 0], [1, 0], [2, 1], [1.0, 1.0], "scan order"),
+            ([0], [0], [1], [0.0], "zero weight"),
+            ([0], [0], [1], [-0.0], "zero weight"),
+        ],
+    )
+    def test_rejected(self, lag0, pre, post, weight, match):
+        with pytest.raises(InvalidNetwork, match=match):
+            NetworkSpec(_three_neurons(), Synapses(lag0, pre, post, weight), np.zeros(3))
+
+    def test_accepted_in_scan_order(self):
+        syn = Synapses([0, 0, 1], [0, 1, 0], [2, 2, 1], [1.0, 2.0, 3.0])
+        spec = NetworkSpec(_three_neurons(), syn, np.zeros(3), history=2)
+        assert spec.weight(1, 2) == 2.0 and spec.weight(0, 1, lag=2) == 3.0
+        assert spec.weight(0, 1) == 0.0
+
+    def test_from_edges_sorts_keeps_the_last_repeat_and_drops_zeros(self):
+        edges = [(0, 2, 1, 1.0), (0, 1, 1, 2.0), (0, 1, 1, 3.0), (0, 2, 1, 0.0), (1, 2, 1, 4.0)]
+        spec = NetworkSpec.from_edges(_three_neurons(), edges, {})
+        assert list(spec.edges()) == [(0, 1, 1, 3.0), (1, 2, 1, 4.0)]
+        mapping = {(1, 2, 1): 4.0, (0, 1, 1): 3.0, (0, 2, 1): -0.0}
+        assert NetworkSpec.from_edges(_three_neurons(), mapping, {}) == spec
+
+    def test_from_edges_rejects_a_neuron_outside_the_network(self):
+        with pytest.raises(InvalidNetwork, match="outside"):
+            NetworkSpec.from_edges(_three_neurons(), [(0, 3, 1, 1.0)], {})
+
+    @pytest.mark.parametrize("edge", [(0, 1.7, 1, 1.0), (0.0, 1, 1, 1.0), (0, 1, 1.0, 1.0)])
+    def test_from_edges_rejects_a_non_integer_index(self, edge):
+        with pytest.raises(InvalidNetwork, match="non-integer"):
+            NetworkSpec.from_edges(_three_neurons(), [edge], {})
+
+    def test_rescale_drops_a_weight_that_underflows(self):
+        spec = NetworkSpec.from_edges(_three_neurons(), [(0, 1, 1, 1e-300), (0, 2, 1, 1.0)], {})
+        scaled = rescale_temperature(spec, 1e-30)
+        assert list(scaled.edges()) == [(0, 2, 1, 1e-30)]
+        dense = NetworkSpec.from_dense(_three_neurons(), spec.weights * 1e-30, np.zeros(3), 1e-30)
+        assert scaled == dense
+
 
 class TestNonFinite:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -121,7 +209,7 @@ class TestNonFinite:
         w = spec.weights.copy()
         w[0, 2, 4] = bad  # excitatory y_0 -> a_s: a NaN must not pass for positive
         with pytest.raises(InvalidNetwork, match="neuron 2 to neuron 4"):
-            NetworkSpec(spec.neurons, w, spec.biases)
+            NetworkSpec.from_dense(spec.neurons, w, spec.biases)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_bias(self, bad):
@@ -129,13 +217,13 @@ class TestNonFinite:
         b = spec.biases.copy()
         b[3] = bad
         with pytest.raises(InvalidNetwork, match="neuron 3"):
-            NetworkSpec(spec.neurons, spec.weights, b)
+            NetworkSpec.from_dense(spec.neurons, spec.weights, b)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_lam(self, bad):
         spec = build_two_inhibitor(2, 5.0)
         with pytest.raises(InvalidNetwork):
-            NetworkSpec(spec.neurons, spec.weights, spec.biases, lam=bad)
+            NetworkSpec.from_dense(spec.neurons, spec.weights, spec.biases, lam=bad)
 
     def test_from_json(self):
         data = build_two_inhibitor(2, 5.0).to_json_dict()

@@ -221,7 +221,7 @@ def permuted(spec, order):
         for k, i in enumerate(order.tolist())
     )
     w = spec.weights[:, order][:, :, order]
-    return NetworkSpec(neurons, w, spec.biases[order], spec.lam, spec.history)
+    return NetworkSpec.from_dense(neurons, w, spec.biases[order], spec.lam, spec.history)
 
 
 class TestBatchScanner:
