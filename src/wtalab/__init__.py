@@ -43,7 +43,6 @@ from .network import (
     NetworkSpec,
     Neuron,
     Synapses,
-    potential,
     rescale_temperature,
     sigmoid,
     spike_probability,
@@ -65,6 +64,7 @@ from .simulate import (
     ExecutionWindow,
     FixedInputTrace,
     initial_window,
+    potential,
     run,
     step,
 )

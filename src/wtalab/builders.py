@@ -35,7 +35,6 @@ from .network import (
     NetworkSpec,
     Neuron,
     Synapses,
-    validate_network,
 )
 
 TWO_INHIBITOR = "two_inhibitor"
@@ -66,7 +65,7 @@ def _check_args(n: int, gamma: float, min_n: int) -> None:
 def _network(
     n: int, *, out_bias: float, aux_biases: list, drive: float, inhibit: dict, fans: list
 ) -> NetworkSpec:
-    """The validated competition network: inputs, outputs (bias ``out_bias``)
+    """The competition network: inputs, outputs (bias ``out_bias``)
     and one auxiliary per entry of ``aux_biases``, with history ``len(fans)``.
 
     Its synapses, emitted in scan order: at lag 1, ``x_i -> y_i`` with
@@ -100,7 +99,7 @@ def _network(
             weight += (np.full(n, drive), fan_weight, np.array(list(inhibit.values())).repeat(n))
         sizes.append(fan.size + (0 if lag0 else n + inhibitors.size * n))
     syn = Synapses(np.arange(len(fans)).repeat(sizes), *map(np.concatenate, (pre, post, weight)))
-    return validate_network(NetworkSpec(tuple(neurons), syn, b, history=len(fans)))
+    return NetworkSpec(tuple(neurons), syn, b, history=len(fans))
 
 
 def build_two_inhibitor(n: int, gamma: float) -> NetworkSpec:
@@ -165,20 +164,6 @@ def build(tag: str, n: int, gamma: float) -> NetworkSpec:
     if tag not in _BUILDERS:
         raise WtaLabError(f"unknown variant {tag!r}")
     return _BUILDERS[tag](n, gamma)
-
-
-def aux_layout(tag: str, n: int) -> dict[str, int | list[int]]:
-    """Indices of the named auxiliary neurons in the canonical layout."""
-    if tag == TWO_INHIBITOR:
-        return {"a_s": 2 * n, "a_c": 2 * n + 1}
-    if tag == SINGLE_INHIBITOR:
-        return {"a_c": 2 * n}
-    if tag == LOG_INHIBITOR:
-        return {
-            "a_s": 2 * n,
-            "a_levels": list(range(2 * n + 1, 2 * n + 1 + ceil_log2(n))),
-        }
-    raise WtaLabError(f"unknown variant {tag!r}")
 
 
 @dataclass(frozen=True)

@@ -175,7 +175,7 @@ def _t_config(x, y, a_s, a_c) -> np.ndarray:
     ).astype(np.uint8)
 
 
-def _l_window(x, frames_old, frames_new) -> np.ndarray:
+def _l_window(frames_old, frames_new) -> np.ndarray:
     return np.stack([frames_old, frames_new], axis=1).astype(np.uint8)
 
 
@@ -305,7 +305,7 @@ def _random_window(g, p: LemmaParams, inputs: Callable = _rand_bits, uninhibited
         new = _l_frame(x, _rand_bits(g, B, p.n), 0, 0)
     else:
         new = _rand_l_frame(g, p, B, x)
-    return _l_window(x, old, new), x
+    return _l_window(old, new), x
 
 
 def _recent_outputs_window(g, p: LemmaParams, fired: bool):
@@ -322,7 +322,7 @@ def _recent_outputs_window(g, p: LemmaParams, fired: bool):
         y_old, y_new = _no_bits(g, B, p.n), _no_bits(g, B, p.n)
     old = _l_frame(x, y_old, g.integers(0, 2, B), _rand_bits(g, B, L))
     new = _l_frame(x, y_new, g.integers(0, 2, B), _rand_bits(g, B, L))
-    return _l_window(x, old, new), None
+    return _l_window(old, new), None
 
 
 def _graded_level_and_count(g, p: LemmaParams, B: int, low_zero: bool):
@@ -345,7 +345,7 @@ def _count_window(g, p: LemmaParams, matched: bool):
     y_new = _exactly_k(g, B, p.n, k)
     old = _rand_l_frame(g, p, B, x)
     new = _l_frame(x, y_new, g.integers(0, 2, B), _rand_bits(g, B, _levels(p)))
-    return _l_window(x, old, new), i
+    return _l_window(old, new), i
 
 
 def _chain_matches(p: LemmaParams, i, frames):
@@ -362,7 +362,7 @@ def _stability_only_window(g, p: LemmaParams):
     y_new = (x & _rand_bits(g, B, p.n)).astype(np.uint8)
     old = _l_frame(x, y_old, g.integers(0, 2, B), _rand_bits(g, B, _levels(p)))
     new = _l_frame(x, y_new, 1, 0)
-    return _l_window(x, old, new), np.maximum(y_old, y_new)
+    return _l_window(old, new), np.maximum(y_old, y_new)
 
 
 def _graded_window(g, p: LemmaParams, B: int, level, k):
@@ -373,7 +373,7 @@ def _graded_window(g, p: LemmaParams, B: int, level, k):
     chain_new = (np.arange(1, L + 1)[None, :] <= np.asarray(level).reshape(-1, 1))
     old = _l_frame(x, winners, g.integers(0, 2, B), _rand_bits(g, B, L))
     new = _l_frame(x, winners, 1, chain_new)
-    return x, winners, _l_window(x, old, new)
+    return x, winners, _l_window(old, new)
 
 
 def _level_window(g, p: LemmaParams, pin_first: bool):
@@ -410,7 +410,7 @@ def _near_stable_window(g, p: LemmaParams):
     y_new[rows[pattern != 0], w[pattern != 0]] = 1
     old = _l_frame(x, y_old, 1, _rand_bits(g, B, _levels(p)))
     new = _l_frame(x, y_new, 1, 0)
-    return _l_window(x, old, new), (x, w)
+    return _l_window(old, new), (x, w)
 
 
 def _next_near_stable(p: LemmaParams, ctx, frames):

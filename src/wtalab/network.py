@@ -1,4 +1,4 @@
-"""Stochastic spiking network model: structure, potentials, firing probability.
+"""Stochastic spiking network model: structure and firing probability.
 
 A network is a set of neurons partitioned into inputs, outputs and auxiliaries,
 with signed synaptic weights over lags ``1..h``, per-neuron biases, and a
@@ -7,7 +7,7 @@ synchronous step a non-input neuron fires with probability
 ``sigmoid(potential / lam)``, where the potential is the lag-weighted sum of
 the last ``h`` firing vectors minus the bias.
 
-Structural rules enforced here:
+Structural rules, which the ``NetworkSpec`` constructor enforces:
 
 * inputs and outputs are excitatory;
 * no synapse targets an input neuron;
@@ -16,9 +16,10 @@ Structural rules enforced here:
 * weights, biases and the temperature are finite.
 
 ``NetworkSpec.synapses``, parallel arrays of every nonzero weight, is the one
-stored form of the weights: validation, potentials, ``edges`` and the batch
-stepper all read it. The dense ``(h, N, N)`` tensor ``NetworkSpec.weights`` is
-a view built on first access, for the exact oracle over small networks.
+stored form of the weights: validation, ``edges`` and the batch kernel
+(``simulate.BatchRunner``, which computes every potential, the scalar
+``simulate.potential`` and the exact oracle's included) all read it. The dense
+``(h, N, N)`` tensor ``NetworkSpec.weights`` is a view built on first access.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import numpy as np
 
 from .errors import (
     DalesPrincipleViolation,
-    InputNeuronPotential,
     InputTargeted,
     InvalidNetwork,
     LagOutOfRange,
@@ -118,13 +118,14 @@ class NetworkSpec:
         object.__setattr__(self, "biases", _readonly(b))
         object.__setattr__(self, "neurons", tuple(self.neurons))
         _check_synapses(syn, self.history, n)
+        validate_network(self)
 
     @cached_property
     def weights(self) -> np.ndarray:
         """The dense ``(history, N, N)`` view of ``synapses``, with
         ``weights[l-1, pre, post]`` the lag-``l`` weight from ``pre`` to
-        ``post``. Built on first access; only the exact oracle and
-        ``BatchRunner.w_cols`` read it."""
+        ``post``. Built on first access; in this package only
+        ``BatchRunner.w_cols`` reads it."""
         n = self.n_neurons
         w = np.zeros((self.history, n, n))
         syn = self.synapses
@@ -307,7 +308,8 @@ def _check_synapses(syn: Synapses, history: int, n: int) -> None:
 
 
 def validate_network(spec: NetworkSpec) -> NetworkSpec:
-    """Check every structural invariant and return the spec unchanged.
+    """Check every structural invariant and return the spec unchanged. The
+    ``NetworkSpec`` constructor ends with this check.
 
     Raises ``InputTargeted`` if any synapse enters an input neuron,
     ``DalesPrincipleViolation`` if a neuron's outgoing weights disagree in
@@ -339,30 +341,6 @@ def validate_network(spec: NetworkSpec) -> NetworkSpec:
             f"{spec.neurons[u].polarity} neuron {u} has a {sign} outgoing weight"
         )
     return spec
-
-
-def potential(spec: NetworkSpec, window, u: int) -> float:
-    """Membrane potential of neuron ``u`` given the last ``h`` firing vectors.
-
-    ``window`` is an ``ExecutionWindow`` or an ``(h, N)`` bit array with the
-    most recent configuration last. Returns
-    ``sum_l sum_v w(v, u, l) * frame[t-l](v) - b(u)``.
-    """
-    if spec.is_input(u):
-        raise InputNeuronPotential(f"neuron {u} is an input")
-    frames = np.asarray(getattr(window, "frames", window), dtype=np.float64)
-    if frames.ndim == 1:
-        frames = frames[None, :]
-    h = spec.history
-    if frames.shape != (h, spec.n_neurons):
-        raise InvalidNetwork(
-            f"window shape {frames.shape} != ({h}, {spec.n_neurons})"
-        )
-    syn = spec.synapses
-    into = np.flatnonzero(syn.post == u)
-    # frame h-1-lag0 of the window holds the bits a lag0+1 synapse reads
-    fired = frames[h - 1 - syn.lag0[into], syn.pre[into]]
-    return float(fired @ syn.weight[into] - spec.biases[u])
 
 
 def sigmoid(z, out=None) -> np.ndarray | float:
@@ -402,7 +380,8 @@ def rescale_temperature(spec: NetworkSpec, new_lambda: float) -> NetworkSpec:
         raise NonpositiveTemperature(f"new_lambda must be > 0, got {new_lambda}")
     factor = new_lambda / spec.lam
     syn = spec.synapses
-    w = syn.weight * factor
+    with np.errstate(over="ignore"):  # the constructor rejects what overflows to inf
+        w, b = syn.weight * factor, spec.biases * factor
     keep = w != 0.0  # a weight that underflows to zero is no synapse
     scaled = Synapses(syn.lag0[keep], syn.pre[keep], syn.post[keep], w[keep])
-    return NetworkSpec(spec.neurons, scaled, spec.biases * factor, new_lambda, spec.history)
+    return NetworkSpec(spec.neurons, scaled, b, new_lambda, spec.history)

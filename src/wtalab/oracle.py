@@ -5,11 +5,13 @@ finite Markov chain whose one-step kernel has closed product form: given the
 window, each non-input neuron fires independently, so the probability of a
 next configuration ``c`` is ``prod_u [c_u p_u + (1 - c_u)(1 - p_u)]``.
 
-This module enumerates that chain, exposes the exact one-step distribution,
-and propagates a dense probability vector over (window, stability-counter)
-states to compute the exact distribution of the convergence event: a valid
-output configuration held fixed for ``t_s`` further steps. It is the
-brute-force reference the Monte Carlo harness is checked against.
+This module enumerates that chain, takes its firing probabilities from the
+one batch kernel (``simulate.BatchRunner``) over every window state at once,
+exposes the exact one-step distribution, and propagates a dense probability
+vector over (window, stability-counter) states to compute the exact
+distribution of the convergence event: a valid output configuration held
+fixed for ``t_s`` further steps. It is the brute-force reference the Monte
+Carlo harness is checked against.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ import numpy as np
 
 from .classify import ConvergenceScan, is_valid_configuration, valid_outputs
 from .errors import LengthMismatch, NotValidConfiguration, StateSpaceTooLarge, WtaLabError
-from .network import NetworkSpec, sigmoid
-from .simulate import ExecutionWindow
+from .network import NetworkSpec
+from .randomness import RandomnessContract
+from .simulate import BatchRunner, ExecutionWindow, window_frames
 
 DEFAULT_STATE_CAP = 1 << 22
 
@@ -75,8 +78,8 @@ class WindowStateSpace:
 
     @cached_property
     def full_frames(self) -> np.ndarray:
-        """(2^m, N) full configurations with the fixed input bits filled in."""
-        full = np.zeros((1 << self.m, self.spec.n_neurons))
+        """(2^m, N) uint8 full configurations with the fixed input bits filled in."""
+        full = np.zeros((1 << self.m, self.spec.n_neurons), dtype=np.uint8)
         full[:, self.spec.input_indices] = self.x
         full[:, self.non_input] = self.frame_bits
         return full
@@ -84,10 +87,7 @@ class WindowStateSpace:
     @cached_property
     def out_positions(self) -> np.ndarray:
         """Positions of the output neurons within the non-input order."""
-        lookup = {int(u): j for j, u in enumerate(self.non_input)}
-        return np.asarray(
-            [lookup[int(u)] for u in self.spec.output_indices], dtype=np.intp
-        )
+        return np.searchsorted(self.non_input, self.spec.output_indices)
 
     @cached_property
     def out_key(self) -> np.ndarray:
@@ -105,9 +105,7 @@ class WindowStateSpace:
         return int(c[self.non_input] @ (1 << np.arange(self.m, dtype=np.int64)))
 
     def window_index(self, window) -> int:
-        frames = np.asarray(getattr(window, "frames", window), dtype=np.uint8)
-        if frames.ndim == 1:
-            frames = frames[None, :]
+        frames = window_frames(self.spec, window)
         s = 0
         for a in range(self.h):
             # code_a is the frame `a` lags back; latest frame sits in low bits
@@ -124,16 +122,17 @@ class WindowStateSpace:
 
     @cached_property
     def step_probabilities(self) -> np.ndarray:
-        """(S, m) per-neuron firing probabilities out of each window state."""
-        contrib = [
-            self.full_frames @ self.spec.weights[lag - 1][:, self.non_input]
-            for lag in range(1, self.h + 1)
-        ]
-        codes = self.state_frame_codes()
-        pot = -self.spec.biases[self.non_input][None, :].repeat(self.n_states, axis=0)
-        for a in range(self.h):
-            pot += contrib[a][codes[:, a]]
-        return sigmoid(pot / self.spec.lam)
+        """(S, m) per-neuron firing probabilities out of each window state:
+        ``BatchRunner.probabilities`` over the windows of every state. They
+        go in row blocks whose float64 copy is no larger than the kernel (one
+        block for every builder family)."""
+        runner = BatchRunner(self.spec, RandomnessContract(0))
+        codes = self.state_frame_codes()[:, ::-1]  # oldest frame first
+        p = np.empty((self.n_states, self.m))
+        rows = max(1, (self.n_states << self.m) // (self.h * self.spec.n_neurons))
+        for lo in range(0, self.n_states, rows):
+            runner.probabilities(self.full_frames[codes[lo : lo + rows]], out=p[lo : lo + rows])
+        return p
 
     @cached_property
     def kernel(self) -> np.ndarray:
@@ -179,8 +178,7 @@ def exact_step_distribution(
     """
     space = WindowStateSpace(spec, input_bits, cap=cap)
     s = space.window_index(window)
-    configs = space.full_frames.astype(np.uint8)
-    return StepDistribution(configs=configs, probs=space.kernel[s])
+    return StepDistribution(configs=space.full_frames, probs=space.kernel[s])
 
 
 def _initial_counter(space: WindowStateSpace, window, t_s: int) -> tuple[int, int]:
@@ -190,8 +188,7 @@ def _initial_counter(space: WindowStateSpace, window, t_s: int) -> tuple[int, in
     Returns ``(counter, absorbed_at)`` with ``absorbed_at = h - 1`` when the
     window alone already certifies the hold (only possible for t_s < h).
     """
-    frames = np.asarray(getattr(window, "frames", window), dtype=np.uint8)
-    outs = frames.reshape(-1, space.spec.n_neurons)[:, space.spec.output_indices]
+    outs = window_frames(space.spec, window)[:, space.spec.output_indices]
     scan = ConvergenceScan(space.x, t_s)
     for t in range(outs.shape[0]):
         if scan.update(t, outs[t : t + 1])[0]:
@@ -292,9 +289,7 @@ def hold_probability(
     the answer is the self-transition probability along the fixed-point path:
     one factor per step.
     """
-    frames = np.asarray(getattr(window, "frames", window), dtype=np.uint8)
-    if frames.ndim == 1:
-        frames = frames[None, :]
+    frames = window_frames(spec, window)
     latest = frames[-1]
     if not is_valid_configuration(variant_tag, input_bits, latest):
         raise NotValidConfiguration(

@@ -6,9 +6,10 @@ last ``h`` configurations. ``step`` advances one window by one configuration;
 from a ``RandomnessContract`` keyed by ``(trial, time, neuron)``.
 
 ``BatchRunner`` advances many trials at once on uint8 frames, with a sparse
-potential kernel built from the spec's synapse view. ``step`` and ``run`` are
-thin wrappers over the same code path, so scalar and batched simulations
-agree bit for bit.
+potential kernel built from the spec's synapse view. It is the one code path
+from a window to potentials: ``potential``, ``step`` and ``run`` are
+batch-of-one views of it, and the exact oracle's kernel reads it too.
+``window_frames`` is the one check of a window's shape.
 
 A step works through the batch in row tiles of about ``_TILE_ELEMS``
 neuron slots. For each tile the runner computes the potentials, divides by
@@ -19,9 +20,11 @@ first step (never by ``__init__``), grown when a larger tile arrives, reused
 by every later step. The layers take them through ``out=`` keywords
 (``potentials``, ``probabilities``, ``network.sigmoid``,
 ``RandomnessContract.uniform_block``); without ``out`` each returns a new
-array with the same bits. A row goes through the same operations whatever
-rows share its tile, so the tile size changes no result (the tests check
-this bit for bit on all three builders).
+array with the same bits. A row's potentials can differ in the last bit
+with the number of rows in its tile (BLAS picks its kernel for the dense
+blocks by shape), so a fired bit changes only where a draw falls within that
+rounding of its probability; the tests find every step bit-identical under
+any tiling on all three builders.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import HorizonTooShort, InvalidNetwork, MissingDraw
+from .errors import HorizonTooShort, InputNeuronPotential, InvalidNetwork, MissingDraw
 from .network import NetworkSpec, sigmoid
 from .randomness import RandomnessContract
 
@@ -74,6 +77,20 @@ class ExecutionWindow:
     @property
     def latest(self) -> np.ndarray:
         return self.frames[-1]
+
+
+def window_frames(spec: NetworkSpec, window) -> np.ndarray:
+    """The ``(h, N)`` uint8 frames of ``window``, an ``ExecutionWindow`` or a
+    bit array with the most recent frame last (a single frame may be a vector).
+    Raises ``InvalidNetwork`` unless that is this network's shape."""
+    frames = np.asarray(getattr(window, "frames", window), dtype=np.uint8)
+    if frames.ndim == 1:
+        frames = frames[None, :]
+    if frames.shape != (spec.history, spec.n_neurons):
+        raise InvalidNetwork(
+            f"window shape {frames.shape} != ({spec.history}, {spec.n_neurons})"
+        )
+    return frames
 
 
 @dataclass(frozen=True)
@@ -236,14 +253,11 @@ class BatchRunner:
         self._input_sel = _selector(self.input_ids)
 
         h, n_all, m = spec.history, spec.n_neurons, self.non_input.size
-        col_of = np.full(n_all, -1, dtype=np.intp)
-        col_of[self.non_input] = np.arange(m)
         syn = spec.synapses
-        col = col_of[syn.post]
-        keep = col >= 0  # a synapse into an input never moves a potential
+        # no synapse targets an input, so every post is a non-input column
+        col, weight = np.searchsorted(self.non_input, syn.post), syn.weight
         # frame h-1-lag0 of the window holds the bits a lag0+1 synapse reads
-        src = ((h - 1 - syn.lag0) * n_all + syn.pre)[keep]
-        col, weight = col[keep], syn.weight[keep]
+        src = (h - 1 - syn.lag0) * n_all + syn.pre
         # A dense column costs about h*N multiply-adds per row and a gather
         # slot about as much as 16 of them, so a target is a hub from h*N/16
         # in-edges on (a source likewise by its out-edges). At n=1024 only
@@ -350,6 +364,19 @@ def _draws_array(spec: NetworkSpec, draws) -> np.ndarray:
     return a
 
 
+def potential(spec: NetworkSpec, window, u: int) -> float:
+    """Membrane potential of neuron ``u`` given the last ``h`` firing vectors,
+    ``sum_l sum_v w(v, u, l) * frame[t-l](v) - b(u)``: its entry of
+    ``BatchRunner.potentials`` over a batch of one. ``window`` is an
+    ``ExecutionWindow`` or an ``(h, N)`` bit array, most recent frame last.
+    """
+    if spec.is_input(u):
+        raise InputNeuronPotential(f"neuron {u} is an input")
+    frames = window_frames(spec, window)
+    runner = BatchRunner(spec, RandomnessContract(0))
+    return float(runner.potentials(frames[None])[0, np.searchsorted(runner.non_input, u)])
+
+
 def step(spec: NetworkSpec, window: ExecutionWindow, next_input, draws) -> np.ndarray:
     """Advance one configuration: ``u`` fires iff ``draw(u) < p(u)``.
 
@@ -357,11 +384,7 @@ def step(spec: NetworkSpec, window: ExecutionWindow, next_input, draws) -> np.nd
     (mapping or array ordered by ``spec.non_input_indices``). Input bits are
     copied from ``next_input``. Pure function of its arguments.
     """
-    frames = window.frames[None, :, :]
-    if frames.shape[1] != spec.history:
-        raise InvalidNetwork(
-            f"window has {frames.shape[1]} frames, history is {spec.history}"
-        )
+    frames = window_frames(spec, window)[None]
     d = _draws_array(spec, draws)
 
     runner = BatchRunner(spec, RandomnessContract(0))
@@ -397,11 +420,7 @@ def initial_windows_batch(
     if policy == EXPLICIT:
         if explicit is None:
             raise InvalidNetwork("explicit policy needs an explicit window")
-        if explicit.frames.shape != (h, n_all):
-            raise InvalidNetwork(
-                f"explicit window shape {explicit.frames.shape} != ({h}, {n_all})"
-            )
-        frames[:] = explicit.frames
+        frames[:] = window_frames(spec, explicit)
     trace = as_input_trace(input_trace)
     inputs, non_input = spec.input_indices, spec.non_input_indices
     for t in range(h):
@@ -452,11 +471,7 @@ def run(
     h = spec.history
     if horizon < h:
         raise HorizonTooShort(f"horizon {horizon} < history {h}")
-    frames0 = np.asarray(getattr(initial, "frames", initial), dtype=np.uint8)
-    if frames0.ndim == 1:
-        frames0 = frames0[None, :]
-    if frames0.shape != (h, spec.n_neurons):
-        raise InvalidNetwork("initial window does not match the network")
+    frames0 = window_frames(spec, initial)
     trace = as_input_trace(input_trace)
     runner = BatchRunner(spec, randomness)
     trials = np.asarray([trial])

@@ -24,7 +24,7 @@ from wtalab import (
     Synapses,
     validate_network,
 )
-from wtalab.network import EXCITATORY, INPUT, OUTPUT
+from wtalab.network import AUXILIARY, EXCITATORY, INHIBITORY, INPUT, OUTPUT
 from wtalab.simulate import BatchRunner
 
 from conftest import random_network
@@ -57,6 +57,23 @@ class TestValidate:
             validate_network(
                 NetworkSpec.from_dense(spec.neurons, w, spec.biases, spec.lam, spec.history)
             )
+
+    @pytest.mark.parametrize("edge, error", [
+        ((1, 0, 1, 5.0), InputTargeted),  # y_0 -> x_0
+        ((2, 1, 1, 1.0), DalesPrincipleViolation),  # positive weight out of a_c
+    ])
+    def test_rejected_when_built(self, edge, error):
+        neurons = (
+            Neuron(0, INPUT, EXCITATORY),
+            Neuron(1, OUTPUT, EXCITATORY),
+            Neuron(2, AUXILIARY, INHIBITORY),
+        )
+        with pytest.raises(error):
+            NetworkSpec.from_edges(neurons, [(0, 1, 1, 2.0), edge], {1: 0.5})
+        data = NetworkSpec.from_edges(neurons, [(0, 1, 1, 2.0)], {1: 0.5}).to_json_dict()
+        data["edges"].append(dict(zip(("pre", "post", "lag", "weight"), edge)))
+        with pytest.raises(error):
+            NetworkSpec.from_json_dict(data)
 
     def test_lag_out_of_range(self):
         neurons = (

@@ -26,6 +26,9 @@ from wtalab.experiments import batch_convergence_times, initial_windows_batch
 from wtalab.network import AUXILIARY, EXCITATORY, INPUT, OUTPUT
 from wtalab.simulate import BatchRunner
 
+from conftest import random_network
+from test_simulate import dense_potentials
+
 
 class TestStepDistribution:
     def test_uniform_when_all_potentials_zero(self):
@@ -53,6 +56,35 @@ class TestStepDistribution:
         assert marg[1] == pytest.approx(0.5, abs=1e-12)
         assert marg[2] == pytest.approx(sigmoid(-g / 2), rel=1e-12)
         assert marg[3] == pytest.approx(sigmoid(-3 * g / 2), rel=1e-12)
+
+    @pytest.mark.parametrize("make", [
+        lambda g: build("two_inhibitor", 3, 7.3),
+        lambda g: build("single_inhibitor", 3, 7.3),
+        lambda g: build("log_inhibitor", 3, 7.3),
+        lambda g: random_network(g, 2, 3, 2, history=1, lam=0.37),
+        lambda g: random_network(g, 2, 2, 2, history=2, lam=2.9),
+        # windows wider than 2^m float64s: the probabilities go in row blocks
+        lambda g: random_network(g, 40, 1, 1, history=2, lam=0.8),
+    ], ids=[
+        "two_inhibitor", "single_inhibitor", "log_inhibitor", "random_h1", "random_h2",
+        "random_wide",
+    ])
+    def test_step_probabilities_match_the_dense_reference(self, nprng, make):
+        spec = make(nprng)
+        h, ni = spec.history, spec.non_input_indices
+        m = ni.size
+        x = (nprng.random(spec.input_indices.size) < 0.6).astype(np.uint8)
+        space = WindowStateSpace(spec, x)
+        # state s holds the frame `a` lags back in bits m*a .. m*a+m-1
+        s = np.arange(space.n_states)
+        bits = (s[:, None] >> np.arange(m * h)) & 1
+        windows = np.zeros((s.size, h, spec.n_neurons), dtype=np.uint8)
+        windows[:, :, spec.input_indices] = x
+        windows[:, :, ni] = bits.reshape(s.size, h, m)[:, ::-1]
+        pot, _ = dense_potentials(spec, windows)
+        assert np.max(np.abs(space.step_probabilities - sigmoid(pot / spec.lam))) <= 1e-12
+        for k in nprng.integers(0, s.size, 5).tolist():
+            assert space.window_index(windows[k]) == k
 
     def test_rows_sum_to_one(self):
         spec = build_two_inhibitor(3, 7.0)

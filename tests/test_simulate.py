@@ -7,6 +7,7 @@ from wtalab import (
     BernoulliInputTrace,
     ExecutionWindow,
     HorizonTooShort,
+    InputTargeted,
     InvalidNetwork,
     MissingDraw,
     NetworkSpec,
@@ -18,7 +19,10 @@ from wtalab import (
     build_log_inhibitor,
     build_single_inhibitor,
     build_two_inhibitor,
+    convergence_cdf,
     convergence_time,
+    exact_step_distribution,
+    hold_probability,
     initial_window,
     potential,
     run,
@@ -329,18 +333,30 @@ class TestKernel:
         small = BatchRunner(build_log_inhibitor(8, 7.3), RandomnessContract(0))
         assert hubs(small) == (12, 0, 0)
 
-    def test_synapse_into_input_is_ignored(self):
+    def test_synapse_into_input_is_rejected(self):
+        # the constructor rejects it, so the kernel never sees one
         neurons = (
             Neuron(0, INPUT, EXCITATORY),
             Neuron(1, OUTPUT, EXCITATORY),
             Neuron(2, AUXILIARY, INHIBITORY),
         )
-        spec = NetworkSpec.from_edges(
-            neurons, [(1, 0, 1, 5.0), (0, 1, 1, 2.0), (2, 1, 1, -1.0)], {1: 0.5}
-        )
-        runner = BatchRunner(spec, RandomnessContract(0))
-        frames = np.ones((1, 1, 3), dtype=np.uint8)
-        assert runner.potentials(frames).tolist() == [[0.5, 0.0]]
+        with pytest.raises(InputTargeted):
+            NetworkSpec.from_edges(
+                neurons, [(1, 0, 1, 5.0), (0, 1, 1, 2.0), (2, 1, 1, -1.0)], {1: 0.5}
+            )
+
+    @pytest.mark.parametrize("history", [1, 2])
+    def test_scalar_potential_is_the_batch_entry(self, nprng, history):
+        # potential is a batch of one of the kernel, for every non-input neuron
+        # (a batch of more rows may round differently: BLAS picks its dense
+        # kernel by shape)
+        for sizes, density in [((2, 2, 2), 0.6), ((10, 40, 30), 0.1)]:
+            spec = random_network(nprng, *sizes, history=history, density=density)
+            runner = BatchRunner(spec, RandomnessContract(0))
+            for frames in random_frames(nprng, spec, 4, np.uint8):
+                batch = runner.potentials(frames[None])[0]
+                scalar = [potential(spec, frames, u) for u in spec.non_input_indices.tolist()]
+                assert np.asarray(scalar).tobytes() == batch.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
     @pytest.mark.parametrize("history", [1, 2])
@@ -443,3 +459,40 @@ class TestTiles:
         finally:
             tracemalloc.stop()
         assert peak < 1.5e6
+
+
+# every public call that takes a window, as call(spec, x, window)
+_WINDOW_CALLS = {
+    "exact_step_distribution": lambda spec, x, w: exact_step_distribution(spec, w, x),
+    "convergence_cdf": lambda spec, x, w: convergence_cdf(spec, x, w, 2, 5),
+    "hold_probability": lambda spec, x, w: hold_probability(spec, x, w, 2),
+    "potential": lambda spec, x, w: potential(spec, w, int(spec.output_indices[0])),
+    "run": lambda spec, x, w: run(spec, w, x, 4, RandomnessContract(0)),
+}
+
+
+class TestWindowShape:
+    """Every call that takes a window accepts only the network's (h, N)."""
+
+    @pytest.mark.parametrize("build", [build_two_inhibitor, build_log_inhibitor])
+    @pytest.mark.parametrize("extra_frames, extra_neurons", [(1, 0), (0, 3), (0, -1)])
+    @pytest.mark.parametrize("name", list(_WINDOW_CALLS))
+    def test_wrong_shape_is_rejected(self, build, extra_frames, extra_neurons, name):
+        spec = build(2, 8.0)
+        x = np.ones(2, dtype=np.uint8)
+        window = np.zeros(
+            (spec.history + extra_frames, spec.n_neurons + extra_neurons), dtype=np.uint8
+        )
+        window[:, :2] = 1
+        with pytest.raises(InvalidNetwork, match="window shape"):
+            _WINDOW_CALLS[name](spec, x, window)
+
+    @pytest.mark.parametrize("build", [build_two_inhibitor, build_log_inhibitor])
+    @pytest.mark.parametrize("name", list(_WINDOW_CALLS))
+    def test_right_shape_is_accepted(self, build, name):
+        spec = build(2, 8.0)
+        x = np.ones(2, dtype=np.uint8)
+        window = np.zeros((spec.history, spec.n_neurons), dtype=np.uint8)
+        window[:, [0, 1, 2, 4]] = 1  # x, y_0 and a_s: valid for both families
+        _WINDOW_CALLS[name](spec, x, window)
+        _WINDOW_CALLS[name](spec, x, ExecutionWindow(window))
