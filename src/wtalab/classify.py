@@ -7,13 +7,22 @@ time is the first frame at which the output projection is valid and then
 repeats unchanged for ``t_s`` further frames; only outputs are compared, the
 auxiliary neurons may do what they like.
 
-Predicates work on the last axis, over a whole batch at once; the scalar
-functions are batch-of-one views of them. ``ConvergenceScan`` is the one
-convergence scanner; it keeps the previous output frame bit-packed, so each
-update packs the new outputs in one pass and tests change, count and
-backing on n/8 bytes per execution. Classifiers assume the canonical
-builder layout (inputs, then outputs, then auxiliaries with the stability
-inhibitor first).
+Everything here is batch-first. ``_split`` is the one place that knows the
+canonical builder layout (inputs, then outputs, then the family's
+auxiliaries, the stability inhibitor first): it checks a configuration's
+length and input bits once and returns ``(x, outputs, auxiliaries)``.
+``steady_state`` is the one steady-state mask of every family: valid
+outputs, the first auxiliary firing iff some input fires, every other
+auxiliary silent. The class masks work over the last axis
+(``two_inhibitor_classes``, ``typical``) or over ``(..., 2, N)`` graded
+windows (``near_stable``), and ``window_labels`` turns them into the label
+sets of a ``(B, h, N)`` batch of windows. The scalar functions
+(``is_valid_configuration``, ``classify_two_inhibitor``,
+``classify_log_inhibitor``, ``near_stable_pair``, ``is_typical``) are
+batch-of-one views of these. ``ConvergenceScan`` is the one convergence
+scanner; it keeps the previous output frame bit-packed, so each update packs
+the new outputs in one pass and tests change, count and backing on n/8 bytes
+per execution.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from .builders import (
 )
 from .errors import LengthMismatch, TopologyMismatch, WtaLabError
 
+VALID = "valid"
 VALID_WTA = "valid_wta"
 NEAR_VALID = "near_valid"
 RESET = "reset"
@@ -39,6 +49,13 @@ ACTIVE = "active"
 TERMINAL = "terminal"
 TYPICAL = "typical"
 NEAR_STABLE_PAIR = "near_stable_pair"
+
+# auxiliary neurons of each family's canonical layout, by competition size n
+_AUX_COUNT = {
+    TWO_INHIBITOR: lambda n: 2,
+    SINGLE_INHIBITOR: lambda n: 1,
+    LOG_INHIBITOR: lambda n: 1 + ceil_log2(n),
+}
 
 
 def k_wta(k: int) -> str:
@@ -70,15 +87,40 @@ def is_valid_wta_output(x_bits, y_bits) -> bool:
     return bool(valid_outputs(x_bits, y_bits))
 
 
-def _split_two(x_bits, configs):
-    x = _bits(x_bits)
-    c = _bits(configs)
+def _split(x_bits, configs, tag: str):
+    """``(x, outputs, auxiliaries)`` of ``tag`` configurations over the last
+    axis, after checking their canonical length and their input bits."""
+    if tag not in _AUX_COUNT:
+        raise WtaLabError(f"unknown variant {tag!r}")
+    x, c = _bits(x_bits), _bits(configs)
     n = x.shape[-1]
-    if c.shape[-1] != 2 * n + 2:
-        raise TopologyMismatch(f"config length {c.shape[-1]} != 2n+2 for n={n}")
+    width = 2 * n + _AUX_COUNT[tag](n)
+    if c.shape[-1] != width:
+        raise TopologyMismatch(f"config length {c.shape[-1]} != {width} for {tag} n={n}")
     if np.any(c[..., :n] != x):
         raise TopologyMismatch("config input bits disagree with X")
-    return x, c[..., n : 2 * n], c[..., 2 * n], c[..., 2 * n + 1]
+    return x, c[..., n : 2 * n], c[..., 2 * n :]
+
+
+def steady_state(x, outputs, auxiliaries) -> np.ndarray:
+    """The steady-state mask of every family over the last axis: valid
+    outputs, the first auxiliary firing iff some input fires, and every other
+    auxiliary silent. The first auxiliary is the stability inhibitor, or the
+    single-inhibitor family's one inhibitor standing in for it."""
+    aux = _bits(auxiliaries)
+    if aux.shape[-1] < 1:
+        raise TopologyMismatch("a steady state needs at least one auxiliary neuron")
+    backed, k, want = _output_terms(x, outputs)
+    return _steady(backed & (k == want), want, aux)
+
+
+def _steady(out_valid, want, aux) -> np.ndarray:
+    return out_valid & (aux[..., 0] == want) & ~np.any(aux[..., 1:], axis=-1)
+
+
+def is_valid_configuration(tag: str, x_bits, config) -> bool:
+    """``steady_state`` for one canonical configuration of family ``tag``."""
+    return bool(steady_state(*_split(x_bits, config, tag)))
 
 
 class TwoInhibitorClasses(NamedTuple):
@@ -95,12 +137,13 @@ class TwoInhibitorClasses(NamedTuple):
 def two_inhibitor_classes(x, configs) -> TwoInhibitorClasses:
     """Masks over the last axis of ``configs`` for the valid, near-valid,
     k-winner (``k >= 2`` backed outputs) and reset classes."""
-    x, y, a_s, a_c = _split_two(x, configs)
+    x, y, aux = _split(x, configs, TWO_INHIBITOR)
     backed, k, want = _output_terms(x, y)
     out_valid = backed & (k == want)
+    a_s, a_c = aux[..., 0], aux[..., 1]
     both = (a_s == 1) & (a_c == 1)
     return TwoInhibitorClasses(
-        valid=out_valid & (a_c == 0) & (a_s == want),
+        valid=_steady(out_valid, want, aux),
         near_valid=out_valid & both,
         k_wta=backed & (k >= 2) & both,
         reset=(a_s == 0) & (a_c == 0),
@@ -108,55 +151,13 @@ def two_inhibitor_classes(x, configs) -> TwoInhibitorClasses:
     )
 
 
-def classify_two_inhibitor(x_bits, config) -> frozenset[str]:
-    """Complete label set of one two-inhibitor configuration.
-
-    Labels can overlap: with no firing inputs the all-silent configuration is
-    simultaneously valid and a reset. ``active`` covers the valid, near-valid
-    and k-winner classes; ``good`` additionally covers resets; ``terminal``
-    marks near-valid configurations and any with no firing outputs.
-    """
-    cls = two_inhibitor_classes(x_bits, config)
-    ky = int(cls.k)
-    labels: set[str] = set()
-    if cls.valid:
-        labels.add(VALID_WTA)
-    if cls.near_valid:
-        labels.add(NEAR_VALID)
-    if cls.k_wta:
-        labels.add(k_wta(ky))
-    if cls.reset:
-        labels.add(RESET)
-    if cls.valid or cls.near_valid or cls.k_wta:
-        labels.add(ACTIVE)
-    if labels:
-        labels.add(GOOD)
-    if cls.near_valid or ky == 0:
-        labels.add(TERMINAL)
-    return frozenset(labels)
-
-
-def _split_log(x_bits, configs):
-    x = _bits(x_bits)
-    c = _bits(configs)
-    n = x.shape[-1]
-    levels = ceil_log2(n) if n >= 2 else 0
-    if c.shape[-1] != 2 * n + 1 + levels:
-        raise TopologyMismatch(
-            f"config length {c.shape[-1]} != 2n+1+ceil_log2(n) for n={n}"
-        )
-    if np.any(c[..., :n] != x):
-        raise TopologyMismatch("config input bits disagree with X")
-    return x, c[..., n : 2 * n], c[..., 2 * n], c[..., 2 * n + 1 :]
-
-
 def typical(x, configs) -> np.ndarray:
     """Mask over the last axis of graded-network ``configs``: outputs backed
     by inputs and the inhibitor chain downward closed,
     ``a_s >= a_1 >= ... >= a_L``."""
-    x, y, a_s, chain = _split_log(x, configs)
-    levels = np.concatenate([a_s[..., None], chain], axis=-1).astype(np.int8)
-    return _output_terms(x, y)[0] & np.all(np.diff(levels, axis=-1) <= 0, axis=-1)
+    x, y, aux = _split(x, configs, LOG_INHIBITOR)
+    closed = np.all(np.diff(aux.astype(np.int8), axis=-1) <= 0, axis=-1)
+    return _output_terms(x, y)[0] & closed
 
 
 def is_typical(x_bits, config) -> bool:
@@ -164,65 +165,75 @@ def is_typical(x_bits, config) -> bool:
     return bool(typical(x_bits, config))
 
 
-def near_stable_pair(x_bits, older, latest) -> Optional[bool]:
-    """Whether ``(older, latest)`` is a near-stable window of the graded net.
-
-    Requires: exactly one output fires across the two frames (in one or
+def near_stable(x, windows) -> np.ndarray:
+    """Mask over ``(..., 2, N)`` graded windows, older frame first: some
+    input fires; exactly one output fires across the two frames (in one or
     both); the stability inhibitor fires in both; no graded inhibitor fires
-    in the latest frame; outputs are input-backed in both frames. Defined
-    only when at least one input fires; returns ``None`` otherwise.
+    in the latest frame; outputs are input-backed in both frames."""
+    w = _bits(windows)
+    if w.shape[-2:-1] != (2,):
+        raise TopologyMismatch(f"expected 2-frame windows, got shape {w.shape}")
+    x, y_old, aux_old = _split(x, w[..., 0, :], LOG_INHIBITOR)
+    _, y_new, aux_new = _split(x, w[..., 1, :], LOG_INHIBITOR)
+    backed, k, want = _output_terms(x, y_old | y_new)
+    stable = (aux_old[..., 0] == 1) & (aux_new[..., 0] == 1) & ~np.any(aux_new[..., 1:], axis=-1)
+    return (want == 1) & (k == 1) & backed & stable
+
+
+def near_stable_pair(x_bits, older, latest) -> Optional[bool]:
+    """``near_stable`` for one window ``(older, latest)``; ``None`` when no
+    input fires, where near-stability is not defined."""
+    x, older, latest = _bits(x_bits), _bits(older), _bits(latest)
+    if older.shape != latest.shape:
+        raise TopologyMismatch(f"frame shapes {older.shape} and {latest.shape} differ")
+    mask = near_stable(x, np.stack([older, latest], axis=-2))
+    return bool(mask) if x.any() else None
+
+
+def window_labels(tag: str, x, windows) -> list[frozenset[str]]:
+    """Label set of each window of a ``(B, h, N)`` batch of ``tag`` windows.
+
+    Two-inhibitor: the classes of the latest frame. Labels can overlap: with
+    no firing inputs the all-silent configuration is both valid and a reset.
+    ``active`` covers the valid, near-valid and k-winner classes; ``good``
+    additionally covers resets; ``terminal`` marks near-valid configurations
+    and any with no firing outputs. Graded: ``typical`` for the latest frame
+    and ``near_stable_pair`` for the 2-frame window. Single-inhibitor:
+    ``valid`` for a latest frame in the steady state.
     """
-    x, y_new, a_s_new, chain_new = _split_log(x_bits, latest)
-    _, y_old, a_s_old, _ = _split_log(x_bits, older)
-    if int(x.sum()) < 1:
-        return None
-    if int(np.maximum(y_old, y_new).sum()) != 1:
-        return False
-    if not (a_s_old == 1 and a_s_new == 1):
-        return False
-    if np.any(chain_new != 0):
-        return False
-    if np.any(y_new > x) or np.any(y_old > x):
-        return False
-    return True
+    w = _bits(windows)
+    if w.ndim != 3:
+        raise TopologyMismatch(f"expected a (B, h, N) batch of windows, got shape {w.shape}")
+    latest = w[:, -1]
+    if tag == TWO_INHIBITOR:
+        cls = two_inhibitor_classes(x, latest)
+        active = cls.valid | cls.near_valid | cls.k_wta
+        masks = {
+            VALID_WTA: cls.valid, NEAR_VALID: cls.near_valid, RESET: cls.reset,
+            ACTIVE: active, GOOD: active | cls.reset,
+            TERMINAL: cls.near_valid | (cls.k == 0),
+        }
+    elif tag == LOG_INHIBITOR:
+        masks = {TYPICAL: typical(x, latest), NEAR_STABLE_PAIR: near_stable(x, w)}
+    else:
+        masks = {VALID: steady_state(*_split(x, latest, tag))}
+    hits = np.stack(list(masks.values()), axis=-1).tolist()
+    labels = [{name for name, hit in zip(masks, row) if hit} for row in hits]
+    if tag == TWO_INHIBITOR:
+        for i in np.flatnonzero(cls.k_wta):
+            labels[i].add(k_wta(int(cls.k[i])))
+    return [frozenset(row) for row in labels]
+
+
+def classify_two_inhibitor(x_bits, config) -> frozenset[str]:
+    """``window_labels`` of one two-inhibitor configuration."""
+    return window_labels(TWO_INHIBITOR, x_bits, _bits(config)[None, None])[0]
 
 
 def classify_log_inhibitor(x_bits, window) -> frozenset[str]:
-    """Labels for an h=2 window of the graded-inhibition network."""
-    frames = np.asarray(getattr(window, "frames", window), dtype=np.uint8)
-    if frames.ndim != 2 or frames.shape[0] != 2:
-        raise TopologyMismatch("expected a 2-frame window")
-    older, latest = frames[0], frames[1]
-    labels: set[str] = set()
-    if is_typical(x_bits, latest):
-        labels.add(TYPICAL)
-    if near_stable_pair(x_bits, older, latest):
-        labels.add(NEAR_STABLE_PAIR)
-    return frozenset(labels)
-
-
-def is_valid_configuration(tag: str, x_bits, config) -> bool:
-    """Per-family steady-state test used by exact hold computations.
-
-    Two-inhibitor: the valid class above. Single-inhibitor: valid output
-    with ``a_c = min(1, popcount(X))`` standing in for the missing stability
-    inhibitor. Graded: valid output, stability inhibitor tracking the
-    outputs, graded chain silent.
-    """
-    x = _bits(x_bits)
-    if tag == TWO_INHIBITOR:
-        return bool(two_inhibitor_classes(x, config).valid)
-    want = min(1, int(x.sum()))
-    if tag == SINGLE_INHIBITOR:
-        c = _bits(config)
-        n = x.size
-        if c.size != 2 * n + 1:
-            raise TopologyMismatch(f"config length {c.size} != 2n+1 for n={n}")
-        return bool(valid_outputs(x, c[n : 2 * n]) and c[2 * n] == want)
-    if tag == LOG_INHIBITOR:
-        _, y, a_s, chain = _split_log(x, config)
-        return bool(valid_outputs(x, y) and a_s == want and not np.any(chain))
-    raise WtaLabError(f"unknown variant {tag!r}")
+    """``window_labels`` of one h=2 window of the graded network."""
+    frames = _bits(getattr(window, "frames", window))
+    return window_labels(LOG_INHIBITOR, x_bits, frames[None])[0]
 
 
 @dataclass(frozen=True)
@@ -264,6 +275,8 @@ class ConvergenceScan:
     """
 
     def __init__(self, x, t_s: int):
+        if t_s < 0:
+            raise WtaLabError(f"t_s must be >= 0, got {t_s}")
         self.x = _bits(x)
         self.t_s = t_s
         silent = np.packbits(self.x == 0)

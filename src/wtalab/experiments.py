@@ -18,12 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .builders import WtaInstance
-from .classify import (
-    ConvergenceScan,
-    classify_log_inhibitor,
-    classify_two_inhibitor,
-    is_valid_configuration,
-)
+from .classify import ConvergenceScan, window_labels
 from .errors import HorizonTooShort, WtaLabError
 from .network import NetworkSpec
 from .randomness import RandomnessContract
@@ -135,6 +130,9 @@ class TrialPlan:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise WtaLabError("trials must be >= 1")
+        chunk = self.chunk_size
+        if chunk is not None and not (isinstance(chunk, (int, np.integer)) and chunk >= 1):
+            raise WtaLabError(f"chunk_size must be None or an int >= 1, got {chunk!r}")
         if self.initial_policy not in INITIAL_POLICIES:
             raise WtaLabError(f"unknown initial policy {self.initial_policy!r}")
         inst = self.instance
@@ -156,7 +154,6 @@ class TrialSummary:
 
     plan: TrialPlan
     converged_at: np.ndarray
-    confidence: float = 0.99
     final_windows: Optional[np.ndarray] = None
 
     @property
@@ -175,7 +172,7 @@ class TrialSummary:
 
     @property
     def wilson(self) -> tuple[float, float]:
-        return wilson_interval(self.successes, self.trials, self.confidence)
+        return wilson_interval(self.successes, self.trials)
 
     @property
     def timeouts(self) -> int:
@@ -210,33 +207,19 @@ class TrialSummary:
             "timeouts": self.timeouts,
         }
 
-
     def trial_rows(self) -> list[dict]:
-        """Per-trial log rows; final-window classifications as label strings."""
-        inst = self.plan.instance
-        x = np.asarray(inst.input_bits, dtype=np.uint8)
-        rows = []
-        for trial, ca in enumerate(self.converged_at.tolist()):
-            labels = ""
-            if self.final_windows is not None:
-                window = self.final_windows[trial]
-                tag = inst.variant.tag
-                if tag == "two_inhibitor":
-                    got = classify_two_inhibitor(x, window[-1])
-                elif tag == "log_inhibitor":
-                    got = classify_log_inhibitor(x, window)
-                else:
-                    got = {"valid"} if is_valid_configuration(tag, x, window[-1]) else set()
-                labels = ";".join(sorted(got))
-            rows.append(
-                {
-                    "trial": trial,
-                    "converged_at": ca if ca >= 0 else None,
-                    "timed_out": ca < 0,
-                    "labels": labels,
-                }
-            )
-        return rows
+        """Per-trial log rows; the ``window_labels`` of each final window as
+        one sorted, ``;``-joined string (empty without final windows)."""
+        labels = [""] * self.trials
+        if self.final_windows is not None:
+            inst = self.plan.instance
+            got = window_labels(inst.variant.tag, inst.input_bits, self.final_windows)
+            labels = [";".join(sorted(s)) for s in got]
+        return [
+            {"trial": trial, "converged_at": ca if ca >= 0 else None,
+             "timed_out": ca < 0, "labels": label}
+            for trial, (ca, label) in enumerate(zip(self.converged_at.tolist(), labels))
+        ]
 
 
 CSV_FIELDS = [
@@ -313,16 +296,12 @@ class ProbeSummary:
         return out
 
 
-def self_stabilization_probe(
-    plan: TrialPlan,
-    perturbations: int,
-    perturb_policy: str = ALL_FIRE,
-    spacing: int | None = None,
-) -> ProbeSummary:
+def self_stabilization_probe(plan: TrialPlan, perturbations: int) -> ProbeSummary:
     """Measure re-convergence after adversarial full-state overwrites.
 
-    At each perturbation time the whole h-frame window of every trial is
-    overwritten with the adversarial state (inputs stay pinned), and the
+    Perturbations come ``t_c + t_s + 1`` frames apart, the first at the end
+    of the plan's horizon. At each one the whole h-frame window of every
+    trial is overwritten with the all-fire state (inputs stay pinned), and the
     batch is re-scanned for convergence within ``t_c`` more frames. With
     zero perturbations this reduces exactly to ``run_trials``.
     """
@@ -332,18 +311,14 @@ def self_stabilization_probe(
     initial = run_trials(plan, spec=spec)
     x = np.asarray(inst.input_bits, dtype=np.uint8)
     h = spec.history
-    spacing = spacing or (inst.t_c + inst.t_s + 1)
+    spacing = inst.t_c + inst.t_s + 1
     ids = np.arange(plan.trials, dtype=np.int64)
     times = tuple(plan.resolved_horizon() + j * spacing for j in range(perturbations))
     segments = []
     for tau in times:
-        windows0 = initial_windows_batch(
-            spec, perturb_policy, x, ids, rng,
-            explicit=plan.explicit_window, t0=tau - h + 1,
-        )
-        seg_frames = h + inst.t_c + inst.t_s + 1
+        windows0 = initial_windows_batch(spec, ALL_FIRE, x, ids, rng, t0=tau - h + 1)
         raw = batch_convergence_times(
-            spec, x, windows0, ids, inst.t_s, seg_frames, rng, t0=tau + 1
+            spec, x, windows0, ids, inst.t_s, h + spacing, rng, t0=tau + 1
         )
         # report times relative to the overwrite frame (window index h-1)
         rel = np.where(raw >= 0, raw - (h - 1), raw)

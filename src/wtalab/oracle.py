@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .classify import ConvergenceScan, is_valid_configuration, valid_outputs
+from .classify import ConvergenceScan, steady_state, valid_outputs
 from .errors import LengthMismatch, NotValidConfiguration, StateSpaceTooLarge, WtaLabError
 from .network import NetworkSpec
 from .randomness import RandomnessContract
@@ -50,12 +50,12 @@ class WindowStateSpace:
 
     A window of ``h`` frames over ``m`` non-input neurons is indexed by
     ``sum_a code_a * 2**(m*a)`` where ``code_0`` is the most recent frame and
-    bit ``j`` of a frame code is the ``j``-th non-input neuron. ``cap``
-    bounds the entries of the one-step kernel, ``2**(m*h)`` states by
-    ``2**m`` next frames.
+    bit ``j`` of a frame code is the ``j``-th non-input neuron.
+    ``DEFAULT_STATE_CAP`` bounds the entries of the one-step kernel,
+    ``2**(m*h)`` states by ``2**m`` next frames.
     """
 
-    def __init__(self, spec: NetworkSpec, input_bits, cap: int = DEFAULT_STATE_CAP):
+    def __init__(self, spec: NetworkSpec, input_bits):
         self.spec = spec
         self.x = np.asarray(input_bits, dtype=np.uint8)
         self.non_input = spec.non_input_indices
@@ -63,10 +63,10 @@ class WindowStateSpace:
         self.h = spec.history
         if self.x.shape != spec.input_indices.shape:
             raise LengthMismatch("input vector does not match the network")
-        if 1 << (self.m * (self.h + 1)) > cap:
+        if 1 << (self.m * (self.h + 1)) > DEFAULT_STATE_CAP:
             raise StateSpaceTooLarge(
                 f"2^({self.m}*{self.h}) window states x 2^{self.m} next frames "
-                f"exceed the cap {cap}"
+                f"exceed the cap {DEFAULT_STATE_CAP}"
             )
         self.n_states = 1 << (self.m * self.h)
 
@@ -158,25 +158,18 @@ class StepDistribution:
     configs: np.ndarray  # (2^m, N) uint8
     probs: np.ndarray  # (2^m,)
 
-    def prob_of(self, config) -> float:
-        c = np.asarray(config, dtype=np.uint8)
-        hit = np.where(np.all(self.configs == c[None, :], axis=1))[0]
-        return float(self.probs[hit[0]]) if hit.size else 0.0
-
     def items(self):
         for c, p in zip(self.configs, self.probs):
             yield c, float(p)
 
 
-def exact_step_distribution(
-    spec: NetworkSpec, window, input_bits, cap: int = DEFAULT_STATE_CAP
-) -> StepDistribution:
+def exact_step_distribution(spec: NetworkSpec, window, input_bits) -> StepDistribution:
     """Full product-form distribution of the next configuration.
 
     Probabilities sum to one up to rounding; bit ``j`` of the outcome indexes
     the ``j``-th non-input neuron and input bits are pinned to ``input_bits``.
     """
-    space = WindowStateSpace(spec, input_bits, cap=cap)
+    space = WindowStateSpace(spec, input_bits)
     s = space.window_index(window)
     return StepDistribution(configs=space.full_frames, probs=space.kernel[s])
 
@@ -198,12 +191,7 @@ def _initial_counter(space: WindowStateSpace, window, t_s: int) -> tuple[int, in
 
 
 def convergence_cdf(
-    spec: NetworkSpec,
-    input_bits,
-    initial_window,
-    t_s: int,
-    t_max: int,
-    cap: int = DEFAULT_STATE_CAP,
+    spec: NetworkSpec, input_bits, initial_window, t_s: int, t_max: int
 ) -> np.ndarray:
     """Exact ``P(hold completed by frame t)`` for ``t = 0..t_max``.
 
@@ -215,7 +203,7 @@ def convergence_cdf(
     """
     if t_s < 1 or t_max < 0:
         raise WtaLabError(f"need t_s >= 1 and t_max >= 0, got t_s={t_s}, t_max={t_max}")
-    space = WindowStateSpace(spec, input_bits, cap=cap)
+    space = WindowStateSpace(spec, input_bits)
     S = space.n_states
     latest = np.arange(S, dtype=np.int64) & ((1 << space.m) - 1)
     same = space.out_key[latest][:, None] == space.out_key[None, :]
@@ -274,31 +262,26 @@ def truncated_expectation(cdf: np.ndarray, t_s: int) -> tuple[float, float]:
     return exp, float(1.0 - cdf[-1])
 
 
-def hold_probability(
-    spec: NetworkSpec,
-    input_bits,
-    window,
-    t_s: int,
-    variant_tag: str = "two_inhibitor",
-    cap: int = DEFAULT_STATE_CAP,
-) -> float:
+def hold_probability(spec: NetworkSpec, input_bits, window, t_s: int) -> float:
     """Exact probability the full configuration repeats ``t_s`` times.
 
-    The window's latest frame must be a valid steady-state configuration for
-    the given family. The chain is time homogeneous under a fixed input, so
-    the answer is the self-transition probability along the fixed-point path:
-    one factor per step.
+    The window's latest frame must be a steady state (``steady_state`` over
+    the spec's outputs and auxiliaries, which covers every family) with the
+    input bits ``input_bits``. The chain is time homogeneous under a fixed
+    input, so the answer is the self-transition probability along the
+    fixed-point path: one factor per step.
     """
+    x = np.asarray(input_bits, dtype=np.uint8)
     frames = window_frames(spec, window)
     latest = frames[-1]
-    if not is_valid_configuration(variant_tag, input_bits, latest):
-        raise NotValidConfiguration(
-            "window's latest frame is not a valid steady state for "
-            f"{variant_tag!r}"
-        )
+    if not (
+        steady_state(x, latest[spec.output_indices], latest[spec.auxiliary_indices])
+        and np.array_equal(latest[spec.input_indices], x)
+    ):
+        raise NotValidConfiguration("window's latest frame is not a steady state under X")
     if t_s <= 0:
         return 1.0
-    space = WindowStateSpace(spec, input_bits, cap=cap)
+    space = WindowStateSpace(spec, x)
     d = space.frame_code(latest)
     q_first = float(space.kernel[space.window_index(frames)][d])
     steady = ExecutionWindow(np.repeat(latest[None, :], spec.history, axis=0))

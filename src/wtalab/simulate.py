@@ -112,13 +112,6 @@ class Execution:
     def __len__(self) -> int:
         return self.frames.shape[0]
 
-    def window(self, spec: NetworkSpec, t: int) -> ExecutionWindow:
-        """Window of the last ``h`` frames ending at frame ``t`` inclusive."""
-        h = spec.history
-        if t + 1 < h:
-            raise InvalidNetwork(f"frame {t} has no complete window for h={h}")
-        return ExecutionWindow(self.frames[t + 1 - h : t + 1])
-
 
 class FixedInputTrace:
     """Input trace holding the same input configuration at every time."""
@@ -442,10 +435,10 @@ def initial_window(
     explicit: ExecutionWindow | None = None,
 ) -> ExecutionWindow:
     """The h-frame starting window of one trial: ``initial_windows_batch``
-    over a batch of one, at times ``0..h-1``. An explicit window is returned
-    as given."""
+    over a batch of one, at times ``0..h-1``. An explicit window comes back
+    as given, once ``window_frames`` has checked its shape."""
     if policy == EXPLICIT and explicit is not None:
-        return explicit
+        return ExecutionWindow(window_frames(spec, explicit))
     if policy == UNIFORM_RANDOM and rng is None:
         raise InvalidNetwork("uniform_random policy needs a randomness contract")
     rng = rng if rng is not None else RandomnessContract(0)

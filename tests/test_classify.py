@@ -7,6 +7,7 @@ from wtalab import (
     LengthMismatch,
     RandomnessContract,
     TopologyMismatch,
+    WtaLabError,
     build_log_inhibitor,
     build_two_inhibitor,
     classify_log_inhibitor,
@@ -20,7 +21,15 @@ from wtalab import (
     run,
 )
 
-from wtalab.classify import ConvergenceScan, two_inhibitor_classes, typical, valid_outputs
+from wtalab.classify import (
+    ConvergenceScan,
+    near_stable,
+    steady_state,
+    two_inhibitor_classes,
+    typical,
+    valid_outputs,
+    window_labels,
+)
 
 from conftest import brute_convergence_time
 
@@ -99,10 +108,12 @@ class TestClassifyTwoInhibitor:
         configs = np.array(list(itertools.product([0, 1], repeat=2 * n + 2)), dtype=np.uint8)
         masks = two_inhibitor_classes(configs[:, :n], configs)
         out_valid = valid_outputs(configs[:, :n], configs[:, n : 2 * n])
+        labels = window_labels("two_inhibitor", configs[:, :n], configs[:, None])
         for row, c in enumerate(configs.tolist()):
             x = c[:n]
             slow = slow_two_inhibitor_labels(x, c)
             assert classify_two_inhibitor(x, c) == slow
+            assert labels[row] == slow
             assert masks.valid[row] == ("valid_wta" in slow)
             assert masks.near_valid[row] == ("near_valid" in slow)
             assert masks.k_wta[row] == any(l.startswith("k_wta(") for l in slow)
@@ -177,6 +188,97 @@ class TestClassifyLogInhibitor:
         older = [1, 0, 1, 0, 0, 0]  # a_s silent in the older frame
         latest = [1, 0, 0, 0, 1, 0]
         assert near_stable_pair(x, older, latest) is False
+
+
+def slow_steady(tag, x, c):
+    """Clause-by-clause steady-state test of each family, written out per
+    family rather than through the shared auxiliary rule."""
+    n = len(x)
+    y = c[n : 2 * n]
+    want = min(1, sum(x))
+    out_valid = all(yi <= xi for yi, xi in zip(y, x)) and sum(y) == want
+    if tag == "two_inhibitor":
+        a_s, a_c = c[2 * n], c[2 * n + 1]
+        return out_valid and a_s == want and a_c == 0
+    if tag == "single_inhibitor":
+        return out_valid and c[2 * n] == want  # a_c stands in for a_s
+    a_s, chain = c[2 * n], c[2 * n + 1 :]
+    return out_valid and a_s == want and not any(chain)
+
+
+def slow_near_stable(x, older, latest):
+    """Clause-by-clause near-stable test of one graded window."""
+    n = len(x)
+    if sum(x) == 0:
+        return False
+    y_old, y_new = older[n : 2 * n], latest[n : 2 * n]
+    one_winner = sum(max(a, b) for a, b in zip(y_old, y_new)) == 1
+    inhibitor_both = older[2 * n] == 1 and latest[2 * n] == 1
+    chain_quiet = not any(latest[2 * n + 1 :])
+    backed = all(a <= xi and b <= xi for a, b, xi in zip(y_old, y_new, x))
+    return one_winner and inhibitor_both and chain_quiet and backed
+
+
+def canonical_configs(tag, n):
+    """Every configuration of family ``tag`` whose inputs match its own X."""
+    aux = {"two_inhibitor": 2, "single_inhibitor": 1, "log_inhibitor": 1 + (n - 1).bit_length()}
+    return np.array(list(itertools.product([0, 1], repeat=2 * n + aux[tag])), dtype=np.uint8)
+
+
+class TestBatchMasks:
+    @pytest.mark.parametrize("tag", ["two_inhibitor", "single_inhibitor", "log_inhibitor"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_steady_state_exhaustive(self, tag, n):
+        configs = canonical_configs(tag, n)
+        x = configs[:, :n]
+        mask = steady_state(x, configs[:, n : 2 * n], configs[:, 2 * n :])
+        ref = [slow_steady(tag, c[:n], c) for c in configs.tolist()]
+        assert mask.tolist() == ref
+        assert [is_valid_configuration(tag, c[:n], c) for c in configs.tolist()] == ref
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_single_inhibitor_labels_exhaustive(self, n):
+        configs = canonical_configs("single_inhibitor", n)
+        for bits in itertools.product([0, 1], repeat=n):
+            rows = configs[(configs[:, :n] == bits).all(axis=1)]
+            got = window_labels("single_inhibitor", bits, rows[:, None, :])
+            ref = [{"valid"} if slow_steady("single_inhibitor", bits, c) else set()
+                   for c in rows.tolist()]
+            assert [set(g) for g in got] == ref
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_graded_windows_exhaustive(self, n):
+        configs = canonical_configs("log_inhibitor", n)
+        for bits in itertools.product([0, 1], repeat=n):
+            frames = configs[(configs[:, :n] == bits).all(axis=1)]
+            older = np.repeat(frames, len(frames), axis=0)
+            latest = np.tile(frames, (len(frames), 1))
+            windows = np.stack([older, latest], axis=1)
+            mask = near_stable(bits, windows)
+            labels = window_labels("log_inhibitor", bits, windows)
+            typ = typical(bits, frames)
+            for row, (o, l) in enumerate(zip(older.tolist(), latest.tolist())):
+                ref = slow_near_stable(bits, o, l)
+                assert mask[row] == ref
+                want = {"near_stable_pair"} if ref else set()
+                if typ[row % len(frames)]:
+                    want.add("typical")
+                assert labels[row] == want
+            for row in range(0, len(windows), 7):  # the scalar view, on a sample
+                got = near_stable_pair(bits, older[row], latest[row])
+                assert got == (bool(mask[row]) if sum(bits) else None)
+
+    def test_window_batch_shape_checked(self):
+        with pytest.raises(TopologyMismatch):
+            window_labels("two_inhibitor", [1, 1], np.zeros((2, 6), dtype=np.uint8))
+        with pytest.raises(TopologyMismatch):
+            near_stable([1, 1], np.zeros((3, 6), dtype=np.uint8))
+        with pytest.raises(WtaLabError):
+            window_labels("no_such_family", [1, 1], np.zeros((1, 1, 6), dtype=np.uint8))
+        with pytest.raises(TopologyMismatch):
+            near_stable_pair([1, 0], [1, 0, 1, 0, 1, 0], [1, 0, 1, 0, 1])
+        with pytest.raises(TopologyMismatch):
+            steady_state([1, 0], [1, 0], np.zeros(0, dtype=np.uint8))
 
 
 class TestValidConfigurationByVariant:
@@ -315,3 +417,12 @@ class TestPackedScan:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             ConvergenceScan(np.ones(3), 1).update(0, np.zeros((2, 4), dtype=np.uint8))
+
+    def test_negative_hold_rejected(self):
+        frames = np.zeros((6, 6), dtype=np.uint8)
+        frames[:, [0, 1, 2, 4]] = 1  # valid from frame 0
+        with pytest.raises(WtaLabError):
+            convergence_time(frames, [1, 1], -5)
+        with pytest.raises(WtaLabError):
+            ConvergenceScan(np.ones(2), -1)
+        assert convergence_time(frames, [1, 1], 0).converged_at == 0

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -105,6 +106,21 @@ class TestRunAndSweep:
         rows = read_csv(tmp_path / "logged.trials.csv")
         assert len(rows) == 50
         assert rows[0]["labels"] == "active;good;valid_wta"
+
+    @pytest.mark.parametrize("variant, n, digest", [
+        ("two-inhibitor", 3, "42e5c23a64b29eba9a0e4a2ded9e800549953eb80fc426787ac2eb990287e3b1"),
+        ("single-inhibitor", 3, "0e9e232830a14b94592c79c276a2580a74d63a89ec3cdf0f55a2afd3539574b0"),
+        ("log-inhibitor", 4, "05ab5706412792326358a77a50e6858edd9bbe8113a99f6b6105bacbd34f8dc1"),
+    ])
+    def test_trial_log_pinned(self, tmp_path, variant, n, digest):
+        # weak gamma and a short t_c, so the final windows cover every label
+        # of the family and some trials time out
+        out = tmp_path / "pinned"
+        assert main(["run", "--variant", variant, "--n", str(n), "--gamma", "2.5",
+                     "--ts", "3", "--tc", "6", "--trials", "60", "--seed", "11",
+                     "--log-trials", "--out", str(out)]) == 0
+        data = (tmp_path / "pinned.trials.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_sweep_grid_over_ts(self, tmp_path):
         out = tmp_path / "grid"

@@ -7,6 +7,7 @@ from wtalab import (
     HorizonTooShort,
     TrialPlan,
     WtaInstance,
+    WtaLabError,
     WtaVariant,
     build_two_inhibitor,
     convergence_cdf,
@@ -72,6 +73,12 @@ class TestRunTrials:
         exact = cdf[-1]
         lo, hi = wilson_interval(s.successes, s.trials, 0.999)
         assert lo <= exact <= hi
+
+    def test_bad_chunk_size_rejected(self):
+        inst = small_instance()
+        for chunk in (-1, 2.5, 0):
+            with pytest.raises(WtaLabError, match="chunk_size"):
+                TrialPlan(instance=inst, trials=10, seed=0, horizon=40, chunk_size=chunk)
 
     def test_horizon_guard(self):
         inst = small_instance()

@@ -10,6 +10,7 @@ from wtalab import (
     NotValidConfiguration,
     RandomnessContract,
     StateSpaceTooLarge,
+    TopologyMismatch,
     WindowStateSpace,
     WtaLabError,
     build,
@@ -269,9 +270,16 @@ class TestHoldProbability:
         spec = build_single_inhibitor(2, g)
         cfg = np.zeros(5, dtype=np.uint8)
         cfg[[0, 1, 2, 4]] = 1  # winner plus the lone inhibitor
-        hp = hold_probability(spec, [1, 1], cfg, 1, variant_tag="single_inhibitor")
+        hp = hold_probability(spec, [1, 1], cfg, 1)
         # under a_c alone the winner survives with probability exactly 1/2
         assert hp < 0.55
+
+    def test_network_without_auxiliaries_rejected(self):
+        spec = random_network(np.random.default_rng(1), n_aux=0, history=1)
+        window = np.zeros((1, spec.n_neurons), dtype=np.uint8)
+        window[0, :3] = 1  # both inputs and the first output
+        with pytest.raises(TopologyMismatch):
+            hold_probability(spec, [1, 1], window, 2)
 
     def test_time_homogeneous_kernel(self):
         spec = build_two_inhibitor(2, 9.0)

@@ -496,3 +496,12 @@ class TestWindowShape:
         window[:, [0, 1, 2, 4]] = 1  # x, y_0 and a_s: valid for both families
         _WINDOW_CALLS[name](spec, x, window)
         _WINDOW_CALLS[name](spec, x, ExecutionWindow(window))
+
+    def test_explicit_start_window_is_checked(self):
+        spec = build_two_inhibitor(2, 8.0)
+        x = np.ones(2, dtype=np.uint8)
+        with pytest.raises(InvalidNetwork, match="window shape"):
+            initial_window(spec, "explicit", x, explicit=np.zeros((3, 3), dtype=np.uint8))
+        window = np.array([[1, 1, 1, 0, 1, 0]], dtype=np.uint8)
+        got = initial_window(spec, "explicit", x, explicit=window)
+        assert np.array_equal(got.frames, window)
