@@ -59,10 +59,8 @@ from .oracle import (
 from .randomness import RandomnessContract
 from .simulate import (
     BatchRunner,
-    BernoulliInputTrace,
     Execution,
     ExecutionWindow,
-    FixedInputTrace,
     initial_window,
     potential,
     run,

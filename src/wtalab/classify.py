@@ -38,7 +38,7 @@ from .builders import (
     TWO_INHIBITOR,
     ceil_log2,
 )
-from .errors import LengthMismatch, TopologyMismatch, WtaLabError
+from .errors import LengthMismatch, TopologyMismatch, WtaLabError, check_int
 
 VALID = "valid"
 VALID_WTA = "valid_wta"
@@ -275,8 +275,7 @@ class ConvergenceScan:
     """
 
     def __init__(self, x, t_s: int):
-        if t_s < 0:
-            raise WtaLabError(f"t_s must be >= 0, got {t_s}")
+        check_int("t_s", t_s, 0)
         self.x = _bits(x)
         self.t_s = t_s
         silent = np.packbits(self.x == 0)

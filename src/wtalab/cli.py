@@ -125,16 +125,20 @@ def _write_manifest(out: Path, command: str, params: dict, outputs: list[str]) -
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _write_rows(out: Path, rows: list[dict], fields: list[str]) -> list[str]:
-    csv_path = out.with_suffix(".csv")
-    json_path = out.with_suffix(".json")
-    with csv_path.open("w", newline="") as fh:
+def _write_csv(path: Path, rows: list[dict], fields: list[str]) -> str:
+    with path.open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         for row in rows:
             writer.writerow({k: ("" if row[k] is None else row[k]) for k in fields})
+    return str(path)
+
+
+def _write_rows(out: Path, rows: list[dict], fields: list[str]) -> list[str]:
+    csv_path = _write_csv(out.with_suffix(".csv"), rows, fields)
+    json_path = out.with_suffix(".json")
     json_path.write_text(json.dumps(rows, indent=2) + "\n")
-    return [str(csv_path), str(json_path)]
+    return [csv_path, str(json_path)]
 
 
 def _variant(args, mode: str | None) -> WtaVariant:
@@ -177,14 +181,6 @@ def _cmd_build(args) -> int:
     return 0
 
 
-def _summaries_to_files(args, summaries, command: str, params: dict) -> int:
-    rows = [s.row() for s in summaries]
-    out = Path(args.out)
-    outputs = _write_rows(out, rows, CSV_FIELDS)
-    _write_manifest(out, command, params, outputs)
-    return 0
-
-
 def _plan(args, instance: WtaInstance, window: ExecutionWindow | None) -> TrialPlan:
     return TrialPlan(
         instance=instance,
@@ -201,17 +197,13 @@ def _cmd_run(args) -> int:
         raise WtaLabError("run takes single values; use sweep for a grid")
     plan = _plan(args, _resolve_instance(args), _load_window(args))
     summary = run_trials(plan, capture_final=args.log_trials)
-    code = _summaries_to_files(args, [summary], "run", _params(args))
+    out = Path(args.out)
+    outputs = _write_rows(out, [summary.row()], CSV_FIELDS)
     if args.log_trials:
-        log_path = Path(args.out).with_suffix(".trials.csv")
-        with log_path.open("w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=TRIAL_LOG_FIELDS)
-            writer.writeheader()
-            for row in summary.trial_rows():
-                writer.writerow(
-                    {k: ("" if row[k] is None else row[k]) for k in TRIAL_LOG_FIELDS}
-                )
-    return code
+        log = out.with_suffix(".trials.csv")
+        outputs.append(_write_csv(log, summary.trial_rows(), TRIAL_LOG_FIELDS))
+    _write_manifest(out, "run", _params(args), outputs)
+    return 0
 
 
 def _cmd_sweep(args) -> int:
@@ -226,7 +218,10 @@ def _cmd_sweep(args) -> int:
                 local = argparse.Namespace(**vars(args))
                 local.n, local.ts, local.delta = n, t_s, delta
                 plans.append(_plan(args, _resolve_instance(local), window))
-    return _summaries_to_files(args, sweep(plans), "sweep", _params(args))
+    out = Path(args.out)
+    outputs = _write_rows(out, [s.row() for s in sweep(plans)], CSV_FIELDS)
+    _write_manifest(out, "sweep", _params(args), outputs)
+    return 0
 
 
 def _cmd_oracle(args) -> int:
@@ -315,7 +310,7 @@ def _cmd_rerun(args) -> int:
     return main(argv)
 
 
-def _add_common(p: argparse.ArgumentParser, seed_required: bool) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--variant", choices=sorted(_VARIANT_FLAGS), default="two-inhibitor",
                    help="network family (default: two-inhibitor)")
     p.add_argument("--n", type=_int_list, required=True,
@@ -336,9 +331,7 @@ def _add_common(p: argparse.ArgumentParser, seed_required: bool) -> None:
     p.add_argument("--trials", type=int, default=1000, help="trial count (default 1000)")
     p.add_argument("--horizon", type=int, default=None,
                    help="frames to simulate (default 4*t_c + t_s)")
-    p.add_argument("--seed", type=int, required=seed_required,
-                   default=None if seed_required else 0,
-                   help="root seed" + ("" if not seed_required else " (required)"))
+    p.add_argument("--seed", type=int, required=True, help="root seed (required)")
     p.add_argument("--init", choices=sorted(_INIT_FLAGS), default="random",
                    help="initial window policy (default random)")
     p.add_argument("--init-file", default=None,
@@ -378,13 +371,13 @@ def main(argv: list[str] | None = None) -> int:
     p_build.set_defaults(func=_cmd_build)
 
     p_run = sub.add_parser("run", help="Monte Carlo convergence trials")
-    _add_common(p_run, seed_required=True)
+    _add_common(p_run)
     p_run.add_argument("--log-trials", action="store_true",
                        help="also write a per-trial CSV log with labels")
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="grid of trial batches over n")
-    _add_common(p_sweep, seed_required=True)
+    _add_common(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_oracle = sub.add_parser("oracle", help="exact convergence CDF")
@@ -412,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
     p_lemma.set_defaults(func=_cmd_lemma_check)
 
     p_probe = sub.add_parser("stabilize-probe", help="perturb and re-converge")
-    _add_common(p_probe, seed_required=True)
+    _add_common(p_probe)
     p_probe.add_argument("--perturbations", type=int, default=5)
     p_probe.set_defaults(func=_cmd_stabilize_probe)
 

@@ -1,8 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer check."""
+
+from numbers import Integral as _Integral
 
 
 class WtaLabError(Exception):
     """Base class for every error raised by this package."""
+
+
+def check_int(name: str, value, minimum: int) -> None:
+    """Raise ``WtaLabError`` unless ``value`` is an integer ``>= minimum``."""
+    if not (isinstance(value, _Integral) and value >= minimum):
+        raise WtaLabError(f"{name} must be an int >= {minimum}, got {value!r}")
 
 
 class InvalidNetwork(WtaLabError):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .builders import WtaInstance
 from .classify import ConvergenceScan, window_labels
-from .errors import HorizonTooShort, WtaLabError
+from .errors import HorizonTooShort, WtaLabError, check_int
 from .network import NetworkSpec
 from .randomness import RandomnessContract
 from .simulate import (
@@ -128,11 +128,11 @@ class TrialPlan:
     chunk_size: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise WtaLabError("trials must be >= 1")
-        chunk = self.chunk_size
-        if chunk is not None and not (isinstance(chunk, (int, np.integer)) and chunk >= 1):
-            raise WtaLabError(f"chunk_size must be None or an int >= 1, got {chunk!r}")
+        check_int("trials", self.trials, 1)
+        if self.horizon is not None:
+            check_int("horizon", self.horizon, 1)
+        if self.chunk_size is not None:
+            check_int("chunk_size", self.chunk_size, 1)
         if self.initial_policy not in INITIAL_POLICIES:
             raise WtaLabError(f"unknown initial policy {self.initial_policy!r}")
         inst = self.instance
@@ -305,6 +305,7 @@ def self_stabilization_probe(plan: TrialPlan, perturbations: int) -> ProbeSummar
     batch is re-scanned for convergence within ``t_c`` more frames. With
     zero perturbations this reduces exactly to ``run_trials``.
     """
+    check_int("perturbations", perturbations, 0)
     inst = plan.instance
     spec = inst.build()
     rng = RandomnessContract(plan.seed)
@@ -314,9 +315,10 @@ def self_stabilization_probe(plan: TrialPlan, perturbations: int) -> ProbeSummar
     spacing = inst.t_c + inst.t_s + 1
     ids = np.arange(plan.trials, dtype=np.int64)
     times = tuple(plan.resolved_horizon() + j * spacing for j in range(perturbations))
+    # the overwrite is the same all-fire window at every perturbation
+    windows0 = initial_windows_batch(spec, ALL_FIRE, x, ids, rng)
     segments = []
     for tau in times:
-        windows0 = initial_windows_batch(spec, ALL_FIRE, x, ids, rng, t0=tau - h + 1)
         raw = batch_convergence_times(
             spec, x, windows0, ids, inst.t_s, h + spacing, rng, t0=tau + 1
         )

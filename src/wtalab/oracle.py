@@ -22,10 +22,10 @@ from functools import cached_property
 import numpy as np
 
 from .classify import ConvergenceScan, steady_state, valid_outputs
-from .errors import LengthMismatch, NotValidConfiguration, StateSpaceTooLarge, WtaLabError
+from .errors import NotValidConfiguration, StateSpaceTooLarge, check_int
 from .network import NetworkSpec
 from .randomness import RandomnessContract
-from .simulate import BatchRunner, ExecutionWindow, window_frames
+from .simulate import BatchRunner, ExecutionWindow, input_vector, window_frames
 
 DEFAULT_STATE_CAP = 1 << 22
 
@@ -57,12 +57,10 @@ class WindowStateSpace:
 
     def __init__(self, spec: NetworkSpec, input_bits):
         self.spec = spec
-        self.x = np.asarray(input_bits, dtype=np.uint8)
+        self.x = input_vector(spec, input_bits)
         self.non_input = spec.non_input_indices
         self.m = int(self.non_input.size)
         self.h = spec.history
-        if self.x.shape != spec.input_indices.shape:
-            raise LengthMismatch("input vector does not match the network")
         if 1 << (self.m * (self.h + 1)) > DEFAULT_STATE_CAP:
             raise StateSpaceTooLarge(
                 f"2^({self.m}*{self.h}) window states x 2^{self.m} next frames "
@@ -201,8 +199,8 @@ def convergence_cdf(
     expectation of the convergence time itself is recoverable as
     ``sum_t' t' * (cdf[t' + t_s] - cdf[t' + t_s - 1])`` plus residual mass.
     """
-    if t_s < 1 or t_max < 0:
-        raise WtaLabError(f"need t_s >= 1 and t_max >= 0, got t_s={t_s}, t_max={t_max}")
+    check_int("t_s", t_s, 1)
+    check_int("t_max", t_max, 0)
     space = WindowStateSpace(spec, input_bits)
     S = space.n_states
     latest = np.arange(S, dtype=np.int64) & ((1 << space.m) - 1)
@@ -269,9 +267,11 @@ def hold_probability(spec: NetworkSpec, input_bits, window, t_s: int) -> float:
     the spec's outputs and auxiliaries, which covers every family) with the
     input bits ``input_bits``. The chain is time homogeneous under a fixed
     input, so the answer is the self-transition probability along the
-    fixed-point path: one factor per step.
+    fixed-point path: one factor per step. ``t_s = 0`` asks for no step and
+    gives 1.
     """
-    x = np.asarray(input_bits, dtype=np.uint8)
+    x = input_vector(spec, input_bits)
+    check_int("t_s", t_s, 0)
     frames = window_frames(spec, window)
     latest = frames[-1]
     if not (
@@ -279,7 +279,7 @@ def hold_probability(spec: NetworkSpec, input_bits, window, t_s: int) -> float:
         and np.array_equal(latest[spec.input_indices], x)
     ):
         raise NotValidConfiguration("window's latest frame is not a steady state under X")
-    if t_s <= 0:
+    if t_s == 0:
         return 1.0
     space = WindowStateSpace(spec, x)
     d = space.frame_code(latest)

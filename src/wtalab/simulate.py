@@ -5,6 +5,11 @@ last ``h`` configurations. ``step`` advances one window by one configuration;
 ``run`` unrolls a whole execution from an initial window, drawing uniforms
 from a ``RandomnessContract`` keyed by ``(trial, time, neuron)``.
 
+The inputs hold one fixed 0/1 vector X for a whole execution: every frame of
+a start window and every step carries it. ``input_vector`` is the one check
+of X (one bit per input neuron), and every call that takes X goes through
+it. ``BatchRunner.step_bits`` alone also takes one input row per trial.
+
 ``BatchRunner`` advances many trials at once on uint8 frames, with a sparse
 potential kernel built from the spec's synapse view. It is the one code path
 from a window to potentials: ``potential``, ``step`` and ``run`` are
@@ -31,11 +36,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .errors import HorizonTooShort, InputNeuronPotential, InvalidNetwork, MissingDraw
+from .errors import (
+    HorizonTooShort,
+    InputNeuronPotential,
+    InvalidNetwork,
+    LengthMismatch,
+    MissingDraw,
+    WtaLabError,
+)
 from .network import NetworkSpec, sigmoid
 from .randomness import RandomnessContract
 
@@ -47,11 +59,18 @@ EXPLICIT = "explicit"
 INITIAL_POLICIES = (ALL_ZERO, ALL_FIRE, UNIFORM_RANDOM, EXPLICIT)
 
 
-def _as_bits(x, length: int | None = None) -> np.ndarray:
-    a = np.asarray(x, dtype=np.uint8)
-    if length is not None and a.shape != (length,):
-        raise InvalidNetwork(f"bit vector shape {a.shape} != ({length},)")
-    return a
+def input_vector(spec: NetworkSpec, x) -> np.ndarray:
+    """The fixed input vector ``x`` as uint8 bits. Raises ``LengthMismatch``
+    unless it has one entry per input neuron of ``spec``, and ``WtaLabError``
+    unless each entry is 0 or 1."""
+    a = np.asarray(x)
+    if a.shape != spec.input_indices.shape:
+        raise LengthMismatch(
+            f"input vector shape {a.shape} != ({spec.input_indices.size},) inputs"
+        )
+    if a.dtype.kind not in "biuf" or not ((a == 0) | (a == 1)).all():
+        raise WtaLabError(f"input vector must hold 0/1 bits, got {a.tolist()}")
+    return a.astype(np.uint8, copy=False)
 
 
 @dataclass(frozen=True)
@@ -95,13 +114,11 @@ def window_frames(spec: NetworkSpec, window) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Execution:
-    """A recorded execution: frames 0..T-1, the trial that produced it, a
-    reference to the input trace its input bits follow, and where its
-    network keeps the outputs (filled in by ``run``)."""
+    """A recorded execution: frames 0..T-1, the trial that produced it, and
+    where its network keeps the outputs (filled in by ``run``)."""
 
     frames: np.ndarray  # (T, N) uint8
     trial: int = 0
-    trace: object = None
     output_indices: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -111,51 +128,6 @@ class Execution:
 
     def __len__(self) -> int:
         return self.frames.shape[0]
-
-
-class FixedInputTrace:
-    """Input trace holding the same input configuration at every time."""
-
-    def __init__(self, bits):
-        self.bits = _as_bits(bits)
-
-    def bits_at(self, t: int, trials, rng: RandomnessContract, input_ids) -> np.ndarray:
-        return np.broadcast_to(self.bits, (len(trials), self.bits.size))
-
-
-class BernoulliInputTrace:
-    """Each input fires independently at each time with its own rate.
-
-    Bits are materialized from the same counter-based contract as the
-    dynamics draws (inputs and non-inputs have disjoint neuron indices, so
-    the streams never collide).
-    """
-
-    def __init__(self, rates):
-        self.rates = np.asarray(rates, dtype=np.float64)
-
-    def bits_at(self, t: int, trials, rng: RandomnessContract, input_ids) -> np.ndarray:
-        draws = rng.uniform_block(trials, t, input_ids)
-        return (draws < self.rates[None, :]).astype(np.uint8)
-
-
-class CallableInputTrace:
-    """Wrap a plain ``t -> input bits`` function."""
-
-    def __init__(self, fn: Callable[[int], Sequence[int]]):
-        self.fn = fn
-
-    def bits_at(self, t: int, trials, rng: RandomnessContract, input_ids) -> np.ndarray:
-        bits = _as_bits(self.fn(t))
-        return np.broadcast_to(bits, (len(trials), bits.size))
-
-
-def as_input_trace(trace) -> FixedInputTrace | BernoulliInputTrace | CallableInputTrace:
-    if hasattr(trace, "bits_at"):
-        return trace
-    if callable(trace):
-        return CallableInputTrace(trace)
-    return FixedInputTrace(trace)
 
 
 def _selector(indices: np.ndarray) -> np.ndarray | slice:
@@ -308,9 +280,9 @@ class BatchRunner:
     def step_bits(self, frames: np.ndarray, t: int, trials, input_bits) -> np.ndarray:
         """One synchronous step. Returns the new (B, N) uint8 frame.
 
-        ``input_bits`` is the input configuration at time ``t``, either one
-        vector shared by the batch or one row per trial. The non-input bits
-        are made one row tile at a time, in the workspace's buffers.
+        ``input_bits`` is either one vector shared by the batch (the fixed
+        input X) or one row per trial. The non-input bits are made one row
+        tile at a time, in the workspace's buffers.
         """
         batch = frames.shape[0]
         new = np.empty((batch, self.spec.n_neurons), dtype=np.uint8)
@@ -377,15 +349,14 @@ def step(spec: NetworkSpec, window: ExecutionWindow, next_input, draws) -> np.nd
     (mapping or array ordered by ``spec.non_input_indices``). Input bits are
     copied from ``next_input``. Pure function of its arguments.
     """
+    x = input_vector(spec, next_input)
     frames = window_frames(spec, window)[None]
     d = _draws_array(spec, draws)
 
     runner = BatchRunner(spec, RandomnessContract(0))
     p = runner.probabilities(frames)[0]
     new = np.zeros(spec.n_neurons, dtype=np.uint8)
-    inp = spec.input_indices
-    if inp.size:
-        new[inp] = _as_bits(next_input, inp.size)
+    new[spec.input_indices] = x
     new[runner.non_input] = d < p
     return new
 
@@ -393,79 +364,75 @@ def step(spec: NetworkSpec, window: ExecutionWindow, next_input, draws) -> np.nd
 def initial_windows_batch(
     spec: NetworkSpec,
     policy: str,
-    input_trace,
+    x,
     trial_ids,
     rng: RandomnessContract,
     explicit: ExecutionWindow | None = None,
-    t0: int = 0,
 ) -> np.ndarray:
-    """(B, h, N) uint8 starting windows for a batch of trials.
+    """(B, h, N) uint8 starting windows for a batch of trials, frames at
+    times ``0..h-1``.
 
-    Input bits come from the input trace at times ``t0..t0+h-1``; the policy
-    decides the non-input bits. ``uniform_random`` materializes them from the
-    randomness contract at those same times, so each trial's start is
-    independent and reproducible; ``explicit`` copies them from ``explicit``.
+    Every frame holds the input vector ``x``; the policy decides the
+    non-input bits. ``uniform_random`` materializes them from the randomness
+    contract at those same times, so each trial's start is independent and
+    reproducible; ``explicit`` copies them from ``explicit``.
     """
     if policy not in INITIAL_POLICIES:
         raise InvalidNetwork(f"unknown initial policy {policy!r}")
-    h, n_all = spec.history, spec.n_neurons
-    frames = np.zeros((len(trial_ids), h, n_all), dtype=np.uint8)
+    x = input_vector(spec, x)
+    frames = np.zeros((len(trial_ids), spec.history, spec.n_neurons), dtype=np.uint8)
     if policy == EXPLICIT:
         if explicit is None:
             raise InvalidNetwork("explicit policy needs an explicit window")
         frames[:] = window_frames(spec, explicit)
-    trace = as_input_trace(input_trace)
-    inputs, non_input = spec.input_indices, spec.non_input_indices
-    for t in range(h):
-        frames[:, t, inputs] = trace.bits_at(t0 + t, trial_ids, rng, inputs)
-        if policy == ALL_FIRE:
-            frames[:, t, non_input] = 1
-        elif policy == UNIFORM_RANDOM:
-            draws = rng.uniform_block(trial_ids, t0 + t, non_input)
-            frames[:, t, non_input] = draws < 0.5
+    non_input = spec.non_input_indices
+    frames[:, :, spec.input_indices] = x
+    if policy == ALL_FIRE:
+        frames[:, :, non_input] = 1
+    elif policy == UNIFORM_RANDOM:
+        for t in range(spec.history):
+            frames[:, t, non_input] = rng.uniform_block(trial_ids, t, non_input) < 0.5
     return frames
 
 
 def initial_window(
     spec: NetworkSpec,
     policy: str,
-    input_trace,
+    x,
     rng: RandomnessContract | None = None,
     trial: int = 0,
     explicit: ExecutionWindow | None = None,
 ) -> ExecutionWindow:
     """The h-frame starting window of one trial: ``initial_windows_batch``
-    over a batch of one, at times ``0..h-1``. An explicit window comes back
-    as given, once ``window_frames`` has checked its shape."""
-    if policy == EXPLICIT and explicit is not None:
-        return ExecutionWindow(window_frames(spec, explicit))
+    over a batch of one."""
     if policy == UNIFORM_RANDOM and rng is None:
         raise InvalidNetwork("uniform_random policy needs a randomness contract")
     rng = rng if rng is not None else RandomnessContract(0)
-    frames = initial_windows_batch(spec, policy, input_trace, np.asarray([trial]), rng)
+    frames = initial_windows_batch(spec, policy, x, np.asarray([trial]), rng, explicit)
     return ExecutionWindow(frames[0])
 
 
 def run(
     spec: NetworkSpec,
     initial: ExecutionWindow,
-    input_trace,
+    x,
     horizon: int,
     randomness: RandomnessContract,
     trial: int = 0,
 ) -> Execution:
-    """Unroll ``horizon`` frames: frames ``0..h-1`` are the initial window,
-    frame ``t >= h`` is produced by one step with draws at ``(trial, t, .)``.
+    """Unroll ``horizon`` frames under the input vector ``x``: frames
+    ``0..h-1`` are the initial window, frame ``t >= h`` is produced by one
+    step with draws at ``(trial, t, .)``.
 
     ``horizon`` counts frames, so ``horizon == h`` returns the initial window
     unchanged. The result is a pure function of the arguments: same seed,
     same execution, regardless of how other trials are scheduled.
     """
+    x = input_vector(spec, x)
     h = spec.history
     if horizon < h:
         raise HorizonTooShort(f"horizon {horizon} < history {h}")
     frames0 = window_frames(spec, initial)
-    trace = as_input_trace(input_trace)
     runner = BatchRunner(spec, randomness)
     trials = np.asarray([trial])
 
@@ -473,7 +440,6 @@ def run(
     frames_out[:h] = frames0
     window = frames0[None, :, :]
     for t in range(h, horizon):
-        bits = trace.bits_at(t, trials, randomness, spec.input_indices)
-        window = runner.advance(window, t, trials, bits)
+        window = runner.advance(window, t, trials, x)
         frames_out[t] = window[0, -1]
-    return Execution(frames_out, trial, trace, spec.output_indices)
+    return Execution(frames_out, trial, spec.output_indices)

@@ -107,6 +107,18 @@ class TestRunAndSweep:
         assert len(rows) == 50
         assert rows[0]["labels"] == "active;good;valid_wta"
 
+    def test_trial_log_in_manifest_and_rerun(self, tmp_path):
+        out = tmp_path / "logged"
+        assert main(["run", "--n", "3", "--gamma", "4", "--ts", "3", "--tc", "10",
+                     "--trials", "40", "--seed", "7", "--log-trials", "--out", str(out)]) == 0
+        log = tmp_path / "logged.trials.csv"
+        manifest = tmp_path / "logged.manifest.json"
+        assert str(log) in json.loads(manifest.read_text())["outputs"]
+        digest = hashlib.sha256(log.read_bytes()).hexdigest()
+        log.unlink()
+        assert main(["rerun", str(manifest)]) == 0
+        assert hashlib.sha256(log.read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("variant, n, digest", [
         ("two-inhibitor", 3, "42e5c23a64b29eba9a0e4a2ded9e800549953eb80fc426787ac2eb990287e3b1"),
         ("single-inhibitor", 3, "0e9e232830a14b94592c79c276a2580a74d63a89ec3cdf0f55a2afd3539574b0"),
@@ -232,6 +244,13 @@ class TestInvalidInputsExitThree:
         argv = ["oracle", "--n", "2", "--gamma", "10", "--ts", "3", "--tmax", "5",
                 "--out", str(tmp_path / "cdf")]
         self._exit_three(argv + flags, capsys)
+
+    def test_negative_perturbations(self, tmp_path, capsys):
+        argv = ["stabilize-probe", "--n", "2", "--gamma", "10", "--ts", "3", "--tc", "20",
+                "--trials", "5", "--seed", "1", "--perturbations", "-1",
+                "--out", str(tmp_path / "p")]
+        self._exit_three(argv, capsys)
+        assert not (tmp_path / "p.csv").exists()
 
     @pytest.mark.parametrize("flags", [
         ["--gamma", "10", "--tc", "50", "--delta", "1.5"],

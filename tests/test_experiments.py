@@ -80,6 +80,11 @@ class TestRunTrials:
             with pytest.raises(WtaLabError, match="chunk_size"):
                 TrialPlan(instance=inst, trials=10, seed=0, horizon=40, chunk_size=chunk)
 
+    @pytest.mark.parametrize("field, value", [("trials", 2.5), ("horizon", 40.5)])
+    def test_non_integer_counts_rejected(self, field, value):
+        with pytest.raises(WtaLabError, match=field):
+            TrialPlan(instance=small_instance(), **{"trials": 10, "horizon": 40, field: value})
+
     def test_horizon_guard(self):
         inst = small_instance()
         with pytest.raises(HorizonTooShort):
@@ -155,6 +160,17 @@ class TestProbe:
         direct = run_trials(plan)
         assert np.array_equal(probe.initial.converged_at, direct.converged_at)
         assert probe.reconvergence_fractions() == []
+
+    def test_negative_perturbations_rejected_before_any_trial(self, monkeypatch):
+        from wtalab import experiments
+
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiments, "run_trials", no_trials)
+        plan = TrialPlan(instance=small_instance(), trials=10, seed=6, horizon=40)
+        with pytest.raises(WtaLabError, match="perturbations"):
+            self_stabilization_probe(plan, perturbations=-1)
 
     def test_adversarial_reconvergence(self):
         inst = WtaInstance.for_theorem(

@@ -151,7 +151,7 @@ class TestStepDistribution:
 
 
 class TestConvergenceCdf:
-    @pytest.mark.parametrize("t_s, t_max", [(0, 5), (-1, 5), (3, -1)])
+    @pytest.mark.parametrize("t_s, t_max", [(0, 5), (-1, 5), (3, -1), (2.5, 5), (3, 5.0)])
     def test_rejects_out_of_range_times(self, t_s, t_max):
         spec = build_two_inhibitor(2, 8.0)
         init = np.zeros((1, 6), dtype=np.uint8)
@@ -246,6 +246,12 @@ class TestHoldProbability:
     def test_zero_steps(self):
         spec = build_two_inhibitor(2, 12.0)
         assert hold_probability(spec, [1, 1], self.make_valid(spec), 0) == 1.0
+
+    @pytest.mark.parametrize("t_s", [-3, 2.5])
+    def test_bad_step_counts_rejected(self, t_s):
+        spec = build_two_inhibitor(2, 12.0)
+        with pytest.raises(WtaLabError, match="t_s"):
+            hold_probability(spec, [1, 1], self.make_valid(spec), t_s)
 
     def test_bound_and_product_form(self):
         g, t_s = 12.0, 10

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from wtalab import (
-    BernoulliInputTrace,
     ExecutionWindow,
     HorizonTooShort,
     InputTargeted,
@@ -14,7 +13,9 @@ from wtalab import (
     Neuron,
     RandomnessContract,
     TrialPlan,
+    WindowStateSpace,
     WtaInstance,
+    WtaLabError,
     WtaVariant,
     build_log_inhibitor,
     build_single_inhibitor,
@@ -124,17 +125,6 @@ class TestRun:
             init = zero_window(spec, x)
             ex = run(spec, init, x, 30, rng, trial=trial)
             assert np.array_equal(ex.frames[-1], frames[trial, -1].astype(np.uint8))
-
-    def test_bernoulli_input_trace(self):
-        spec = build_two_inhibitor(2, 6.0)
-        trace = BernoulliInputTrace([0.3, 0.9])
-        init = zero_window(spec)
-        ex = run(spec, init, trace, 400, RandomnessContract(12), trial=0)
-        rates = ex.frames[1:, :2].mean(axis=0)
-        assert abs(rates[0] - 0.3) < 0.08
-        assert abs(rates[1] - 0.9) < 0.08
-        ex2 = run(spec, init, trace, 400, RandomnessContract(12), trial=0)
-        assert np.array_equal(ex.frames, ex2.frames)
 
 
 class TestMarkovProperty:
@@ -505,3 +495,57 @@ class TestWindowShape:
         window = np.array([[1, 1, 1, 0, 1, 0]], dtype=np.uint8)
         got = initial_window(spec, "explicit", x, explicit=window)
         assert np.array_equal(got.frames, window)
+
+
+# every public call that takes the fixed input vector, as call(spec, x, window)
+_INPUT_CALLS = {
+    "run": lambda spec, x, w: run(spec, w, x, 4, RandomnessContract(0)),
+    "initial_window": lambda spec, x, w: initial_window(spec, "all_fire", x),
+    "initial_windows_batch": lambda spec, x, w: initial_windows_batch(
+        spec, "uniform_random", x, np.arange(3), RandomnessContract(0)
+    ),
+    "step": lambda spec, x, w: step(spec, w, x, np.zeros(spec.non_input_indices.size)),
+    "WindowStateSpace": lambda spec, x, w: WindowStateSpace(spec, x),
+    "exact_step_distribution": lambda spec, x, w: exact_step_distribution(spec, w, x),
+    "convergence_cdf": lambda spec, x, w: convergence_cdf(spec, x, w, 2, 5),
+    "hold_probability": lambda spec, x, w: hold_probability(spec, x, w, 2),
+}
+
+
+class TestInputVector:
+    """Every call that takes X accepts only one 0/1 bit per input neuron."""
+
+    @pytest.mark.parametrize("build", [build_two_inhibitor, build_log_inhibitor])
+    @pytest.mark.parametrize("x", [[1], [1, 1, 1], [2, 1], [1, -1]])
+    @pytest.mark.parametrize("name", list(_INPUT_CALLS))
+    def test_bad_input_is_rejected(self, build, x, name):
+        spec = build(2, 8.0)
+        window = np.zeros((spec.history, spec.n_neurons), dtype=np.uint8)
+        window[:, [0, 1, 2, 4]] = 1  # x, y_0 and a_s: valid for both families
+        with pytest.raises(WtaLabError, match="input vector"):
+            _INPUT_CALLS[name](spec, x, window)
+
+    @pytest.mark.parametrize("build", [build_two_inhibitor, build_log_inhibitor])
+    @pytest.mark.parametrize("name", list(_INPUT_CALLS))
+    def test_bits_of_any_dtype_are_accepted(self, build, name):
+        spec = build(2, 8.0)
+        window = np.zeros((spec.history, spec.n_neurons), dtype=np.uint8)
+        window[:, [0, 1, 2, 4]] = 1
+        for x in ([1, 1], (1, 1), np.ones(2, dtype=bool), np.ones(2)):
+            _INPUT_CALLS[name](spec, x, window)
+
+    def test_every_start_frame_holds_the_input(self):
+        # the explicit window's own input bits disagree with X
+        x = np.array([1, 0, 1], dtype=np.uint8)
+        rng = RandomnessContract(2)
+        for build in (build_two_inhibitor, build_log_inhibitor):
+            spec = build(3, 6.0)
+            explicit = np.zeros((spec.history, spec.n_neurons), dtype=np.uint8)
+            explicit[:, spec.input_indices] = 1 - x
+            for policy in ("all_zero", "all_fire", "uniform_random", "explicit"):
+                frames = initial_windows_batch(
+                    spec, policy, x, np.arange(4), rng, explicit=explicit
+                )
+                assert (frames[:, :, spec.input_indices] == x).all()
+                single = initial_window(spec, policy, x, rng, trial=3, explicit=explicit)
+                assert np.array_equal(single.frames, frames[3])
