@@ -60,7 +60,6 @@ from .randomness import RandomnessContract
 from .simulate import (
     BatchRunner,
     Execution,
-    ExecutionWindow,
     initial_window,
     potential,
     run,

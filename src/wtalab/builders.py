@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidGamma, InvalidSize, MissingDelta, WtaLabError
+from .errors import InvalidGamma, InvalidSize, MissingDelta, WtaLabError, check_int
 from .network import (
     AUXILIARY,
     EXCITATORY,
@@ -56,8 +56,7 @@ def ceil_log2(n: int) -> int:
 
 
 def _check_args(n: int, gamma: float, min_n: int) -> None:
-    if n < min_n:
-        raise InvalidSize(f"n must be >= {min_n}, got {n}")
+    _check_n(n, min_n)
     if not 0 < gamma < math.inf:
         raise InvalidGamma(f"gamma must be finite and > 0, got {gamma}")
 
@@ -180,11 +179,17 @@ class WtaVariant:
             raise WtaLabError(f"unknown theorem mode {self.theorem_mode!r}")
 
 
+def _check_n(n, minimum: int) -> None:
+    """``check_int`` for a competition size, raising ``InvalidSize``."""
+    try:
+        check_int("n", n, minimum)
+    except WtaLabError as e:
+        raise InvalidSize(str(e)) from None
+
+
 def _check_sizes(n: int, t_s: int = 1) -> None:
-    if n < 1:
-        raise InvalidSize(f"n must be >= 1, got {n}")
-    if t_s < 1:
-        raise WtaLabError(f"t_s must be >= 1, got {t_s}")
+    _check_n(n, 1)
+    check_int("t_s", t_s, 1)
 
 
 def _check_delta(delta: float | None) -> None:
@@ -250,8 +255,7 @@ class WtaInstance:
 
     def __post_init__(self) -> None:
         _check_sizes(self.n, self.t_s)
-        if self.t_c < 1:
-            raise WtaLabError(f"t_c must be >= 1, got {self.t_c}")
+        check_int("t_c", self.t_c, 1)
         if not 0 < self.gamma < math.inf:
             raise InvalidGamma(f"gamma must be finite and > 0, got {self.gamma}")
         _check_delta(self.delta)

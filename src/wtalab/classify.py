@@ -11,6 +11,8 @@ Everything here is batch-first. ``_split`` is the one place that knows the
 canonical builder layout (inputs, then outputs, then the family's
 auxiliaries, the stability inhibitor first): it checks a configuration's
 length and input bits once and returns ``(x, outputs, auxiliaries)``.
+X itself is checked for 0/1 bits (``errors.check_bits``) where it enters:
+``_output_terms``, ``_split`` and ``ConvergenceScan``, never per update.
 ``steady_state`` is the one steady-state mask of every family: valid
 outputs, the first auxiliary firing iff some input fires, every other
 auxiliary silent. The class masks work over the last axis
@@ -38,7 +40,7 @@ from .builders import (
     TWO_INHIBITOR,
     ceil_log2,
 )
-from .errors import LengthMismatch, TopologyMismatch, WtaLabError, check_int
+from .errors import LengthMismatch, TopologyMismatch, WtaLabError, check_bits, check_int
 
 VALID = "valid"
 VALID_WTA = "valid_wta"
@@ -68,7 +70,7 @@ def _bits(x) -> np.ndarray:
 
 def _output_terms(x_bits, y_bits):
     """(backed, firing-output count, wanted count) over the last axis."""
-    x, y = _bits(x_bits), _bits(y_bits)
+    x, y = check_bits("input vector", x_bits), _bits(y_bits)
     if x.shape[-1:] != y.shape[-1:]:
         raise LengthMismatch(f"|X|={x.shape} vs |Y|={y.shape}")
     return ~np.any(y > x, axis=-1), y.sum(axis=-1), np.minimum(1, x.sum(axis=-1))
@@ -92,7 +94,7 @@ def _split(x_bits, configs, tag: str):
     axis, after checking their canonical length and their input bits."""
     if tag not in _AUX_COUNT:
         raise WtaLabError(f"unknown variant {tag!r}")
-    x, c = _bits(x_bits), _bits(configs)
+    x, c = check_bits("input vector", x_bits), _bits(configs)
     n = x.shape[-1]
     width = 2 * n + _AUX_COUNT[tag](n)
     if c.shape[-1] != width:
@@ -183,7 +185,7 @@ def near_stable(x, windows) -> np.ndarray:
 def near_stable_pair(x_bits, older, latest) -> Optional[bool]:
     """``near_stable`` for one window ``(older, latest)``; ``None`` when no
     input fires, where near-stability is not defined."""
-    x, older, latest = _bits(x_bits), _bits(older), _bits(latest)
+    x, older, latest = check_bits("input vector", x_bits), _bits(older), _bits(latest)
     if older.shape != latest.shape:
         raise TopologyMismatch(f"frame shapes {older.shape} and {latest.shape} differ")
     mask = near_stable(x, np.stack([older, latest], axis=-2))
@@ -232,8 +234,7 @@ def classify_two_inhibitor(x_bits, config) -> frozenset[str]:
 
 def classify_log_inhibitor(x_bits, window) -> frozenset[str]:
     """``window_labels`` of one h=2 window of the graded network."""
-    frames = _bits(getattr(window, "frames", window))
-    return window_labels(LOG_INHIBITOR, x_bits, frames[None])[0]
+    return window_labels(LOG_INHIBITOR, x_bits, _bits(window)[None])[0]
 
 
 @dataclass(frozen=True)
@@ -276,7 +277,7 @@ class ConvergenceScan:
 
     def __init__(self, x, t_s: int):
         check_int("t_s", t_s, 0)
-        self.x = _bits(x)
+        self.x = check_bits("input vector", x)
         self.t_s = t_s
         silent = np.packbits(self.x == 0)
         self._silent_bytes = np.flatnonzero(silent)
@@ -321,10 +322,9 @@ def convergence_time(execution, input_bits, t_s: int) -> ConvergenceOutcome:
     before ``t_s`` repeats does not count; scanning continues. When no frame
     qualifies within the recorded horizon the outcome is a timeout.
     """
-    x = _bits(input_bits)
-    outs = output_projection(execution, x.size)
+    scan = ConvergenceScan(input_bits, t_s)
+    outs = output_projection(execution, scan.x.size)
     total = outs.shape[0]
-    scan = ConvergenceScan(x, t_s)
     for t in range(total):
         if scan.update(t, outs[t : t + 1])[0]:
             start = int(scan.converged_at[0])

@@ -29,7 +29,7 @@ from .builders import (
     gamma_for,
     tc_bound,
 )
-from .errors import StateSpaceTooLarge, WtaLabError
+from .errors import StateSpaceTooLarge, WtaLabError, check_bits
 from .experiments import (
     CSV_FIELDS,
     TRIAL_LOG_FIELDS,
@@ -38,16 +38,9 @@ from .experiments import (
     self_stabilization_probe,
     sweep,
 )
-from .lemmas import GROUP_IDS, LemmaParams, lemma_check
+from .lemmas import GROUP_IDS, lemma_check
 from .oracle import convergence_cdf
-from .simulate import (
-    ALL_FIRE,
-    ALL_ZERO,
-    EXPLICIT,
-    UNIFORM_RANDOM,
-    ExecutionWindow,
-    initial_window,
-)
+from .simulate import ALL_FIRE, ALL_ZERO, UNIFORM_RANDOM, initial_window
 
 _VARIANT_FLAGS = {
     "two-inhibitor": "two_inhibitor",
@@ -58,22 +51,23 @@ _INIT_FLAGS = {
     "zero": ALL_ZERO,
     "fire": ALL_FIRE,
     "random": UNIFORM_RANDOM,
-    "file": EXPLICIT,
 }
 
 
-def _load_window(args) -> ExecutionWindow | None:
+def _start(args) -> str | np.ndarray:
+    """The start ``--init`` names: a policy name, or for ``--init file`` the
+    window that ``--init-file`` holds."""
     if args.init != "file":
-        return None
+        if args.init_file:
+            raise WtaLabError("--init-file needs --init file")
+        return _INIT_FLAGS[args.init]
     if not args.init_file:
         raise WtaLabError("--init file needs --init-file PATH")
     try:
         frames = np.asarray(json.loads(Path(args.init_file).read_text()))
     except (OSError, ValueError) as e:
         raise WtaLabError(f"cannot read --init-file {args.init_file}: {e}") from None
-    if frames.dtype == object or not np.isin(frames, (0, 1)).all():
-        raise WtaLabError("--init-file must hold rows of 0/1 bits")
-    return ExecutionWindow(frames.astype(np.uint8))
+    return check_bits("--init-file", frames)
 
 
 def _positive_gamma(text: str) -> float:
@@ -181,21 +175,20 @@ def _cmd_build(args) -> int:
     return 0
 
 
-def _plan(args, instance: WtaInstance, window: ExecutionWindow | None) -> TrialPlan:
+def _plan(args, instance: WtaInstance, start: str | np.ndarray) -> TrialPlan:
     return TrialPlan(
         instance=instance,
-        initial_policy=_INIT_FLAGS[args.init],
+        initial_policy=start,
         horizon=args.horizon,
         trials=args.trials,
         seed=args.seed,
-        explicit_window=window,
     )
 
 
 def _cmd_run(args) -> int:
     if any(isinstance(v, list) for v in (args.n, args.ts, args.delta)):
         raise WtaLabError("run takes single values; use sweep for a grid")
-    plan = _plan(args, _resolve_instance(args), _load_window(args))
+    plan = _plan(args, _resolve_instance(args), _start(args))
     summary = run_trials(plan, capture_final=args.log_trials)
     out = Path(args.out)
     outputs = _write_rows(out, [summary.row()], CSV_FIELDS)
@@ -211,13 +204,13 @@ def _cmd_sweep(args) -> int:
     ns = args.n if isinstance(args.n, list) else [args.n]
     tss = args.ts if isinstance(args.ts, list) else [args.ts]
     deltas = args.delta if isinstance(args.delta, list) else [args.delta]
-    window = _load_window(args)
+    start = _start(args)
     for n in ns:
         for t_s in tss:
             for delta in deltas:
                 local = argparse.Namespace(**vars(args))
                 local.n, local.ts, local.delta = n, t_s, delta
-                plans.append(_plan(args, _resolve_instance(local), window))
+                plans.append(_plan(args, _resolve_instance(local), start))
     out = Path(args.out)
     outputs = _write_rows(out, [s.row() for s in sweep(plans)], CSV_FIELDS)
     _write_manifest(out, "sweep", _params(args), outputs)
@@ -242,14 +235,14 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_lemma_check(args) -> int:
-    params = LemmaParams(
+    params = dict(
         n=args.n, gamma=args.gamma, samples=args.samples, seed=args.seed,
         t_s=args.ts, level=args.level,
     )
     ids = args.lemma or list(GROUP_IDS)
     reports = []
     for lemma_id in ids:
-        reports.extend(lemma_check(lemma_id, params=params))
+        reports.extend(lemma_check(lemma_id, **params))
     rows = [r.as_dict() for r in reports]
     out = Path(args.out)
     fields = ["lemma", "description", "frequency", "bound", "kind", "samples", "passed"]
@@ -265,7 +258,7 @@ def _cmd_stabilize_probe(args) -> int:
     if any(isinstance(v, list) for v in (args.n, args.ts, args.delta)):
         raise WtaLabError("stabilize-probe takes single values")
     instance = _resolve_instance(args)
-    plan = _plan(args, instance, _load_window(args))
+    plan = _plan(args, instance, _start(args))
     probe = self_stabilization_probe(plan, perturbations=args.perturbations)
     fractions = probe.reconvergence_fractions()
     rows = [probe.initial.row()]
@@ -332,7 +325,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--horizon", type=int, default=None,
                    help="frames to simulate (default 4*t_c + t_s)")
     p.add_argument("--seed", type=int, required=True, help="root seed (required)")
-    p.add_argument("--init", choices=sorted(_INIT_FLAGS), default="random",
+    p.add_argument("--init", choices=sorted([*_INIT_FLAGS, "file"]), default="random",
                    help="initial window policy (default random)")
     p.add_argument("--init-file", default=None,
                    help="JSON window (h x N bit rows) for --init file")

@@ -1,6 +1,9 @@
-"""Exception types shared across the package, and the one integer check."""
+"""Exception types shared across the package, the one integer check and
+the one 0/1 bit check."""
 
 from numbers import Integral as _Integral
+
+import numpy as _np
 
 
 class WtaLabError(Exception):
@@ -11,6 +14,16 @@ def check_int(name: str, value, minimum: int) -> None:
     """Raise ``WtaLabError`` unless ``value`` is an integer ``>= minimum``."""
     if not (isinstance(value, _Integral) and value >= minimum):
         raise WtaLabError(f"{name} must be an int >= {minimum}, got {value!r}")
+
+
+def check_bits(name: str, value) -> _np.ndarray:
+    """``value`` as a uint8 array; raises ``WtaLabError`` unless every entry
+    is 0 or 1."""
+    a = _np.asarray(value)
+    if a.dtype.kind not in "biuf" or not ((a == 0) | (a == 1)).all():
+        got = _np.array2string(a, threshold=16, separator=", ")  # elided when long
+        raise WtaLabError(f"{name} must hold 0/1 bits, got {got}")
+    return a.astype(_np.uint8, copy=False)
 
 
 class InvalidNetwork(WtaLabError):
@@ -71,10 +84,6 @@ class NotValidConfiguration(WtaLabError):
 
 class UnknownLemma(WtaLabError):
     """Unknown transition-check identifier."""
-
-
-class VariantMismatch(WtaLabError):
-    """The supplied network does not match the check's network family."""
 
 
 class HorizonTooShort(WtaLabError):

@@ -27,9 +27,9 @@ from .simulate import (
     INITIAL_POLICIES,
     UNIFORM_RANDOM,
     BatchRunner,
-    ExecutionWindow,
     _selector,
     initial_windows_batch,
+    window_frames,
 )
 
 
@@ -117,14 +117,17 @@ def batch_convergence_times(
 
 @dataclass(frozen=True)
 class TrialPlan:
-    """A reproducible batch of trials for one problem instance."""
+    """A reproducible batch of trials for one problem instance.
+
+    ``initial_policy`` is the start of every trial: a policy name, or one
+    ``(h, N)`` window, which the plan keeps as a copy no caller can write.
+    """
 
     instance: WtaInstance
-    initial_policy: str = UNIFORM_RANDOM
+    initial_policy: str | np.ndarray = UNIFORM_RANDOM
     horizon: Optional[int] = None
     trials: int = 1000
     seed: int = 0
-    explicit_window: Optional[ExecutionWindow] = None
     chunk_size: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -133,9 +136,14 @@ class TrialPlan:
             check_int("horizon", self.horizon, 1)
         if self.chunk_size is not None:
             check_int("chunk_size", self.chunk_size, 1)
-        if self.initial_policy not in INITIAL_POLICIES:
-            raise WtaLabError(f"unknown initial policy {self.initial_policy!r}")
         inst = self.instance
+        start = self.initial_policy
+        if not isinstance(start, str):
+            window = np.array(window_frames(inst.build(), start))
+            window.setflags(write=False)
+            object.__setattr__(self, "initial_policy", window)
+        elif start not in INITIAL_POLICIES:
+            raise WtaLabError(f"unknown initial policy {start!r}")
         if self.resolved_horizon() < inst.t_c + inst.t_s + 1:
             raise HorizonTooShort(
                 f"horizon {self.resolved_horizon()} cannot decide convergence "
@@ -250,9 +258,7 @@ def run_trials(
     finals = []
     for lo in range(0, plan.trials, chunk):
         ids = np.arange(lo, min(lo + chunk, plan.trials), dtype=np.int64)
-        windows0 = initial_windows_batch(
-            spec, plan.initial_policy, x, ids, rng, explicit=plan.explicit_window
-        )
+        windows0 = initial_windows_batch(spec, plan.initial_policy, x, ids, rng)
         got = batch_convergence_times(
             spec, x, windows0, ids, inst.t_s, horizon, rng,
             capture_final=capture_final,

@@ -35,9 +35,9 @@ from typing import Callable
 
 import numpy as np
 
-from .builders import LOG_INHIBITOR, TWO_INHIBITOR, build, ceil_log2
+from .builders import LOG_INHIBITOR, TWO_INHIBITOR, _check_n, build, ceil_log2
 from .classify import two_inhibitor_classes, typical, valid_outputs
-from .errors import InvalidSize, UnknownLemma, VariantMismatch, WtaLabError
+from .errors import UnknownLemma, check_int
 from .experiments import wilson_interval
 from .network import NetworkSpec
 from .randomness import RandomnessContract
@@ -57,15 +57,13 @@ class LemmaParams:
 
     def __post_init__(self) -> None:
         # the k >= 2 samplers need two outputs, a verdict needs a sample,
-        # 5.12 steps t_s + 1 times, and the generators take no negative seed
-        if self.n < 2:
-            raise InvalidSize(f"n must be >= 2, got {self.n}")
-        if self.samples < 1:
-            raise WtaLabError(f"samples must be >= 1, got {self.samples}")
-        if self.t_s < 0:
-            raise WtaLabError(f"t_s must be >= 0, got {self.t_s}")
-        if self.seed < 0:
-            raise WtaLabError(f"seed must be >= 0, got {self.seed}")
+        # 5.12 steps t_s + 1 times, the generators take no negative seed,
+        # and the graded levels count from 1
+        _check_n(self.n, 2)
+        check_int("samples", self.samples, 1)
+        check_int("seed", self.seed, 0)
+        check_int("t_s", self.t_s, 0)
+        check_int("level", self.level, 1)
 
 
 @dataclass(frozen=True)
@@ -625,26 +623,11 @@ def case_ids(lemma_id: str) -> list[str]:
     return sorted(sub)
 
 
-def lemma_check(
-    lemma_id: str,
-    params: LemmaParams | None = None,
-    spec: NetworkSpec | None = None,
-    **overrides,
-) -> list[LemmaCheckReport]:
-    """Run one check id (or a whole group like ``3.5``) and report.
-
-    ``spec``, when given, must be exactly the catalog's network family at the
-    requested size and scale; anything else raises ``VariantMismatch``.
-    """
-    if params is not None and overrides:
-        raise ValueError("pass either params or keyword overrides, not both")
-    p = params if params is not None else LemmaParams(**overrides)
+def lemma_check(lemma_id: str, **params) -> list[LemmaCheckReport]:
+    """Run one check id (or a whole group like ``3.5``) on the catalog's
+    network family, with the ``LemmaParams`` fields given as keywords."""
+    p = LemmaParams(**params)
     ids = case_ids(lemma_id)
     variant = _CHECKS[ids[0]].family  # a check id prefix never spans both families
     family = build(variant, p.n, p.gamma)
-    if spec is not None and spec != family:
-        raise VariantMismatch(
-            f"supplied network is not the {variant} family at "
-            f"n={p.n}, gamma={p.gamma}"
-        )
     return [_run_check(cid, p, family) for cid in ids]

@@ -16,6 +16,7 @@ Carlo harness is checked against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,7 +26,7 @@ from .classify import ConvergenceScan, steady_state, valid_outputs
 from .errors import NotValidConfiguration, StateSpaceTooLarge, check_int
 from .network import NetworkSpec
 from .randomness import RandomnessContract
-from .simulate import BatchRunner, ExecutionWindow, input_vector, window_frames
+from .simulate import BatchRunner, input_vector, window_frames
 
 DEFAULT_STATE_CAP = 1 << 22
 
@@ -98,17 +99,12 @@ class WindowStateSpace:
         """(2^m,) whether the frame code's output projection is valid."""
         return valid_outputs(self.x, self.frame_bits[:, self.out_positions])
 
-    def frame_code(self, config) -> int:
-        c = np.asarray(config, dtype=np.int64)
-        return int(c[self.non_input] @ (1 << np.arange(self.m, dtype=np.int64)))
-
     def window_index(self, window) -> int:
         frames = window_frames(self.spec, window)
-        s = 0
-        for a in range(self.h):
-            # code_a is the frame `a` lags back; latest frame sits in low bits
-            s += self.frame_code(frames[self.h - 1 - a]) << (self.m * a)
-        return s
+        # latest frame first, so code_a (the frame `a` lags back) lands in
+        # bits m*a and up
+        bits = frames[::-1, self.non_input].ravel().astype(np.int64)
+        return int(bits @ (1 << np.arange(self.m * self.h, dtype=np.int64)))
 
     def state_frame_codes(self) -> np.ndarray:
         """(S, h) frame codes per state, column ``a`` = ``a`` lags back."""
@@ -227,14 +223,15 @@ def convergence_cdf(
         return cdf
     mass[c0, s0] = 1.0
 
+    flow = np.empty(space.kernel.shape)  # one buffer for every layer's flow
     for frame in range(space.h, t_max + 1):
         new_mass = np.zeros_like(mass)
         for c in range(layers):
             layer = mass[c]
             if not layer.any():
                 continue
-            flow = (layer[:, None] * space.kernel).ravel()
-            reset, restart, extend = np.bincount(into, flow, 3 * S).reshape(3, S)
+            np.multiply(layer[:, None], space.kernel, out=flow)
+            reset, restart, extend = np.bincount(into, flow.ravel(), 3 * S).reshape(3, S)
             new_mass[0] += reset
             new_mass[1] += restart
             if c == t_s:
@@ -267,8 +264,10 @@ def hold_probability(spec: NetworkSpec, input_bits, window, t_s: int) -> float:
     the spec's outputs and auxiliaries, which covers every family) with the
     input bits ``input_bits``. The chain is time homogeneous under a fixed
     input, so the answer is the self-transition probability along the
-    fixed-point path: one factor per step. ``t_s = 0`` asks for no step and
-    gives 1.
+    fixed-point path: one product-form factor out of the given window, then
+    one per further step out of the steady window (the latest frame
+    repeated), each over ``BatchRunner.probabilities`` and multiplied in the
+    kernel's order. No state space is built. ``t_s = 0`` gives 1.
     """
     x = input_vector(spec, input_bits)
     check_int("t_s", t_s, 0)
@@ -281,9 +280,8 @@ def hold_probability(spec: NetworkSpec, input_bits, window, t_s: int) -> float:
         raise NotValidConfiguration("window's latest frame is not a steady state under X")
     if t_s == 0:
         return 1.0
-    space = WindowStateSpace(spec, x)
-    d = space.frame_code(latest)
-    q_first = float(space.kernel[space.window_index(frames)][d])
-    steady = ExecutionWindow(np.repeat(latest[None, :], spec.history, axis=0))
-    q_steady = float(space.kernel[space.window_index(steady)][d])
+    steady = np.repeat(latest[None, :], spec.history, axis=0)
+    p = BatchRunner(spec, RandomnessContract(0)).probabilities(np.stack([frames, steady]))
+    fires = latest[spec.non_input_indices] == 1
+    q_first, q_steady = (math.prod(np.where(fires, row, 1.0 - row).tolist()) for row in p)
     return q_first * q_steady ** (t_s - 1)

@@ -3,18 +3,22 @@
 The single Markov state of a network with history ``h`` is the window of its
 last ``h`` configurations. ``step`` advances one window by one configuration;
 ``run`` unrolls a whole execution from an initial window, drawing uniforms
-from a ``RandomnessContract`` keyed by ``(trial, time, neuron)``.
+from a ``RandomnessContract`` keyed by ``(trial, time, neuron)``. A window
+is an ``(h, N)`` uint8 bit array, most recent frame last, and
+``window_frames`` is the one check of its shape. A start, for
+``initial_window`` and ``initial_windows_batch``, is a policy name or one
+such window.
 
 The inputs hold one fixed 0/1 vector X for a whole execution: every frame of
 a start window and every step carries it. ``input_vector`` is the one check
-of X (one bit per input neuron), and every call that takes X goes through
-it. ``BatchRunner.step_bits`` alone also takes one input row per trial.
+of X (one bit per input neuron, each 0 or 1 by ``errors.check_bits``), and
+every call that takes X goes through it. ``BatchRunner.step_bits`` alone
+also takes one input row per trial.
 
 ``BatchRunner`` advances many trials at once on uint8 frames, with a sparse
 potential kernel built from the spec's synapse view. It is the one code path
 from a window to potentials: ``potential``, ``step`` and ``run`` are
 batch-of-one views of it, and the exact oracle's kernel reads it too.
-``window_frames`` is the one check of a window's shape.
 
 A step works through the batch in row tiles of about ``_TILE_ELEMS``
 neuron slots. For each tile the runner computes the potentials, divides by
@@ -46,7 +50,7 @@ from .errors import (
     InvalidNetwork,
     LengthMismatch,
     MissingDraw,
-    WtaLabError,
+    check_bits,
 )
 from .network import NetworkSpec, sigmoid
 from .randomness import RandomnessContract
@@ -54,9 +58,8 @@ from .randomness import RandomnessContract
 ALL_ZERO = "all_zero"
 ALL_FIRE = "all_fire"
 UNIFORM_RANDOM = "uniform_random"
-EXPLICIT = "explicit"
 
-INITIAL_POLICIES = (ALL_ZERO, ALL_FIRE, UNIFORM_RANDOM, EXPLICIT)
+INITIAL_POLICIES = (ALL_ZERO, ALL_FIRE, UNIFORM_RANDOM)
 
 
 def input_vector(spec: NetworkSpec, x) -> np.ndarray:
@@ -68,41 +71,14 @@ def input_vector(spec: NetworkSpec, x) -> np.ndarray:
         raise LengthMismatch(
             f"input vector shape {a.shape} != ({spec.input_indices.size},) inputs"
         )
-    if a.dtype.kind not in "biuf" or not ((a == 0) | (a == 1)).all():
-        raise WtaLabError(f"input vector must hold 0/1 bits, got {a.tolist()}")
-    return a.astype(np.uint8, copy=False)
-
-
-@dataclass(frozen=True)
-class ExecutionWindow:
-    """The last ``h`` configurations, most recent last: the full Markov state."""
-
-    frames: np.ndarray  # (h, N) uint8
-
-    def __post_init__(self) -> None:
-        f = np.asarray(self.frames, dtype=np.uint8)
-        if f.ndim == 1:
-            f = f[None, :]
-        if f.ndim != 2:
-            raise InvalidNetwork("window frames must be a (h, N) bit array")
-        f = np.ascontiguousarray(f)
-        f.setflags(write=False)
-        object.__setattr__(self, "frames", f)
-
-    @property
-    def h(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def latest(self) -> np.ndarray:
-        return self.frames[-1]
+    return check_bits("input vector", a)
 
 
 def window_frames(spec: NetworkSpec, window) -> np.ndarray:
-    """The ``(h, N)`` uint8 frames of ``window``, an ``ExecutionWindow`` or a
-    bit array with the most recent frame last (a single frame may be a vector).
-    Raises ``InvalidNetwork`` unless that is this network's shape."""
-    frames = np.asarray(getattr(window, "frames", window), dtype=np.uint8)
+    """The ``(h, N)`` uint8 frames of ``window``, a bit array with the most
+    recent frame last (a single frame may be a vector). Raises
+    ``InvalidNetwork`` unless that is this network's shape."""
+    frames = np.asarray(window, dtype=np.uint8)
     if frames.ndim == 1:
         frames = frames[None, :]
     if frames.shape != (spec.history, spec.n_neurons):
@@ -114,20 +90,11 @@ def window_frames(spec: NetworkSpec, window) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Execution:
-    """A recorded execution: frames 0..T-1, the trial that produced it, and
-    where its network keeps the outputs (filled in by ``run``)."""
+    """A recorded execution, made by ``run``: frames 0..T-1 and where its
+    network keeps the outputs."""
 
-    frames: np.ndarray  # (T, N) uint8
-    trial: int = 0
-    output_indices: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        f = np.ascontiguousarray(np.asarray(self.frames, dtype=np.uint8))
-        f.setflags(write=False)
-        object.__setattr__(self, "frames", f)
-
-    def __len__(self) -> int:
-        return self.frames.shape[0]
+    frames: np.ndarray  # (T, N) uint8, read-only
+    output_indices: np.ndarray
 
 
 def _selector(indices: np.ndarray) -> np.ndarray | slice:
@@ -333,7 +300,7 @@ def potential(spec: NetworkSpec, window, u: int) -> float:
     """Membrane potential of neuron ``u`` given the last ``h`` firing vectors,
     ``sum_l sum_v w(v, u, l) * frame[t-l](v) - b(u)``: its entry of
     ``BatchRunner.potentials`` over a batch of one. ``window`` is an
-    ``ExecutionWindow`` or an ``(h, N)`` bit array, most recent frame last.
+    ``(h, N)`` bit array, most recent frame last.
     """
     if spec.is_input(u):
         raise InputNeuronPotential(f"neuron {u} is an input")
@@ -342,7 +309,7 @@ def potential(spec: NetworkSpec, window, u: int) -> float:
     return float(runner.potentials(frames[None])[0, np.searchsorted(runner.non_input, u)])
 
 
-def step(spec: NetworkSpec, window: ExecutionWindow, next_input, draws) -> np.ndarray:
+def step(spec: NetworkSpec, window, next_input, draws) -> np.ndarray:
     """Advance one configuration: ``u`` fires iff ``draw(u) < p(u)``.
 
     ``draws`` maps each non-input neuron index to a uniform in ``[0, 1)``
@@ -362,29 +329,24 @@ def step(spec: NetworkSpec, window: ExecutionWindow, next_input, draws) -> np.nd
 
 
 def initial_windows_batch(
-    spec: NetworkSpec,
-    policy: str,
-    x,
-    trial_ids,
-    rng: RandomnessContract,
-    explicit: ExecutionWindow | None = None,
+    spec: NetworkSpec, start, x, trial_ids, rng: RandomnessContract
 ) -> np.ndarray:
     """(B, h, N) uint8 starting windows for a batch of trials, frames at
     times ``0..h-1``.
 
-    Every frame holds the input vector ``x``; the policy decides the
-    non-input bits. ``uniform_random`` materializes them from the randomness
+    Every frame holds the input vector ``x``. ``start`` decides the
+    non-input bits: a policy name, or one ``(h, N)`` window that every trial
+    copies. ``uniform_random`` materializes them from the randomness
     contract at those same times, so each trial's start is independent and
-    reproducible; ``explicit`` copies them from ``explicit``.
+    reproducible.
     """
-    if policy not in INITIAL_POLICIES:
+    policy = start if isinstance(start, str) else None
+    if policy is not None and policy not in INITIAL_POLICIES:
         raise InvalidNetwork(f"unknown initial policy {policy!r}")
     x = input_vector(spec, x)
     frames = np.zeros((len(trial_ids), spec.history, spec.n_neurons), dtype=np.uint8)
-    if policy == EXPLICIT:
-        if explicit is None:
-            raise InvalidNetwork("explicit policy needs an explicit window")
-        frames[:] = window_frames(spec, explicit)
+    if policy is None:
+        frames[:] = window_frames(spec, start)
     non_input = spec.non_input_indices
     frames[:, :, spec.input_indices] = x
     if policy == ALL_FIRE:
@@ -396,25 +358,19 @@ def initial_windows_batch(
 
 
 def initial_window(
-    spec: NetworkSpec,
-    policy: str,
-    x,
-    rng: RandomnessContract | None = None,
-    trial: int = 0,
-    explicit: ExecutionWindow | None = None,
-) -> ExecutionWindow:
-    """The h-frame starting window of one trial: ``initial_windows_batch``
+    spec: NetworkSpec, start, x, rng: RandomnessContract | None = None, trial: int = 0
+) -> np.ndarray:
+    """The (h, N) starting window of one trial: ``initial_windows_batch``
     over a batch of one."""
-    if policy == UNIFORM_RANDOM and rng is None:
+    if rng is None and isinstance(start, str) and start == UNIFORM_RANDOM:
         raise InvalidNetwork("uniform_random policy needs a randomness contract")
     rng = rng if rng is not None else RandomnessContract(0)
-    frames = initial_windows_batch(spec, policy, x, np.asarray([trial]), rng, explicit)
-    return ExecutionWindow(frames[0])
+    return initial_windows_batch(spec, start, x, np.asarray([trial]), rng)[0]
 
 
 def run(
     spec: NetworkSpec,
-    initial: ExecutionWindow,
+    initial,
     x,
     horizon: int,
     randomness: RandomnessContract,
@@ -442,4 +398,5 @@ def run(
     for t in range(h, horizon):
         window = runner.advance(window, t, trials, x)
         frames_out[t] = window[0, -1]
-    return Execution(frames_out, trial, spec.output_indices)
+    frames_out.setflags(write=False)
+    return Execution(frames_out, spec.output_indices)

@@ -217,6 +217,16 @@ class TestWtaInstance:
         with pytest.raises(WtaLabError):
             tc_bound(v, 3, delta)
 
+    @pytest.mark.parametrize("field, value, error", [
+        ("n", 8.5, InvalidSize), ("n", 0, InvalidSize), ("n", "8", InvalidSize),
+        ("t_s", 2.5, WtaLabError), ("t_s", 0, WtaLabError),
+        ("t_c", 20.5, WtaLabError), ("t_c", 0, WtaLabError),
+    ])
+    def test_integer_fields_rejected_when_built(self, field, value, error):
+        kwargs = dict(n=8, gamma=6.0, t_s=3, delta=None, t_c=20)
+        with pytest.raises(error, match=field):
+            WtaInstance(**{**kwargs, field: value})
+
     @pytest.mark.parametrize("tag", ["two_inhibitor", "log_inhibitor"])
     @pytest.mark.parametrize("mode, delta", [("high_probability", 0.1), ("expected_time", None)])
     def test_sizes_below_one_rejected(self, tag, mode, delta):

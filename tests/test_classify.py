@@ -426,3 +426,40 @@ class TestPackedScan:
         with pytest.raises(WtaLabError):
             ConvergenceScan(np.ones(2), -1)
         assert convergence_time(frames, [1, 1], 0).converged_at == 0
+
+
+# every public classify call that takes the input vector X (n = 2 here), with
+# configurations of the right shape, so only X can be at fault
+_ZEROS = np.zeros(6, dtype=np.uint8)
+_PAIR = np.zeros((2, 6), dtype=np.uint8)
+_X_CALLS = {
+    "valid_outputs": lambda x: valid_outputs(x, [0, 0]),
+    "is_valid_wta_output": lambda x: is_valid_wta_output(x, [0, 0]),
+    "steady_state": lambda x: steady_state(x, [0, 0], [0, 0]),
+    "is_valid_configuration": lambda x: is_valid_configuration("single_inhibitor", x, _ZEROS[:5]),
+    "two_inhibitor_classes": lambda x: two_inhibitor_classes(x, _ZEROS),
+    "classify_two_inhibitor": lambda x: classify_two_inhibitor(x, _ZEROS),
+    "typical": lambda x: typical(x, _ZEROS),
+    "is_typical": lambda x: is_typical(x, _ZEROS),
+    "near_stable": lambda x: near_stable(x, _PAIR),
+    "near_stable_pair": lambda x: near_stable_pair(x, _ZEROS, _ZEROS),
+    "classify_log_inhibitor": lambda x: classify_log_inhibitor(x, _PAIR),
+    "window_labels": lambda x: window_labels("two_inhibitor", x, _ZEROS[None, None]),
+    "ConvergenceScan": lambda x: ConvergenceScan(x, 2),
+    "convergence_time": lambda x: convergence_time(np.tile(_ZEROS, (4, 1)), x, 2),
+}
+
+
+class TestInputVector:
+    """Every public classify call takes X only as 0/1 bits."""
+
+    @pytest.mark.parametrize("x", [[2, 1], [1, -1]])
+    @pytest.mark.parametrize("name", list(_X_CALLS))
+    def test_non_bits_rejected(self, name, x):
+        with pytest.raises(WtaLabError, match="input vector must hold 0/1 bits"):
+            _X_CALLS[name](x)
+
+    @pytest.mark.parametrize("name", list(_X_CALLS))
+    def test_bits_accepted(self, name):
+        for x in ([0, 0], np.zeros(2, dtype=bool), np.zeros(2)):
+            _X_CALLS[name](x)

@@ -239,6 +239,16 @@ class TestInvalidInputsExitThree:
         self._exit_three(self.RUN + ["--init", "file", "--init-file", str(wfile),
                                      "--out", str(tmp_path / "r")], capsys)
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "stabilize-probe"])
+    @pytest.mark.parametrize("init", [[], ["--init", "zero"]])
+    def test_init_file_without_init_file_policy(self, tmp_path, capsys, command, init):
+        # the window would be ignored, yet the manifest would record it
+        wfile = tmp_path / "win.json"
+        wfile.write_text("[[1, 1, 1, 0, 1, 0]]")
+        self._exit_three([command, *self.RUN[1:], *init, "--init-file", str(wfile),
+                          "--out", str(tmp_path / "r")], capsys)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["win.json"]
+
     @pytest.mark.parametrize("flags", [["--ts", "0"], ["--tmax", "-3"]])
     def test_oracle_times(self, tmp_path, capsys, flags):
         argv = ["oracle", "--n", "2", "--gamma", "10", "--ts", "3", "--tmax", "5",

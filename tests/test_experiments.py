@@ -85,6 +85,25 @@ class TestRunTrials:
         with pytest.raises(WtaLabError, match=field):
             TrialPlan(instance=small_instance(), **{"trials": 10, "horizon": 40, field: value})
 
+    @pytest.mark.parametrize("start", ["explicit", "bogus"])
+    def test_unknown_policy_rejected_when_built(self, start):
+        with pytest.raises(WtaLabError, match="initial policy"):
+            TrialPlan(instance=small_instance(), initial_policy=start, horizon=40)
+
+    def test_window_start_of_wrong_shape_rejected_when_built(self):
+        with pytest.raises(WtaLabError, match="window shape"):
+            TrialPlan(instance=small_instance(), initial_policy=np.ones((2, 6)), horizon=40)
+
+    def test_window_start_is_a_read_only_copy(self):
+        window = np.array([[1, 1, 1, 0, 1, 0]], dtype=np.uint8)  # winner y_0 plus a_s
+        plan = TrialPlan(instance=small_instance(), initial_policy=window,
+                         trials=50, seed=4, horizon=40)
+        window[0, 2:] = 0  # the caller's array no longer fixes the plan's start
+        assert plan.initial_policy.tolist() == [[1, 1, 1, 0, 1, 0]]
+        with pytest.raises(ValueError):
+            plan.initial_policy[0, 3] = 1
+        assert run_trials(plan).mean_tconv == 0.0  # converged at frame 0
+
     def test_horizon_guard(self):
         inst = small_instance()
         with pytest.raises(HorizonTooShort):

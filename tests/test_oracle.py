@@ -15,6 +15,7 @@ from wtalab import (
     WtaLabError,
     build,
     build_log_inhibitor,
+    build_single_inhibitor,
     build_two_inhibitor,
     convergence_cdf,
     exact_step_distribution,
@@ -286,6 +287,46 @@ class TestHoldProbability:
         window[0, :3] = 1  # both inputs and the first output
         with pytest.raises(TopologyMismatch):
             hold_probability(spec, [1, 1], window, 2)
+
+    @pytest.mark.parametrize("build, n", [
+        (build_two_inhibitor, 2), (build_two_inhibitor, 3),
+        (build_single_inhibitor, 2), (build_single_inhibitor, 3),
+        (build_log_inhibitor, 2), (build_log_inhibitor, 3),
+    ])
+    def test_factors_are_the_kernel_entries(self, build, n):
+        # the product form over two windows, against the full kernel's rows:
+        # bit for bit, over every window whose latest frame is steady
+        spec = build(n, 7.0)
+        x = np.ones(n, dtype=np.uint8)
+        space = WindowStateSpace(spec, x)
+        latest = np.zeros(spec.n_neurons, dtype=np.uint8)
+        latest[spec.input_indices] = 1
+        latest[spec.auxiliary_indices[0]] = 1
+        for winner in range(n):
+            last = latest.copy()
+            last[spec.output_indices[winner]] = 1
+            d = int(last[spec.non_input_indices] @ (1 << np.arange(space.m)))
+            steady = np.repeat(last[None, :], spec.history, axis=0)
+            q_steady = space.kernel[space.window_index(steady), d]
+            for older in space.full_frames[:: max(1, space.full_frames.shape[0] // 16)]:
+                window = np.vstack([older[None, :], last[None, :]])[-spec.history :]
+                q_first = space.kernel[space.window_index(window), d]
+                for t_s in (1, 2, 7):
+                    assert hold_probability(spec, x, window, t_s) == q_first * q_steady ** (t_s - 1)
+
+    def test_paper_scale_two_inhibitor(self):
+        # criterion 6's two-inhibitor cell, far beyond the window state space
+        n, t_s, delta = 64, 100, 0.1
+        g = 4.0 * math.log((n + 2) * t_s / delta) + 10.0
+        spec = build_two_inhibitor(n, g)
+        window = np.zeros((1, spec.n_neurons), dtype=np.uint8)
+        window[0, :n] = 1
+        window[0, n] = 1  # winner y_0
+        window[0, 2 * n] = 1  # stability inhibitor
+        hp = hold_probability(spec, np.ones(n), window, t_s)
+        assert 1.0 - t_s * (n + 2) * math.exp(-g / 2) <= hp <= 1.0
+        with pytest.raises(StateSpaceTooLarge):
+            WindowStateSpace(spec, np.ones(n))
 
     def test_time_homogeneous_kernel(self):
         spec = build_two_inhibitor(2, 9.0)

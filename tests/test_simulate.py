@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from wtalab import (
-    ExecutionWindow,
     HorizonTooShort,
     InputTargeted,
     InvalidNetwork,
@@ -43,7 +42,7 @@ def zero_window(spec, x=None):
     frames = np.zeros((spec.history, spec.n_neurons), dtype=np.uint8)
     if x is not None:
         frames[:, spec.input_indices] = x
-    return ExecutionWindow(frames)
+    return frames
 
 
 class TestStep:
@@ -61,7 +60,7 @@ class TestStep:
         # reset configuration with a driven input puts the output at potential 0
         spec = build_two_inhibitor(1, 12.0)
         win = zero_window(spec, [1])
-        assert potential(spec, win.frames, 1) == 0.0
+        assert potential(spec, win, 1) == 0.0
         fired = step(spec, win, [1], {1: 0.49, 2: 0.9, 3: 0.9})
         assert fired[1] == 1
         silent = step(spec, win, [1], {1: 0.51, 2: 0.9, 3: 0.9})
@@ -73,8 +72,8 @@ class TestStep:
         spec = build_two_inhibitor(2, 12.0)
         cfg = np.zeros(6, dtype=np.uint8)
         cfg[[0, 1, 2, 4]] = 1  # x_0, x_1, y_0, a_s
-        win = ExecutionWindow(cfg)
-        pots = {u: potential(spec, win.frames, u) for u in (2, 3, 4, 5)}
+        win = cfg
+        pots = {u: potential(spec, win, u) for u in (2, 3, 4, 5)}
         assert pots == {2: 12.0, 3: -12.0, 4: 6.0, 5: -6.0}
         probs = {u: spike_probability(spec, p) for u, p in pots.items()}
         # a_c's firing probability is ~0.00247, so a draw of 0.001 fires it
@@ -96,7 +95,7 @@ class TestRun:
         spec = build_two_inhibitor(2, 8.0)
         init = zero_window(spec, [1, 0])
         ex = run(spec, init, [1, 0], 1, RandomnessContract(0))
-        assert np.array_equal(ex.frames, init.frames)
+        assert np.array_equal(ex.frames, init)
 
     def test_horizon_below_history(self):
         spec = build_two_inhibitor(2, 8.0)
@@ -135,10 +134,10 @@ class TestMarkovProperty:
             frames = (nprng.random((5, spec.n_neurons)) < 0.5).astype(np.uint8)
             frames[:, :2] = x
             draws = {int(u): float(nprng.random()) for u in spec.non_input_indices}
-            full = step(spec, ExecutionWindow(frames[-2:]), x, draws)
+            full = step(spec, frames[-2:], x, draws)
             mutated = frames.copy()
             mutated[0] = 1 - mutated[0]  # touch a frame older than the window
-            again = step(spec, ExecutionWindow(mutated[-2:]), x, draws)
+            again = step(spec, mutated[-2:], x, draws)
             assert np.array_equal(full, again)
 
 
@@ -157,9 +156,9 @@ class TestSymmetry:
             draw_map.update({2 * n: draws[2 * n], 2 * n + 1: draws[2 * n + 1]})
             perm_draws = {n + i: draws[n + int(perm[i])] for i in range(n)}
             perm_draws.update({2 * n: draws[2 * n], 2 * n + 1: draws[2 * n + 1]})
-            out = step(spec, ExecutionWindow(bits), bits[:n], draw_map)
+            out = step(spec, bits, bits[:n], draw_map)
             out_p = step(
-                spec, ExecutionWindow(permuted), permuted[:n], perm_draws
+                spec, permuted, permuted[:n], perm_draws
             )
             assert np.array_equal(out_p[n : 2 * n], out[n : 2 * n][perm])
             assert np.array_equal(out_p[2 * n :], out[2 * n :])
@@ -171,12 +170,12 @@ class TestInitialPolicies:
         x = [1, 0]
         rng = RandomnessContract(3)
         zero = initial_window(spec, "all_zero", x, rng)
-        assert zero.frames[0].tolist() == [1, 0, 0, 0, 0, 0]
+        assert zero[0].tolist() == [1, 0, 0, 0, 0, 0]
         fire = initial_window(spec, "all_fire", x, rng)
-        assert fire.frames[0].tolist() == [1, 0, 1, 1, 1, 1]
+        assert fire[0].tolist() == [1, 0, 1, 1, 1, 1]
         rand1 = initial_window(spec, "uniform_random", x, rng, trial=5)
         rand2 = initial_window(spec, "uniform_random", x, rng, trial=5)
-        assert np.array_equal(rand1.frames, rand2.frames)
+        assert np.array_equal(rand1, rand2)
 
     def test_batch_matches_single(self):
         x = np.array([1, 1, 0], dtype=np.uint8)
@@ -185,25 +184,20 @@ class TestInitialPolicies:
             spec = build(3, 6.0)
             explicit = np.random.default_rng(4).integers(0, 2, (spec.history, spec.n_neurons))
             explicit[:, spec.input_indices] = x
-            explicit = ExecutionWindow(explicit)
-            for policy in ("all_zero", "all_fire", "uniform_random", "explicit"):
-                batch = initial_windows_batch(
-                    spec, policy, x, np.arange(6), rng, explicit=explicit
-                )
+            for policy in ("all_zero", "all_fire", "uniform_random", explicit):
+                batch = initial_windows_batch(spec, policy, x, np.arange(6), rng)
                 assert batch.shape == (6, spec.history, spec.n_neurons)
                 for trial in range(6):
-                    single = initial_window(
-                        spec, policy, x, rng, trial=trial, explicit=explicit
-                    )
-                    assert single.frames.dtype == np.uint8
-                    assert np.array_equal(batch[trial], single.frames)
+                    single = initial_window(spec, policy, x, rng, trial=trial)
+                    assert single.dtype == np.uint8
+                    assert np.array_equal(batch[trial], single)
 
     def test_explicit_window_must_fit_the_network(self):
         spec = build_two_inhibitor(2, 6.0)
         with pytest.raises(InvalidNetwork):
             initial_windows_batch(
-                spec, "explicit", [1, 1], np.arange(2), RandomnessContract(0),
-                explicit=ExecutionWindow(np.ones((1, 5), dtype=np.uint8)),
+                spec, np.ones((1, 5), dtype=np.uint8), [1, 1], np.arange(2),
+                RandomnessContract(0),
             )
 
 
@@ -229,7 +223,7 @@ class TestBatchScanner:
         from wtalab import convergence_time
 
         for trial in ids:
-            init = ExecutionWindow(windows0[trial])
+            init = windows0[trial]
             ex = run(spec, init, x, 60, rng, trial=int(trial))
             ref = convergence_time(ex, x, 4)
             expected = -1 if ref.converged_at is None else ref.converged_at
@@ -248,7 +242,7 @@ class TestBatchScanner:
         got = batch_convergence_times(spec, x, windows0, ids, t_s, horizon, rng)
         assert np.any(got >= 0)
         for trial in ids.tolist():
-            ex = run(spec, ExecutionWindow(windows0[trial]), x, horizon, rng, trial=trial)
+            ex = run(spec, windows0[trial], x, horizon, rng, trial=trial)
             ref = brute_convergence_time(ex.frames[:, spec.output_indices], x, t_s)
             assert got[trial] == (-1 if ref is None else ref)
             assert convergence_time(ex, x, t_s).converged_at == ref
@@ -485,16 +479,15 @@ class TestWindowShape:
         window = np.zeros((spec.history, spec.n_neurons), dtype=np.uint8)
         window[:, [0, 1, 2, 4]] = 1  # x, y_0 and a_s: valid for both families
         _WINDOW_CALLS[name](spec, x, window)
-        _WINDOW_CALLS[name](spec, x, ExecutionWindow(window))
 
     def test_explicit_start_window_is_checked(self):
         spec = build_two_inhibitor(2, 8.0)
         x = np.ones(2, dtype=np.uint8)
         with pytest.raises(InvalidNetwork, match="window shape"):
-            initial_window(spec, "explicit", x, explicit=np.zeros((3, 3), dtype=np.uint8))
+            initial_window(spec, np.zeros((3, 3), dtype=np.uint8), x)
         window = np.array([[1, 1, 1, 0, 1, 0]], dtype=np.uint8)
-        got = initial_window(spec, "explicit", x, explicit=window)
-        assert np.array_equal(got.frames, window)
+        got = initial_window(spec, window, x)
+        assert np.array_equal(got, window)
 
 
 # every public call that takes the fixed input vector, as call(spec, x, window)
@@ -542,10 +535,8 @@ class TestInputVector:
             spec = build(3, 6.0)
             explicit = np.zeros((spec.history, spec.n_neurons), dtype=np.uint8)
             explicit[:, spec.input_indices] = 1 - x
-            for policy in ("all_zero", "all_fire", "uniform_random", "explicit"):
-                frames = initial_windows_batch(
-                    spec, policy, x, np.arange(4), rng, explicit=explicit
-                )
+            for policy in ("all_zero", "all_fire", "uniform_random", explicit):
+                frames = initial_windows_batch(spec, policy, x, np.arange(4), rng)
                 assert (frames[:, :, spec.input_indices] == x).all()
-                single = initial_window(spec, policy, x, rng, trial=3, explicit=explicit)
-                assert np.array_equal(single.frames, frames[3])
+                single = initial_window(spec, policy, x, rng, trial=3)
+                assert np.array_equal(single, frames[3])
