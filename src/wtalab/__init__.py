@@ -49,6 +49,7 @@ from .network import (
     validate_network,
 )
 from .oracle import (
+    LumpedChain,
     StepDistribution,
     WindowStateSpace,
     convergence_cdf,

@@ -29,7 +29,7 @@ difference of their frequencies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Callable
 
@@ -37,7 +37,7 @@ import numpy as np
 
 from .builders import LOG_INHIBITOR, TWO_INHIBITOR, _check_n, build, ceil_log2
 from .classify import two_inhibitor_classes, typical, valid_outputs
-from .errors import UnknownLemma, check_int
+from .errors import UnknownLemma, WtaLabError, check_int
 from .experiments import wilson_interval
 from .network import NetworkSpec
 from .randomness import RandomnessContract
@@ -625,7 +625,11 @@ def case_ids(lemma_id: str) -> list[str]:
 
 def lemma_check(lemma_id: str, **params) -> list[LemmaCheckReport]:
     """Run one check id (or a whole group like ``3.5``) on the catalog's
-    network family, with the ``LemmaParams`` fields given as keywords."""
+    network family, with the ``LemmaParams`` fields given as keywords; any
+    other keyword raises ``WtaLabError``."""
+    unknown = sorted(set(params) - {f.name for f in fields(LemmaParams)})
+    if unknown:
+        raise WtaLabError(f"lemma_check takes no parameter {', '.join(unknown)}")
     p = LemmaParams(**params)
     ids = case_ids(lemma_id)
     variant = _CHECKS[ids[0]].family  # a check id prefix never spans both families

@@ -5,13 +5,25 @@ finite Markov chain whose one-step kernel has closed product form: given the
 window, each non-input neuron fires independently, so the probability of a
 next configuration ``c`` is ``prod_u [c_u p_u + (1 - c_u)(1 - p_u)]``.
 
-This module enumerates that chain, takes its firing probabilities from the
-one batch kernel (``simulate.BatchRunner``) over every window state at once,
-exposes the exact one-step distribution, and propagates a dense probability
-vector over (window, stability-counter) states to compute the exact
-distribution of the convergence event: a valid output configuration held
-fixed for ``t_s`` further steps. It is the brute-force reference the Monte
-Carlo harness is checked against.
+``convergence_cdf`` propagates a probability vector over (state,
+stability-counter) pairs to compute the exact distribution of the
+convergence event: a valid output configuration held fixed for ``t_s``
+further steps. It is the reference the Monte Carlo harness is checked
+against, and it walks one of two chains:
+
+* ``LumpedChain``, for every history-1 spec whose outputs are exchangeable
+  within their input class (checked on the synapse arrays, never on a family
+  tag): the chain lumped onto (firing driven outputs, firing undriven
+  outputs, auxiliary bits). The two- and single-inhibitor families lump at
+  any n under the chain's own entry bound, so n=1024 answers in seconds.
+* ``WindowStateSpace`` for every other spec (the history-2 log-inhibitor
+  family, or a spec that fails the check): all ``2^(m*h)`` windows over the
+  ``m`` non-input neurons, with a dense ``2^(m*h) x 2^m`` one-step kernel.
+  It is also the independent reference the lumped chain is tested against.
+
+Both take their firing probabilities from the one batch kernel
+(``simulate.BatchRunner.probabilities``), over every window state or one
+representative window per lumped state.
 """
 
 from __future__ import annotations
@@ -23,12 +35,13 @@ from functools import cached_property
 import numpy as np
 
 from .classify import ConvergenceScan, steady_state, valid_outputs
-from .errors import NotValidConfiguration, StateSpaceTooLarge, check_int
+from .errors import NotValidConfiguration, StateSpaceTooLarge, TopologyMismatch, check_int
 from .network import NetworkSpec
 from .randomness import RandomnessContract
 from .simulate import BatchRunner, input_vector, window_frames
 
 DEFAULT_STATE_CAP = 1 << 22
+LUMPED_CAP = 1 << 25
 
 
 def _outcome_probs(p: np.ndarray) -> np.ndarray:
@@ -144,6 +157,53 @@ class WindowStateSpace:
         keep = s & ((1 << (self.m * (self.h - 1))) - 1)
         return keep << self.m
 
+    def cdf(self, window, t_s: int, t_max: int) -> np.ndarray:
+        """``convergence_cdf`` on the window chain: a dense probability
+        vector per stability counter, pushed through the full kernel."""
+        S = self.n_states
+        latest = np.arange(S, dtype=np.int64) & ((1 << self.m) - 1)
+        same = self.out_key[latest][:, None] == self.out_key[None, :]
+        # Where each (window, next frame) pair lands, as row * S + next window:
+        # row 0 resets the counter (the new output is invalid), row 1 restarts
+        # it and row 2 extends it (valid and equal to the latest output). One
+        # index serves every counter: at counter 0 the latest output is invalid,
+        # so no pair extends (and counter 1 is where a restart lands anyway).
+        into = self.next_state_indices()[:, None] + np.arange(1 << self.m, dtype=np.int64)
+        into += S * self.valid_out
+        np.add(into, S, out=into, where=same & self.valid_out)
+        into = into.ravel()
+
+        layers = t_s + 1  # counters 0..t_s; reaching t_s + 1 absorbs
+        mass = np.zeros((layers, S))
+        c0, absorbed_at = _initial_counter(self.spec, self.x, window, t_s)
+        s0 = self.window_index(window)
+        absorbed = 0.0
+        cdf = np.zeros(t_max + 1)
+        if absorbed_at >= 0:
+            if absorbed_at <= t_max:
+                cdf[absorbed_at:] = 1.0
+            return cdf
+        mass[c0, s0] = 1.0
+
+        flow = np.empty(self.kernel.shape)  # one buffer for every layer's flow
+        for frame in range(self.h, t_max + 1):
+            new_mass = np.zeros_like(mass)
+            for c in range(layers):
+                layer = mass[c]
+                if not layer.any():
+                    continue
+                np.multiply(layer[:, None], self.kernel, out=flow)
+                reset, restart, extend = np.bincount(into, flow.ravel(), 3 * S).reshape(3, S)
+                new_mass[0] += reset
+                new_mass[1] += restart
+                if c == t_s:
+                    absorbed += float(extend.sum())
+                else:
+                    new_mass[c + 1] += extend
+            mass = new_mass
+            cdf[frame] = absorbed
+        return cdf
+
 
 @dataclass(frozen=True)
 class StepDistribution:
@@ -168,20 +228,265 @@ def exact_step_distribution(spec: NetworkSpec, window, input_bits) -> StepDistri
     return StepDistribution(configs=space.full_frames, probs=space.kernel[s])
 
 
-def _initial_counter(space: WindowStateSpace, window, t_s: int) -> tuple[int, int]:
+def _initial_counter(spec: NetworkSpec, x: np.ndarray, window, t_s: int) -> tuple[int, int]:
     """Stability counter implied by the initial window's own frames: how many
     trailing frames repeat a valid output.
 
     Returns ``(counter, absorbed_at)`` with ``absorbed_at = h - 1`` when the
     window alone already certifies the hold (only possible for t_s < h).
     """
-    outs = window_frames(space.spec, window)[:, space.spec.output_indices]
-    scan = ConvergenceScan(space.x, t_s)
+    outs = window_frames(spec, window)[:, spec.output_indices]
+    scan = ConvergenceScan(x, t_s)
     for t in range(outs.shape[0]):
         if scan.update(t, outs[t : t + 1])[0]:
-            return t_s + 1, space.h - 1
+            return t_s + 1, spec.history - 1
     run = outs.shape[0] - int(scan.start[0])
-    return (run if valid_outputs(space.x, outs[-1]) else 0), -1
+    return (run if valid_outputs(x, outs[-1]) else 0), -1
+
+
+def binomial_pmf(n: int, p: float) -> np.ndarray:
+    """``P(k)`` of a Binomial(``n``, ``p``) count, ``k = 0..n``, with ``1 - p``
+    as the failure probability.
+
+    Built outward from a mode by the ratio recurrence
+    ``P(k) / P(k-1) = (n-k+1) p / (k (1-p))``, whose factors are at most 1
+    away from the mode, then normalized. So no term overflows or becomes
+    ``inf * 0`` at any n (``comb(n, k) p^k (1-p)^(n-k)`` does past n of
+    about 1030), and tails below the float range round to zero.
+    """
+    q = 1.0 - p
+    pmf = np.zeros(n + 1)
+    # floor((n + 1) p) is a mode; a degenerate p puts all mass at one end
+    mode = n if q == 0.0 else min(n, int((n + 1) * p))
+    pmf[mode] = 1.0
+    k = np.arange(1, n + 1, dtype=np.float64)
+    if mode < n:  # here q > 1/(n+1), so p / q is finite
+        pmf[mode + 1 :] = np.cumprod((n - k[mode:] + 1) / k[mode:] * (p / q))
+    if mode > 0:  # here p >= 1/(n+1), so q / p is finite
+        pmf[:mode] = np.cumprod((k[:mode] / (n - k[:mode] + 1) * (q / p))[::-1])[::-1]
+    return pmf / pmf.sum()
+
+
+
+def _exchangeable(spec: NetworkSpec, x: np.ndarray) -> bool:
+    """Whether the outputs of a history-1 spec are exchangeable within their
+    input class under X, read from the synapse arrays.
+
+    Output ``j`` is in class ``x[j]``. Within a class, every output must have
+    the same effective bias (bias less its drive from the inputs under X),
+    the same self-loop, the same weight from each auxiliary and the same
+    weight onto each auxiliary; and for each ordered pair of classes, the
+    synapses from one output onto another are either all absent or all
+    present with one weight.
+    """
+    outs, aux = spec.output_indices, spec.auxiliary_indices
+    n, n_aux = outs.size, aux.size
+    syn = spec.synapses
+    pos = np.full(spec.n_neurons, -1)
+    pos[outs] = np.arange(n)
+    aux_pos = np.full(spec.n_neurons, -1)
+    aux_pos[aux] = np.arange(n_aux)
+    x_of = np.zeros(spec.n_neurons)
+    x_of[spec.input_indices] = x
+    pre, post = pos[syn.pre], pos[syn.post]
+    into = post >= 0
+    # one row per output: effective bias, self-loop, weight from each
+    # auxiliary, weight onto each auxiliary
+    table = np.zeros((n, 2 + 2 * n_aux))
+    table[:, 0] = spec.biases[outs]
+    table[:, 0] -= np.bincount(post[into], syn.weight[into] * x_of[syn.pre[into]], n)
+    loop = into & (syn.pre == syn.post)
+    table[post[loop], 1] = syn.weight[loop]
+    sel = into & (aux_pos[syn.pre] >= 0)
+    table[post[sel], 2 + aux_pos[syn.pre[sel]]] = syn.weight[sel]
+    sel = (pre >= 0) & (aux_pos[syn.post] >= 0)
+    table[pre[sel], 2 + n_aux + aux_pos[syn.post[sel]]] = syn.weight[sel]
+    size = np.bincount(x, minlength=2)
+    cross = into & (pre >= 0) & ~loop
+    pair = 2 * x[pre[cross]] + x[post[cross]]
+    for key in range(4):
+        w = syn.weight[cross][pair == key]
+        a, b = divmod(key, 2)
+        if w.size and (w.size != size[a] * size[b] - (size[a] if a == b else 0) or np.ptp(w)):
+            return False
+    return all((table[x == c] == table[x == c][:1]).all() for c in (0, 1))
+
+
+class LumpedChain:
+    """The window chain of a history-1 spec, lumped onto output counts.
+
+    Under the fixed input X, output ``j`` is driven when ``x[j] = 1``: ``D``
+    outputs are driven, ``U`` undriven, and ``A`` neurons are auxiliaries.
+    When the outputs are exchangeable within those two classes
+    (``_exchangeable``), the next (firing driven count ``d``, firing undriven
+    count ``u``, auxiliary bits ``a``) depends on a window only through its own
+    ``(d, u, a)`` (Kemeny & Snell, strong lumpability). State
+    ``((d * (U+1) + u) << A) + a`` is one of ``L = (D+1)(U+1) 2^A``.
+
+    The firing probabilities come from one ``BatchRunner.probabilities`` pass
+    over one representative window per state: its first ``d`` driven and
+    first ``u`` undriven outputs fire. Per class, a firing output fires again
+    with one probability and a silent one fires with another, so the next
+    count is the convolution of two binomials; the auxiliaries fire
+    independently. The kernel is kept in that factored form, a count part per
+    class (``count_parts``, ``L x (D+1)`` and ``L x (U+1)``) and an auxiliary
+    part (``aux_part``, ``L x 2^A``), and is never formed as ``L x L``.
+
+    Entry bound: the factored kernel spans ``L^2`` transitions, each frame's
+    propagation costs about as many multiply-adds, and ``L^2`` may not exceed
+    ``LUMPED_CAP`` (2^25). A larger chain raises ``StateSpaceTooLarge`` from
+    the class sizes alone, before anything is allocated. Any spec that is not
+    history 1, has a different number of inputs and outputs, or fails the
+    exchangeability check raises ``TopologyMismatch``.
+    """
+
+    def __init__(self, spec: NetworkSpec, input_bits):
+        self.spec = spec
+        self.x = input_vector(spec, input_bits)
+        outs = spec.output_indices
+        if spec.history != 1 or self.x.size != outs.size:
+            raise TopologyMismatch("only a history-1 spec with one input per output lumps")
+        driven = int(np.count_nonzero(self.x))
+        self.sizes = (driven, outs.size - driven)
+        self.n_aux = int(spec.auxiliary_indices.size)
+        self.n_states = (driven + 1) * (outs.size - driven + 1) << self.n_aux
+        if self.n_states**2 > LUMPED_CAP:
+            raise StateSpaceTooLarge(
+                f"{self.n_states} lumped states, {self.n_states}^2 transitions "
+                f"exceed the cap {LUMPED_CAP}"
+            )
+        if not _exchangeable(spec, self.x):
+            raise TopologyMismatch("outputs are not exchangeable within their input class")
+        # output neurons of each class, driven first
+        self.members = (outs[self.x == 1], outs[self.x == 0])
+
+    def decode(self, states: np.ndarray):
+        """``(d, u, a)`` arrays of the given state indices."""
+        counts = states >> self.n_aux
+        d, u = np.divmod(counts, self.sizes[1] + 1)
+        return d, u, states & ((1 << self.n_aux) - 1)
+
+    def state_index(self, window) -> int:
+        """The lumped state of a window: its latest frame's counts and bits."""
+        frame = window_frames(self.spec, window)[-1]
+        d, u = (int(frame[m].sum()) for m in self.members)
+        a = frame[self.spec.auxiliary_indices].astype(np.int64) @ (1 << np.arange(self.n_aux))
+        return ((d * (self.sizes[1] + 1) + u) << self.n_aux) + int(a)
+
+    def representatives(self, states: np.ndarray) -> np.ndarray:
+        """(B, 1, N) uint8 representative window of each state."""
+        d, u, a = self.decode(states)
+        frames = np.zeros((states.size, self.spec.n_neurons), dtype=np.uint8)
+        frames[:, self.spec.input_indices] = self.x
+        for members, k in zip(self.members, (d, u)):
+            frames[:, members] = np.arange(members.size) < k[:, None]
+        frames[:, self.spec.auxiliary_indices] = (a[:, None] >> np.arange(self.n_aux)) & 1
+        return frames[:, None, :]
+
+    @cached_property
+    def _probabilities(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(probs, valid)`` over every state. ``probs`` is (L, 4 + A): per
+        class, the probability that a firing and that a silent output fires
+        (the class's first and last member in the representative), then that
+        each auxiliary fires; an empty class reads 0. ``valid`` is
+        ``classify.valid_outputs`` of the representative's outputs. Both are
+        made in row blocks of about 2^20 neuron slots."""
+        spec = self.spec
+        runner = BatchRunner(spec, RandomnessContract(0))
+        m = spec.non_input_indices.size
+        ends = [np.searchsorted(spec.non_input_indices, c[[0, -1]]) if c.size else [m, m]
+                for c in self.members]
+        cols = np.hstack([*ends, np.searchsorted(spec.non_input_indices, spec.auxiliary_indices)])
+        probs = np.empty((self.n_states, cols.size))
+        valid = np.empty(self.n_states, dtype=bool)
+        rows = max(1, (1 << 20) // spec.n_neurons)
+        for lo in range(0, self.n_states, rows):
+            states = np.arange(lo, min(lo + rows, self.n_states))
+            frames = self.representatives(states)
+            p = np.hstack([runner.probabilities(frames), np.zeros((states.size, 1))])
+            probs[states] = p[:, cols]
+            valid[states] = valid_outputs(self.x, frames[:, 0, spec.output_indices])
+        return probs, valid
+
+    @cached_property
+    def count_parts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per class, the (L, C+1) distribution of the class's next firing
+        count out of each state: ``Binomial(k, p_fire) * Binomial(C - k,
+        p_silent)`` for ``k`` firing of ``C``."""
+        probs, _ = self._probabilities
+        parts = []
+        for c, (size, k) in enumerate(zip(self.sizes, self.decode(np.arange(self.n_states)))):
+            part = np.empty((self.n_states, size + 1))
+            rows = zip(k.tolist(), *probs[:, 2 * c : 2 * c + 2].T.tolist())
+            for s, (kk, fire, silent) in enumerate(rows):
+                part[s] = np.convolve(binomial_pmf(kk, fire), binomial_pmf(size - kk, silent))
+            parts.append(part)
+        return parts[0], parts[1]
+
+    @cached_property
+    def aux_part(self) -> np.ndarray:
+        """(L, 2^A) distribution of the next auxiliary bits out of each state."""
+        return _outcome_probs(self._probabilities[0][:, 4:])
+
+    @cached_property
+    def valid_states(self) -> np.ndarray:
+        """The states whose outputs are valid: the 2^A states with
+        ``d = min(1, D)`` and ``u = 0``, in auxiliary-code order."""
+        return np.flatnonzero(self._probabilities[1])
+
+    @cached_property
+    def hold_flow(self) -> np.ndarray:
+        """(V, 2^A) probability, out of each valid state, that every output
+        repeats its bit (the same winner fires again and every other output
+        stays silent), times the next auxiliary bits."""
+        probs = self._probabilities[0][self.valid_states]
+        d, u, _ = self.decode(self.valid_states)
+        keep = np.ones(d.size)
+        for c, (k, size) in enumerate(zip((d, u), self.sizes)):
+            fire, silent = probs[:, 2 * c], probs[:, 2 * c + 1]
+            keep *= fire**k * (1.0 - silent) ** (size - k)
+        return keep[:, None] * self.aux_part[self.valid_states]
+
+    def push(self, mass: np.ndarray, states=slice(None)) -> np.ndarray:
+        """(L,) next-state distribution of ``mass`` on ``states``: the sum of
+        ``mass[s]`` times the outer product of its count and auxiliary parts.
+        The larger class's count part enters one matrix product, (D+1, S) @
+        (S, (U+1) 2^A) or the other way round, and the smaller one the
+        elementwise product, which so stays small."""
+        driven, undriven = (part[states] for part in self.count_parts)
+        swap = driven.shape[1] < undriven.shape[1]
+        big, small = (undriven, driven) if swap else (driven, undriven)
+        w = mass[:, None, None] * small[:, :, None] * self.aux_part[states][:, None, :]
+        out = (big.T @ w.reshape(mass.size, -1)).reshape(big.shape[1], small.shape[1], -1)
+        return (out.swapaxes(0, 1) if swap else out).ravel()
+
+    def cdf(self, window, t_s: int, t_max: int) -> np.ndarray:
+        """``convergence_cdf`` on this chain. Counter 0 holds mass on every
+        state; counters ``1..t_s`` only on the valid states, so only those
+        rows propagate for them."""
+        c0, _ = _initial_counter(self.spec, self.x, window, t_s)  # h = 1: never absorbed yet
+        s0 = self.state_index(window)
+        valid = self.valid_states
+        rest = np.zeros(self.n_states)
+        held = np.zeros((t_s, valid.size))
+        if c0:
+            held[c0 - 1, np.searchsorted(valid, s0)] = 1.0
+        else:
+            rest[s0] = 1.0
+        absorbed = 0.0
+        cdf = np.zeros(t_max + 1)
+        for frame in range(1, t_max + 1):
+            nxt = self.push(rest) + self.push(held.sum(axis=0), valid)
+            # extend[c] leaves counter c + 1 for c + 2; what else lands on a
+            # valid state restarts at counter 1, the rest resets to 0
+            extend = held @ self.hold_flow
+            restart = np.maximum(nxt[valid] - extend.sum(axis=0), 0.0)
+            nxt[valid] = 0.0
+            rest = nxt
+            absorbed += float(extend[-1].sum())
+            held = np.vstack([restart[None], extend[:-1]])
+            cdf[frame] = absorbed
+        return cdf
 
 
 def convergence_cdf(
@@ -194,53 +499,19 @@ def convergence_cdf(
     The sequence is nondecreasing and zero for all ``t < t_s``. The truncated
     expectation of the convergence time itself is recoverable as
     ``sum_t' t' * (cdf[t' + t_s] - cdf[t' + t_s - 1])`` plus residual mass.
+
+    It runs on the ``LumpedChain`` wherever the spec lumps, and on the
+    ``WindowStateSpace`` chain otherwise; either raises
+    ``StateSpaceTooLarge`` past its own bound.
     """
     check_int("t_s", t_s, 1)
     check_int("t_max", t_max, 0)
-    space = WindowStateSpace(spec, input_bits)
-    S = space.n_states
-    latest = np.arange(S, dtype=np.int64) & ((1 << space.m) - 1)
-    same = space.out_key[latest][:, None] == space.out_key[None, :]
-    # Where each (window, next frame) pair lands, as row * S + next window:
-    # row 0 resets the counter (the new output is invalid), row 1 restarts
-    # it and row 2 extends it (valid and equal to the latest output). One
-    # index serves every counter: at counter 0 the latest output is invalid,
-    # so no pair extends (and counter 1 is where a restart lands anyway).
-    into = space.next_state_indices()[:, None] + np.arange(1 << space.m, dtype=np.int64)
-    into += S * space.valid_out
-    np.add(into, S, out=into, where=same & space.valid_out)
-    into = into.ravel()
-
-    layers = t_s + 1  # counters 0..t_s; reaching t_s + 1 absorbs
-    mass = np.zeros((layers, S))
-    c0, absorbed_at = _initial_counter(space, initial_window, t_s)
-    s0 = space.window_index(initial_window)
-    absorbed = 0.0
-    cdf = np.zeros(t_max + 1)
-    if absorbed_at >= 0:
-        if absorbed_at <= t_max:
-            cdf[absorbed_at:] = 1.0
-        return cdf
-    mass[c0, s0] = 1.0
-
-    flow = np.empty(space.kernel.shape)  # one buffer for every layer's flow
-    for frame in range(space.h, t_max + 1):
-        new_mass = np.zeros_like(mass)
-        for c in range(layers):
-            layer = mass[c]
-            if not layer.any():
-                continue
-            np.multiply(layer[:, None], space.kernel, out=flow)
-            reset, restart, extend = np.bincount(into, flow.ravel(), 3 * S).reshape(3, S)
-            new_mass[0] += reset
-            new_mass[1] += restart
-            if c == t_s:
-                absorbed += float(extend.sum())
-            else:
-                new_mass[c + 1] += extend
-        mass = new_mass
-        cdf[frame] = absorbed
-    return cdf
+    x = input_vector(spec, input_bits)
+    try:
+        chain = LumpedChain(spec, x)
+    except TopologyMismatch:
+        chain = WindowStateSpace(spec, x)
+    return chain.cdf(initial_window, t_s, t_max)
 
 
 def truncated_expectation(cdf: np.ndarray, t_s: int) -> tuple[float, float]:

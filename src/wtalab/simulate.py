@@ -21,15 +21,18 @@ from a window to potentials: ``potential``, ``step`` and ``run`` are
 batch-of-one views of it, and the exact oracle's kernel reads it too.
 
 A step works through the batch in row tiles of about ``_TILE_ELEMS``
-neuron slots. For each tile the runner computes the potentials, divides by
-the temperature and applies the sigmoid in one float64 buffer, draws into a
-second and compares into a bool buffer, then copies the fired bits into the
-new frame. The three buffers are the runner's workspace: allocated by its
-first step (never by ``__init__``), grown when a larger tile arrives, reused
-by every later step. The layers take them through ``out=`` keywords
-(``potentials``, ``probabilities``, ``network.sigmoid``,
-``RandomnessContract.uniform_block``); without ``out`` each returns a new
-array with the same bits. A row's potentials can differ in the last bit
+neuron slots. For each tile the runner draws into one float64 buffer;
+computes the potentials, divides by the temperature and applies the sigmoid
+in a second; compares into a bool buffer; then copies the fired bits into
+the new frame. The columns whose potentials can reach the range in which
+``exp`` is slow (``BatchRunner.clip_cols``) have their scaled potentials
+clipped to ``[-_SATURATION, _SATURATION]`` before the sigmoid unless one of
+their draws is 0, which changes no fired bit. The three buffers are the
+runner's workspace: allocated by its first step (never by ``__init__``),
+grown when a larger tile arrives, reused by every later step. The layers
+take them through ``out=`` keywords (``potentials``, ``probabilities``,
+``network.sigmoid``, ``RandomnessContract.uniform_block``); without ``out``
+each returns a new array with the same bits. A row's potentials can differ in the last bit
 with the number of rows in its tile (BLAS picks its kernel for the dense
 blocks by shape), so a fired bit changes only where a draw falls within that
 rounding of its probability; the tests find every step bit-identical under
@@ -105,6 +108,14 @@ def _selector(indices: np.ndarray) -> np.ndarray | slice:
         return slice(int(indices[0]), int(indices[-1]) + 1)
     return indices
 
+
+# Every draw is a multiple of 2^-53, sigmoid(40) rounds to 1.0 and
+# 0 < sigmoid(-40) < 2^-53. So with no draw exactly 0, clipping a scaled
+# potential to [-40, 40] changes no fired bit. It keeps the sigmoid's
+# exp(-|z|) off the subnormal results it is slow to make, past |z| of about
+# 708.4; a runner whose potentials cannot go that far never clips.
+_SATURATION = 40.0
+_EXP_NORMAL = 708.0
 
 # Elements of one (rows x m) tile of a step. Each float64 tile buffer is then
 # 256 KiB, so a tile's buffers and temporaries stay in a core's L2 cache
@@ -188,6 +199,13 @@ class BatchRunner:
         syn = spec.synapses
         # no synapse targets an input, so every post is a non-input column
         col, weight = np.searchsorted(self.non_input, syn.post), syn.weight
+        # A potential ranges from -b plus its negative weights to -b plus its
+        # positive ones. The columns a step clips are the span of those whose
+        # scaled potential can leave [-_EXP_NORMAL, _EXP_NORMAL], if any.
+        low = np.bincount(col, np.minimum(weight, 0.0), m) - self.b
+        high = np.bincount(col, np.maximum(weight, 0.0), m) - self.b
+        wide = np.flatnonzero(np.maximum(-low, high) > _EXP_NORMAL * spec.lam)
+        self.clip_cols = slice(int(wide[0]), int(wide[-1]) + 1) if wide.size else None
         # frame h-1-lag0 of the window holds the bits a lag0+1 synapse reads
         src = (h - 1 - syn.lag0) * n_all + syn.pre
         # A dense column costs about h*N multiply-adds per row and a gather
@@ -236,12 +254,20 @@ class BatchRunner:
             _add_into(pot, self.cols, f[:, self.col_src] @ self.col_block)
         return pot
 
-    def probabilities(self, frames: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def probabilities(
+        self, frames: np.ndarray, out: np.ndarray | None = None, clip: slice | None = None
+    ) -> np.ndarray:
         """Firing probabilities of all non-input neurons, computed in the
-        potentials' array (``out`` when given)."""
+        potentials' array (``out`` when given). ``clip``, a slice of columns,
+        clips their scaled potentials to ``[-_SATURATION, _SATURATION]``
+        before the sigmoid: their probabilities then differ, but never on
+        which side of a nonzero multiple of 2^-53 they fall (``step_bits``)."""
         pot = self.potentials(frames, out=out)
         if self.spec.lam != 1.0:  # dividing by 1.0 changes no bit
             pot /= self.spec.lam
+        if clip is not None:
+            view = pot[:, clip]
+            np.clip(view, -_SATURATION, _SATURATION, out=view)
         return sigmoid(pot, out=pot)
 
     def step_bits(self, frames: np.ndarray, t: int, trials, input_bits) -> np.ndarray:
@@ -263,10 +289,14 @@ class BatchRunner:
         p_buf, d_buf, fired = self._tile_bufs
         for lo in range(0, batch, tile):
             rows = min(tile, batch - lo)
-            p = self.probabilities(frames[lo : lo + rows], out=p_buf[:rows])
             draws = self.rng.uniform_block(
                 trials[lo : lo + rows], t, self.non_input, out=d_buf[:rows]
             )
+            # clipping changes no fired bit unless a clipped draw is exactly 0
+            clip = self.clip_cols
+            if clip is not None and not draws[:, clip].min() > 0.0:
+                clip = None
+            p = self.probabilities(frames[lo : lo + rows], out=p_buf[:rows], clip=clip)
             np.less(draws, p, out=fired[:rows])
             new[lo : lo + rows, self._non_input_sel] = fired[:rows]
         return new

@@ -174,8 +174,21 @@ class TestOracle:
         assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
 
     def test_state_space_guard_exit_code(self, tmp_path):
+        # the log-inhibitor family (history 2) runs on the window chain
+        code = main(["oracle", "--variant", "log-inhibitor", "--n", "25", "--gamma", "10",
+                     "--ts", "3", "--tmax", "5", "--out", str(tmp_path / "big")])
+        assert code == 4
+
+    def test_two_inhibitor_beyond_the_window_chain_answers(self, tmp_path):
         code = main(["oracle", "--n", "25", "--gamma", "10", "--ts", "3",
-                     "--tmax", "5", "--out", str(tmp_path / "big")])
+                     "--tmax", "5", "--out", str(tmp_path / "n25")])
+        assert code == 0
+        rows = read_csv(tmp_path / "n25.csv")
+        assert len(rows) == 6 and float(rows[-1]["p_exact"]) > 0.0
+
+    def test_lumped_guard_exit_code(self, tmp_path):
+        code = main(["oracle", "--n", str(1 << 16), "--gamma", "10", "--ts", "3",
+                     "--tmax", "5", "--out", str(tmp_path / "huge")])
         assert code == 4
 
 

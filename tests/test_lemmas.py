@@ -57,6 +57,12 @@ class TestCatalogApi:
         with pytest.raises(UnknownLemma):
             lemma_check("3.99", samples=100)
 
+    @pytest.mark.parametrize("params", [{"bogus": 1}, {"params": LemmaParams()},
+                                        {"samples": 100, "spec": None}])
+    def test_unknown_keyword_is_a_wtalab_error(self, params):
+        with pytest.raises(WtaLabError, match="takes no parameter"):
+            lemma_check("3.4", **params)
+
     def test_reports_deterministic(self):
         a = lemma_check("3.9.2", samples=5000, seed=3)[0]
         b = lemma_check("3.9.2", samples=5000, seed=3)[0]

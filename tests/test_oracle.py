@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from wtalab import (
     LengthMismatch,
+    LumpedChain,
     NetworkSpec,
     Neuron,
     NotValidConfiguration,
@@ -25,8 +27,9 @@ from wtalab import (
     wilson_interval,
 )
 from wtalab.experiments import batch_convergence_times, initial_windows_batch
+from wtalab.oracle import binomial_pmf
 from wtalab.network import AUXILIARY, EXCITATORY, INPUT, OUTPUT
-from wtalab.simulate import BatchRunner
+from wtalab.simulate import BatchRunner, initial_window
 
 from conftest import random_network
 from test_simulate import dense_potentials
@@ -334,3 +337,171 @@ class TestHoldProbability:
         k1 = space.kernel
         k2 = WindowStateSpace(spec, [1, 0]).kernel
         assert np.array_equal(k1, k2)
+
+
+class TestBinomialPmf:
+    PS = [0.0, 5e-324, 1e-300, 1e-9, 0.013, 0.3, 0.5, 0.77, 1.0 - 1e-9, 1.0 - 2.0**-53, 1.0]
+
+    @pytest.mark.parametrize("p", PS)
+    def test_sums_to_one_at_paper_scale_without_warning(self, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                pmf = binomial_pmf(2048, p)
+        assert pmf.shape == (2049,)
+        assert np.all(pmf >= 0.0)
+        assert abs(pmf.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 30, 60])
+    @pytest.mark.parametrize("p", [0.0, 1e-3, 0.25, 0.5, 0.9, 1.0])
+    def test_matches_the_closed_form(self, n, p):
+        exact = [math.comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(n + 1)]
+        assert np.max(np.abs(binomial_pmf(n, p) - exact)) <= 1e-15
+
+    def test_matches_log_space_at_large_n(self):
+        n, p = 2048, 0.37
+        got = binomial_pmf(n, p)
+        k = np.arange(n + 1)
+        log = [math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+               + j * math.log(p) + (n - j) * math.log1p(-p) for j in k.tolist()]
+        ref = np.exp(log)
+        big = ref > 1e-200
+        assert np.max(np.abs(got[big] / ref[big] - 1.0)) <= 1e-9
+
+
+def _window_chain_cases(n):
+    """(gamma, X, start, t_s) cases the lumped chain is checked on: every
+    gamma, X pattern, start and t_s up to n=5; above that every X pattern
+    once, with gamma, start and t_s rotating with n, so that the window
+    chain's cost at n=9 and n=10 stays a few seconds."""
+    patterns = [np.ones(n), np.eye(n)[0], np.zeros(n), np.arange(n) % 2]
+    combos = [(g, s, t) for g in (3.7, 10.0) for s in ("all_zero", "all_fire", "uniform_random")
+              for t in (1, 3)]
+    for i, x in enumerate(patterns):
+        for gamma, start, t_s in combos if n <= 5 else [combos[(3 * n + i) % len(combos)]]:
+            yield gamma, x.astype(np.uint8), start, t_s
+
+
+def _lateral(spec, weight, pairs):
+    """``spec`` plus output-to-output synapses of ``weight`` on ``pairs``."""
+    w = spec.weights.copy()
+    outs = spec.output_indices
+    for i, j in pairs:
+        w[0, outs[i], outs[j]] = weight
+    return NetworkSpec.from_dense(spec.neurons, w, spec.biases)
+
+
+class TestLumpedChain:
+    @pytest.mark.parametrize("tag, n", [
+        *(("two_inhibitor", n) for n in range(1, 10)),
+        *(("single_inhibitor", n) for n in range(1, 11)),
+    ])
+    def test_equals_the_window_chain(self, tag, n):
+        # every n the window chain reaches
+        for gamma, x, start, t_s in _window_chain_cases(n):
+            spec = build(tag, n, gamma)
+            window = initial_window(spec, start, x, RandomnessContract(n))
+            want = WindowStateSpace(spec, x).cdf(window, t_s, 8)
+            got = LumpedChain(spec, x).cdf(window, t_s, 8)
+            assert np.max(np.abs(got - want)) <= 1e-13, (gamma, x, start, t_s)
+            assert np.array_equal(convergence_cdf(spec, x, window, t_s, 8), got)
+
+    @pytest.mark.parametrize("x", [[1, 1, 1], [1, 0, 1], [0, 0, 0]])
+    def test_lateral_weights_shared_by_class_pairs_lump(self, x):
+        spec = _lateral(build_two_inhibitor(3, 7.0), 0.8,
+                        [(i, j) for i in range(3) for j in range(3) if i != j])
+        window = initial_window(spec, "all_fire", x)
+        want = WindowStateSpace(spec, x).cdf(window, 2, 15)
+        assert np.max(np.abs(LumpedChain(spec, x).cdf(window, 2, 15) - want)) <= 1e-13
+
+    def _not_exchangeable(self):
+        spec = build_two_inhibitor(3, 7.0)
+        y0 = spec.output_indices[0]
+        w = spec.weights.copy()
+        w[0, y0, y0] += 1.0  # one output's self-loop changed
+        return [
+            NetworkSpec.from_dense(spec.neurons, w, spec.biases),
+            _lateral(spec, 0.8, [(0, 1)]),  # one lateral synapse of six
+            random_network(np.random.default_rng(5), 3, 3, 2, history=1),
+        ]
+
+    def test_spec_that_does_not_lump_runs_on_the_window_chain(self):
+        x = np.array([1, 1, 1], dtype=np.uint8)
+        for spec in self._not_exchangeable():
+            with pytest.raises(TopologyMismatch):
+                LumpedChain(spec, x)
+            window = initial_window(spec, "all_zero", x)
+            want = WindowStateSpace(spec, x).cdf(window, 2, 12)
+            assert np.array_equal(convergence_cdf(spec, x, window, 2, 12), want)
+
+    def test_history_two_does_not_lump(self):
+        with pytest.raises(TopologyMismatch):
+            LumpedChain(build_log_inhibitor(2, 8.0), [1, 1])
+
+    def test_benchmark_cell_never_builds_the_window_chain(self, monkeypatch):
+        import json
+        from pathlib import Path
+
+        from wtalab import oracle
+
+        def refuse(*args):
+            raise AssertionError("the window chain was built")
+
+        monkeypatch.setattr(oracle, "WindowStateSpace", refuse)
+        spec = build_two_inhibitor(8, 10.0)
+        x = np.ones(8, dtype=np.uint8)
+        init = np.zeros((1, spec.n_neurons), dtype=np.uint8)
+        init[0, :8] = 1
+        cdf = convergence_cdf(spec, x, init, 3, 30)
+        ref = Path(__file__).resolve().parents[1] / "perfbench/reference/oracle_two_n8.json"
+        want = np.asarray(json.loads(ref.read_text())["cdf"])
+        assert np.max(np.abs(cdf - want)) <= 1e-12
+
+    @pytest.mark.parametrize("tag", ["two_inhibitor", "single_inhibitor"])
+    @pytest.mark.parametrize("x", [[1] * 5, [0, 1, 0, 1, 1], [0] * 5])
+    def test_valid_states_are_one_per_aux_code(self, tag, x):
+        chain = LumpedChain(build(tag, 5, 7.0), x)
+        want = min(1, sum(x))
+        d, u, a = chain.decode(chain.valid_states)
+        assert chain.valid_states.size == 1 << chain.n_aux
+        assert np.all(d == want) and np.all(u == 0)
+        assert np.array_equal(a, np.arange(1 << chain.n_aux))
+
+    @pytest.mark.parametrize("n, trials", [(64, 20_000), (256, 5_000)])
+    def test_monte_carlo_inside_wilson_of_lumped(self, n, trials):
+        spec = build_two_inhibitor(n, 10.0)
+        x = np.ones(n, dtype=np.uint8)
+        t_s, probes = 3, (10, 20, 30, 40)
+        init = initial_window(spec, "all_zero", x)
+        cdf = convergence_cdf(spec, x, init, t_s, max(probes))
+        rng = RandomnessContract(n)
+        ids = np.arange(trials, dtype=np.int64)
+        windows0 = initial_windows_batch(spec, "all_zero", x, ids, rng)
+        conv = batch_convergence_times(spec, x, windows0, ids, t_s, max(probes) + 1, rng)
+        for t in probes:
+            hits = int(((conv >= 0) & (conv + t_s <= t)).sum())
+            lo, hi = wilson_interval(hits, trials, 0.999)
+            assert lo <= cdf[t] <= hi
+
+    def test_cap_counts_lumped_transitions(self):
+        # all inputs firing: L = (n+1) * 4 states, and L^2 <= 2^25 up to n=1447
+        LumpedChain(build_two_inhibitor(1447, 10.0), np.ones(1447))
+        with pytest.raises(StateSpaceTooLarge):
+            LumpedChain(build_two_inhibitor(1448, 10.0), np.ones(1448))
+
+    def test_paper_scale_refused_before_allocating(self):
+        import tracemalloc
+
+        n = 1 << 16
+        spec = build_two_inhibitor(n, 10.0)
+        x = np.ones(n, dtype=np.uint8)
+        init = initial_window(spec, "all_zero", x)
+        spec.output_indices, spec.auxiliary_indices  # the spec's own arrays, cached on first read
+        tracemalloc.start()
+        try:
+            with pytest.raises(StateSpaceTooLarge):
+                convergence_cdf(spec, x, init, 3, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

@@ -27,6 +27,7 @@ from wtalab import (
     potential,
     run,
     run_trials,
+    sigmoid,
     spike_probability,
     step,
 )
@@ -540,3 +541,58 @@ class TestInputVector:
                 assert (frames[:, :, spec.input_indices] == x).all()
                 single = initial_window(spec, policy, x, rng, trial=3)
                 assert np.array_equal(single, frames[3])
+
+
+class _ZeroFirstDraw(RandomnessContract):
+    """The contract's draws, except that each block's first draw is 0."""
+
+    def uniform_block(self, trials, time, neurons, out=None):
+        draws = super().uniform_block(trials, time, neurons, out=out)
+        draws[0, 0] = 0.0
+        return draws
+
+
+class TestSaturatedStep:
+    """``step_bits`` clips the scaled potentials to [-40, 40] in a tile whose
+    draws are all nonzero; no fired bit may differ from ``d < sigmoid(z)``."""
+
+    def test_clipping_decides_every_nonzero_draw_alike(self):
+        sat = simulate._SATURATION
+        edges = [-745.14, -745.13, -745.0, -744.44, -708.4, -708.39, -sat, -36.7, sat, 36.7]
+        z = np.concatenate([np.linspace(-900.0, 900.0, 180_001), edges,
+                            np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)])
+        exact, clipped = sigmoid(z), sigmoid(np.clip(z, -sat, sat))
+        assert np.any((exact > 0.0) & (exact < 2.0**-1022))  # subnormal probabilities
+        for k in (1, 2, 3, 1 << 20, 1 << 52, (1 << 53) - 1):
+            d = k * 2.0**-53
+            assert np.array_equal(d < exact, d < clipped), k
+        # a zero draw is where they part, so step_bits never clips then
+        assert not np.array_equal(0.0 < exact, 0.0 < clipped)
+
+    @pytest.mark.parametrize("rng", [RandomnessContract(3), _ZeroFirstDraw(3)],
+                             ids=["draws", "forced_zero_draw"])
+    def test_step_bits_match_the_exact_probabilities(self, rng):
+        # gamma as at criterion 5's n=1024 cell: potentials reach below -745
+        spec = build_log_inhibitor(16, 182.0)
+        x = (np.arange(16) % 3 > 0).astype(np.uint8)
+        trials = np.arange(5_000)
+        frames = initial_windows_batch(spec, "uniform_random", x, trials, RandomnessContract(9))
+        runner = BatchRunner(spec, rng)
+        assert runner.clip_cols == slice(0, spec.non_input_indices.size)  # every column clips
+        new = runner.step_bits(frames, 2, trials, x)
+        pot = BatchRunner(spec, rng).potentials(frames)
+        assert np.any(pot < -745.0) and np.any((pot > -745.0) & (pot < -708.0))
+        tile = simulate._TILE_ELEMS // spec.non_input_indices.size
+        want = np.vstack([
+            rng.uniform_block(trials[lo : lo + tile], 2, spec.non_input_indices)
+            < BatchRunner(spec, rng).probabilities(frames[lo : lo + tile])
+            for lo in range(0, trials.size, tile)
+        ])
+        assert np.array_equal(new[:, spec.non_input_indices], want)
+
+    def test_zero_draw_keeps_a_zero_probability_silent(self):
+        spec = build_two_inhibitor(2, 300.0)  # y_0 with x_0 = 0: potential -900
+        x = np.array([0, 1], dtype=np.uint8)
+        frames = initial_windows_batch(spec, "all_zero", x, np.arange(4), RandomnessContract(0))
+        new = BatchRunner(spec, _ZeroFirstDraw(1)).step_bits(frames, 1, np.arange(4), x)
+        assert new[0, spec.output_indices[0]] == 0
