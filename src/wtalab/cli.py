@@ -2,15 +2,18 @@
 
 Subcommands: ``build``, ``run``, ``sweep``, ``oracle``, ``lemma-check``,
 ``stabilize-probe``, ``rerun``. Every run writes its outputs plus a manifest
-recording the full parameter set and seed; ``rerun <manifest>`` reproduces
-the outputs byte for byte. Exit codes: 0 success (all requested checks
-passed), 1 a requested check failed, 2 usage, 3 validation, 4 resource.
+recording the full parameter set and seed and each output's sha256;
+``rerun <manifest>`` regenerates the outputs and reports each one ``equal``
+or ``different`` from its recorded digest. Exit codes: 0 success (all
+requested checks passed), 1 a requested check failed or a rerun output
+differs, 2 usage, 3 validation, 4 resource.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import os
@@ -108,12 +111,17 @@ def _check_out(out: str) -> None:
         raise WtaLabError(f"--out {out}: directory {parent} is not writable")
 
 
+def _sha256(path: str) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def _write_manifest(out: Path, command: str, params: dict, outputs: list[str]) -> None:
     manifest = {
         "command": command,
         "parameters": params,
         "version": __version__,
         "outputs": outputs,
+        "sha256": {path: _sha256(path) for path in outputs},
     }
     path = out.with_suffix(out.suffix + ".manifest.json")
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -277,6 +285,9 @@ def _cmd_stabilize_probe(args) -> int:
 
 
 def _cmd_rerun(args) -> int:
+    """Re-execute a manifest's command. With the outputs' recorded digests,
+    print ``equal`` or ``different`` for each output and return 1 if any
+    differs; a manifest without them only reruns."""
     try:
         manifest = json.loads(Path(args.manifest).read_text())
     except ValueError as e:
@@ -300,7 +311,19 @@ def _cmd_rerun(args) -> int:
                 argv.extend([flag, ",".join(str(v) for v in value)])
         else:
             argv.extend([flag, str(value)])
-    return main(argv)
+    code = main(argv)
+    digests = manifest.get("sha256")
+    if code not in (0, 1) or not isinstance(digests, dict):  # failed, or nothing to compare
+        return code
+    differ = False
+    for path, digest in digests.items():
+        try:
+            same = _sha256(path) == digest
+        except OSError:
+            same = False
+        differ |= not same
+        print(f"{'equal' if same else 'different'} {path}")
+    return 1 if differ else code
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

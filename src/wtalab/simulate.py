@@ -15,35 +15,35 @@ of X (one bit per input neuron, each 0 or 1 by ``errors.check_bits``), and
 every call that takes X goes through it. ``BatchRunner.step_bits`` alone
 also takes one input row per trial.
 
-``BatchRunner`` advances many trials at once on uint8 frames, with a sparse
-potential kernel built from the spec's synapse view. It is the one code path
-from a window to potentials: ``potential``, ``step`` and ``run`` are
-batch-of-one views of it, and the exact oracle's kernel reads it too.
+``BatchRunner`` advances many trials at once on uint8 frames. It is the one
+code path from a window to potentials and firing probabilities:
+``potential``, ``step`` and ``run`` are batch-of-one views of it, and the
+exact oracle's kernel reads it too. A potential depends on the window only
+through how many presynaptic bits of each synapse weight fired, so the
+runner sums integer count codes over a sparse split of the synapses and
+reads potentials and ``sigmoid(potential / lam)`` from tables it builds on
+first use (see ``BatchRunner``). Two guarantees follow, bit for bit
+and on any machine: a row's potentials and probabilities do not depend on
+how many rows share its call (chunk invariance), and the scalar calls equal
+the batch ones (scalar-versus-batch identity).
 
 A step works through the batch in row tiles of about ``_TILE_ELEMS``
-neuron slots. For each tile the runner draws into one float64 buffer;
-computes the potentials, divides by the temperature and applies the sigmoid
-in a second; compares into a bool buffer; then copies the fired bits into
-the new frame. The columns whose potentials can reach the range in which
-``exp`` is slow (``BatchRunner.clip_cols``) have their scaled potentials
-clipped to ``[-_SATURATION, _SATURATION]`` before the sigmoid unless one of
-their draws is 0, which changes no fired bit. The three buffers are the
-runner's workspace: allocated by its first step (never by ``__init__``),
-grown when a larger tile arrives, reused by every later step. The layers
-take them through ``out=`` keywords (``potentials``, ``probabilities``,
-``network.sigmoid``, ``RandomnessContract.uniform_block``); without ``out``
-each returns a new array with the same bits. A row's potentials can differ in the last bit
-with the number of rows in its tile (BLAS picks its kernel for the dense
-blocks by shape), so a fired bit changes only where a draw falls within that
-rounding of its probability; the tests find every step bit-identical under
-any tiling on all three builders.
+neuron slots. For each tile the runner draws into one float64 buffer; sums
+the codes into a second, in the tables' integer dtype; copies them to intp
+indices and takes the probabilities into a float64 buffer with one
+``np.take``; compares into a bool buffer; then copies the fired bits into
+the new frame. The buffers are the runner's workspace: allocated by its
+first step (never by ``__init__``), grown when a larger tile arrives, reused
+by every later step. ``potentials``, ``probabilities`` and
+``RandomnessContract.uniform_block`` take ``out=``; without it each returns
+a new array with the same bits. Where the tiles fall changes no bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -109,13 +109,11 @@ def _selector(indices: np.ndarray) -> np.ndarray | slice:
     return indices
 
 
-# Every draw is a multiple of 2^-53, sigmoid(40) rounds to 1.0 and
-# 0 < sigmoid(-40) < 2^-53. So with no draw exactly 0, clipping a scaled
-# potential to [-40, 40] changes no fired bit. It keeps the sigmoid's
-# exp(-|z|) off the subnormal results it is slow to make, past |z| of about
-# 708.4; a runner whose potentials cannot go that far never clips.
-_SATURATION = 40.0
-_EXP_NORMAL = 708.0
+# A column whose classes' product of degree + 1 passes this many count codes
+# (a wide random network) splits its classes into groups, each a code column
+# with a table of at most this many entries. One class alone may pass it: its
+# table has degree + 1 entries.
+_TABLE_LIMIT = 1 << 16
 
 # Elements of one (rows x m) tile of a step. Each float64 tile buffer is then
 # 256 KiB, so a tile's buffers and temporaries stay in a core's L2 cache
@@ -123,57 +121,201 @@ _EXP_NORMAL = 708.0
 _TILE_ELEMS = 32768
 
 
-def _add_into(pot: np.ndarray, cols, x: np.ndarray) -> None:
-    """``pot[:, cols] += x``, in place when ``cols`` is a slice (``+=`` on a
+def _add_into(code: np.ndarray, cols, x: np.ndarray) -> None:
+    """``code[:, cols] += x``, in place when ``cols`` is a slice (``+=`` on a
     subscript would copy the view back onto itself)."""
     if isinstance(cols, slice):
-        view = pot[:, cols]
+        view = code[:, cols]
         view += x
     else:
-        pot[:, cols] += x
+        code[:, cols] += x
 
 
-def _dense_block(keys, others, weight, n_keys: int, n_others: int, threshold: float):
+def _dense_block(keys, others, values, n_keys: int, n_others: int, threshold: float):
     """Move the synapses whose ``keys`` value (a target column or a source)
-    occurs more than ``threshold`` times into a dense block with one row per
-    such hub, indexed by ``others``. Returns the hubs, the block, and a mask
-    (or a full slice) selecting the synapses left out."""
+    occurs more than ``threshold`` times into a dense block of their
+    ``values`` with one row per such hub, indexed by ``others``. Returns the
+    hubs, the block, and a mask (or a full slice) selecting the synapses
+    left out."""
     hub = np.bincount(keys, minlength=n_keys) > threshold
     hubs = np.flatnonzero(hub)
-    block = np.zeros((hubs.size, n_others))
+    block = np.zeros((hubs.size, n_others), dtype=values.dtype)
     if not hubs.size:
         return hubs, block, slice(None)
     into = hub[keys]
-    block[(np.cumsum(hub) - 1)[keys[into]], others[into]] = weight[into]
+    block[(np.cumsum(hub) - 1)[keys[into]], others[into]] = values[into]
     return hubs, block, ~into
 
 
-def _gather_slots(src, col, weight, m: int) -> list[tuple]:
+def _gather_slots(src, col, values, m: int) -> list[tuple]:
     """``(cols, src, val)`` slots: slot ``k`` holds the ``k``-th synapse of
     every column that has more than ``k``."""
     if not col.size:
         return []
     # a stable sort by column ranks each column's synapses
     order = np.argsort(col, kind="stable")
-    src, col, weight = src[order], col[order], weight[order]
+    src, col, values = src[order], col[order], values[order]
     count = np.bincount(col, minlength=m)
     rank = np.arange(col.size) - (np.cumsum(count) - count)[col]
     slots = []
     for k in range(int(count.max())):
         here = rank == k
-        slots.append((_selector(col[here]), _selector(src[here]), weight[here]))
+        slots.append((_selector(col[here]), _selector(src[here]), values[here]))
     return slots
+
+
+def _columns_and_sources(spec: NetworkSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Each synapse's target column among the non-input neurons, and the
+    slot it reads in a window flattened with its oldest frame first."""
+    h, n_all, syn = spec.history, spec.n_neurons, spec.synapses
+    # no synapse targets an input, so every post is a non-input column
+    at = np.zeros(n_all, dtype=np.intp)
+    at[spec.non_input_indices] = np.arange(spec.non_input_indices.size)
+    # frame h-1-lag0 of the window holds the bits a lag0+1 synapse reads
+    return at[syn.post], (h - 1 - syn.lag0) * n_all + syn.pre
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of ``a``, sorted: ``np.unique`` without the
+    ``numpy.ma`` import (2 MB resident) that it makes on first call."""
+    a = np.sort(a)
+    keep = np.ones(a.size, dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
+def _classes(col: np.ndarray, weight: np.ndarray, m: int):
+    """The classes of the synapses into ``m`` columns: each column's
+    distinct weights, in the order of their first synapse in scan order.
+    Returns, per synapse, its class; per class, sorted by column, its
+    column, weight and degree (number of synapses)."""
+    n = col.size
+    values = _distinct(weight)
+    key = np.searchsorted(values, weight)
+    key += col * values.size
+    if m * values.size > max(1 << 20, 4 * n):  # many distinct weights: number the keys used
+        key = np.searchsorted(_distinct(key), key)
+    degree = np.bincount(key)
+    first = np.full(degree.size, n)
+    np.minimum.at(first, key, np.arange(n))
+    used = np.flatnonzero(degree)
+    cls = used[np.lexsort((first[used], col[first[used]]))]  # by column, then first synapse
+    label = np.empty(degree.size, dtype=np.intp)
+    label[cls] = np.arange(cls.size)
+    first = first[cls]
+    return label[key], col[first], weight[first], degree[cls]
+
+
+def _table(start: float, digits) -> np.ndarray:
+    """Potentials of one code column, indexed by its code: ``start``, then
+    ``w * count`` of each ``(w, degree)`` digit in order, the first digit
+    varying fastest."""
+    table = np.full(1, start)
+    for w, deg in digits:
+        table = np.add.outer(np.arange(deg + 1) * w, table).ravel()
+    return table
+
+
+class _CountForm(NamedTuple):
+    """A spec's count codes and tables (see ``BatchRunner``).
+
+    ``radix`` is each synapse's radix in its column's code, after a 0 for
+    "no synapse", and 0 for a synapse of a later digit group, which
+    ``group_slots`` (gather slots over the later groups' code columns) add.
+    ``offsets`` is each code column's offset into the flat tables, in the
+    codes' dtype; ``pot`` and ``prob`` are the tables. ``group_cols`` are the
+    columns with digit groups, and ``levels`` holds, per later group, the
+    positions of its columns among them and its code columns."""
+
+    radix: np.ndarray
+    group_slots: list
+    offsets: np.ndarray
+    pot: np.ndarray
+    prob: np.ndarray
+    group_cols: np.ndarray
+    levels: list
+
+
+def _count_form(spec: NetworkSpec) -> _CountForm:
+    """The count codes and tables of ``spec`` (see ``BatchRunner``)."""
+    non_input, m = spec.non_input_indices, spec.non_input_indices.size
+    cls, k_col, k_w, k_deg = _classes(_columns_and_sources(spec)[0], spec.synapses.weight, m)
+    # One pass over the classes (the digits of the codes), column by column:
+    # each one's code column and radix, and each code column's signature (its
+    # start, then the weight and degree of each digit). A class that would
+    # take a group's product of degree + 1 past _TABLE_LIMIT opens the
+    # column's next group, a code column after the m real ones that starts
+    # from 0.
+    keys = [[s] for s in (-spec.biases[non_input]).tolist()]
+    code_col, radix, later = [], [], []  # later: (column, group) of code column m + i
+    last = -1
+    for c, w, d in zip(k_col.tolist(), k_w.tolist(), k_deg.tolist()):
+        if c != last:
+            last, group, size, code = c, 0, 1, c
+        if size > 1 and size * (d + 1) > _TABLE_LIMIT:
+            group, size, code = group + 1, 1, len(keys)
+            later.append((c, group))
+            keys.append([0.0])
+        code_col.append(code)
+        radix.append(size)
+        keys[code] += (w, d)
+        size *= d + 1
+    # equal signatures share one table
+    index: dict[tuple, int] = {}
+    which = [index.setdefault(tuple(k), len(index)) for k in keys]
+    parts = [_table(k[0], zip(k[1::2], k[2::2])) for k in index]
+    sizes = np.array([t.size for t in parts], dtype=np.intp)
+    pot = np.concatenate(parts) if parts else np.zeros(0)
+
+    # each synapse's radix, after a 0 for "no synapse"; the synapses of a
+    # later group are left out of the split and added by slots of their own
+    syn_radix = np.zeros(cls.size + 1)
+    np.take(np.array(radix, dtype=float), cls, out=syn_radix[1:])
+    group_slots = []
+    if later:
+        code = np.array(code_col)[cls]
+        moved = np.flatnonzero(code >= m)
+        src = _columns_and_sources(spec)[1][moved]
+        group_slots = _gather_slots(src, code[moved], syn_radix[1 + moved], len(keys))
+        syn_radix[1 + moved] = 0.0
+    group_cols = np.array([c for c, g in later if g == 1], dtype=np.intp)
+    levels = []
+    for level in range(1, max((g for _, g in later), default=0) + 1):
+        here = [(i, c) for i, (c, g) in enumerate(later) if g == level]
+        levels.append((
+            np.searchsorted(group_cols, [c for _, c in here]),
+            m + np.array([i for i, _ in here], dtype=np.intp),
+        ))
+    # codes index the flat tables, so a uint16 holds them up to 2^16 entries
+    dtype = np.uint16 if pot.size <= 1 << 16 else np.int32
+    return _CountForm(
+        syn_radix,
+        [(c, s, v.astype(dtype)) for c, s, v in group_slots],
+        (np.cumsum(sizes) - sizes)[which].astype(dtype),
+        pot,
+        sigmoid(pot / spec.lam),
+        group_cols,
+        levels,
+    )
 
 
 class BatchRunner:
     """Vectorized stepper: advances a batch of windows one step at a time.
 
     Windows are (B, h, N) arrays with the batch axis first; the runner makes
-    uint8 0/1 frames and reads float or uint8 ones. A window, flattened to
-    (B, h*N) with its oldest frame first, times one sparse (h*N, m) matrix
-    built from ``spec.synapses`` gives the potentials, in float64. The matrix
-    is split three ways, so a step costs about the number of nonzero weights
-    instead of ``h * N * m``:
+    uint8 0/1 frames and reads float or uint8 ones.
+
+    **Count codes.** A column's potential is minus its bias plus, for each
+    distinct weight ``w`` of its synapses (a class), ``w`` times how many of
+    the class's presynaptic slots fired. So it depends on the class counts
+    alone, and the runner numbers them: a column's code is the mixed-radix
+    number of its counts, a class's radix being the product of
+    ``degree + 1`` over the classes before it (``_classes``). A window,
+    flattened to (B, h*N) with its oldest frame first, times one sparse
+    (h*N, m) matrix of those integer radices gives every code. Its sums are
+    of integers far below 2^53, so they are exact in any order, under any
+    BLAS kernel and for any number of rows. The matrix is split three ways,
+    so a step costs about the number of synapses instead of ``h * N * m``:
 
     * target columns with in-degree above a threshold are dense columns,
       ``f[:, col_src] @ col_block`` over the sources that reach them;
@@ -181,8 +323,29 @@ class BatchRunner:
       rows, ``f[:, rows] @ row_block``;
     * every remaining synapse is a gather: slot ``k`` covers the columns with
       more than ``k`` remaining synapses and adds ``f[:, src] * val`` to
-      ``pot[:, cols]``.
+      ``code[:, cols]``.
 
+    **Tables.** Code columns with the same signature (start, then each
+    digit's weight and degree) share one table of potentials, computed once
+    in a fixed order: minus the bias, then ``w * count`` per class in
+    first-synapse order (``_table``); and one of ``sigmoid(potential /
+    lam)``. A code indexes the flat tables through its column's offset,
+    which its sum starts from. ``potentials`` and ``probabilities`` are
+    lookups, and a step is draws, codes, one ``np.take`` and the compare.
+
+    **Digit groups.** A column whose classes' product of ``degree + 1``
+    passes ``_TABLE_LIMIT`` splits its classes into groups: group 0 is its own
+    code, with the bias, and each later group a code column after the ``m``
+    real ones that starts from 0, summed by gather slots of its own. The
+    column's potential is the sum of its groups' table potentials in group
+    order, and its probability the sigmoid of that, made per call
+    (``_lookup``). Only wide random networks have them, whose later groups
+    have few synapses each, so few gather slots.
+
+    ``__init__`` splits the synapses, holding synapse numbers in place of
+    radices. The radices, offsets and tables are the spec's count form
+    (``_count_form``), which ``_kernel`` builds on the runner's first use
+    and puts the radices of into the split.
     Index arrays that count up by one are kept as slices (``_selector``).
     """
 
@@ -191,23 +354,12 @@ class BatchRunner:
         self.rng = rng
         self.non_input = spec.non_input_indices
         self.input_ids = spec.input_indices
-        self.b = spec.biases[self.non_input].copy()
+        self.m = self.non_input.size
         self._non_input_sel = _selector(self.non_input)
         self._input_sel = _selector(self.input_ids)
 
-        h, n_all, m = spec.history, spec.n_neurons, self.non_input.size
-        syn = spec.synapses
-        # no synapse targets an input, so every post is a non-input column
-        col, weight = np.searchsorted(self.non_input, syn.post), syn.weight
-        # A potential ranges from -b plus its negative weights to -b plus its
-        # positive ones. The columns a step clips are the span of those whose
-        # scaled potential can leave [-_EXP_NORMAL, _EXP_NORMAL], if any.
-        low = np.bincount(col, np.minimum(weight, 0.0), m) - self.b
-        high = np.bincount(col, np.maximum(weight, 0.0), m) - self.b
-        wide = np.flatnonzero(np.maximum(-low, high) > _EXP_NORMAL * spec.lam)
-        self.clip_cols = slice(int(wide[0]), int(wide[-1]) + 1) if wide.size else None
-        # frame h-1-lag0 of the window holds the bits a lag0+1 synapse reads
-        src = (h - 1 - syn.lag0) * n_all + syn.pre
+        h, n_all, m = spec.history, spec.n_neurons, self.m
+        col, src = _columns_and_sources(spec)
         # A dense column costs about h*N multiply-adds per row and a gather
         # slot about as much as 16 of them, so a target is a hub from h*N/16
         # in-edges on (a source likewise by its out-edges). At n=1024 only
@@ -216,19 +368,22 @@ class BatchRunner:
         # threshold would make the log-inhibitor outputs (14 in-edges) hubs
         # at every n, and their dense block nearly h*N x m.
         threshold = h * n_all / 16
+        # the split holds synapse numbers from 1 (0: none) until _kernel
+        # puts each one's radix in its place
+        ids = np.arange(1, col.size + 1)
 
-        cols, block, rest = _dense_block(col, src, weight, m, h * n_all, threshold)
+        cols, block, rest = _dense_block(col, src, ids, m, h * n_all, threshold)
         col_src = np.flatnonzero(block.any(axis=0))
         self.cols, self.col_src = _selector(cols), _selector(col_src)
-        self.col_block = np.ascontiguousarray(block[:, col_src].T)
-        src, col, weight = src[rest], col[rest], weight[rest]
+        self._col_ids = np.ascontiguousarray(block[:, col_src].T)
+        src, col, ids = src[rest], col[rest], ids[rest]
 
-        rows, self.row_block, rest = _dense_block(src, col, weight, h * n_all, m, threshold)
+        rows, self._row_ids, rest = _dense_block(src, col, ids, h * n_all, m, threshold)
         self.rows = _selector(rows)
-        self.slots = _gather_slots(src[rest], col[rest], weight[rest], m)
-        # (probability, draw, fired) tile buffers: the first step allocates
-        # them and a larger tile grows them
-        self._tile_bufs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._slot_ids = _gather_slots(src[rest], col[rest], ids[rest], m)
+        # (code, index, probability, draw, fired) tile buffers: the first
+        # step allocates them and a larger tile grows them
+        self._tile_bufs: tuple[np.ndarray, ...] | None = None
 
     @cached_property
     def w_cols(self) -> list[np.ndarray]:
@@ -239,36 +394,68 @@ class BatchRunner:
             for lag0 in range(self.spec.history)
         ]
 
+    @cached_property
+    def _kernel(self) -> tuple[list, np.ndarray, np.ndarray, _CountForm]:
+        """The split's radices (``slots`` in the code dtype, ``row_block``
+        and ``col_block`` in float64 for BLAS) and the spec's count form, on
+        first use."""
+        form = _count_form(self.spec)
+        r = form.radix
+        slots = [(c, s, r[ids].astype(form.offsets.dtype)) for c, s, ids in self._slot_ids]
+        return slots, r[self._row_ids], r[self._col_ids], form
+
+    slots = property(lambda self: self._kernel[0])
+    row_block = property(lambda self: self._kernel[1])
+    col_block = property(lambda self: self._kernel[2])
+
+    def _codes(self, frames: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """(B, M) codes of every code column, each its table offset plus its
+        count code, in the count form's code dtype. ``frames``: (B, h, N)
+        0/1. ``out``, when given, receives them."""
+        slots, row_block, col_block, form = self._kernel
+        rows, h, n_all = frames.shape
+        f = np.asarray(frames, dtype=np.uint8).reshape(rows, h * n_all)
+        code = np.empty((rows, form.offsets.size), form.offsets.dtype) if out is None else out
+        np.copyto(code, form.offsets)  # broadcasts the offsets over the batch
+        main = code[:, : self.m]
+        for cols, src, val in slots:
+            _add_into(main, cols, f[:, src] * val)
+        # the dense blocks' float products are whole numbers: the casts are exact
+        if row_block.size:
+            main += (f[:, self.rows] @ row_block).astype(code.dtype)
+        if col_block.size:
+            _add_into(main, self.cols, (f[:, self.col_src] @ col_block).astype(code.dtype))
+        for cols, src, val in form.group_slots:
+            _add_into(code, cols, f[:, src] * val)
+        return code
+
+    def _lookup(self, code: np.ndarray, probs: bool, out=None, idx=None) -> np.ndarray:
+        """Potentials or probabilities of the ``m`` non-input columns from
+        their codes, into ``out`` when given; ``idx``, an intp (B, m) array,
+        holds the table indices when given. A column with digit groups sums
+        its groups' table potentials in group order."""
+        form = self._kernel[3]
+        at = code[:, : self.m]
+        if idx is not None:  # else take makes intp indices of its own
+            np.copyto(idx, at)
+            at = idx
+        got = np.take(form.prob if probs else form.pot, at, out=out, mode="clip")
+        if form.group_cols.size:
+            pot = np.take(form.pot, code[:, form.group_cols], mode="clip")
+            for cols, code_cols in form.levels:
+                pot[:, cols] += np.take(form.pot, code[:, code_cols], mode="clip")
+            got[:, form.group_cols] = sigmoid(pot / self.spec.lam) if probs else pot
+        return got
+
     def potentials(self, frames: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Potentials of all non-input neurons. ``frames``: (B, h, N) 0/1.
         ``out``, a float64 (B, m) array, receives them and is returned."""
-        rows = frames.shape[0]
-        f = frames.reshape(rows, self.spec.history * self.spec.n_neurons)
-        pot = np.empty((rows, self.b.size)) if out is None else out
-        np.negative(self.b, out=pot)  # broadcasts -b over the batch
-        for cols, src, val in self.slots:
-            _add_into(pot, cols, f[:, src] * val)
-        if self.row_block.size:
-            pot += f[:, self.rows] @ self.row_block
-        if self.col_block.size:
-            _add_into(pot, self.cols, f[:, self.col_src] @ self.col_block)
-        return pot
+        return self._lookup(self._codes(frames), False, out)
 
-    def probabilities(
-        self, frames: np.ndarray, out: np.ndarray | None = None, clip: slice | None = None
-    ) -> np.ndarray:
-        """Firing probabilities of all non-input neurons, computed in the
-        potentials' array (``out`` when given). ``clip``, a slice of columns,
-        clips their scaled potentials to ``[-_SATURATION, _SATURATION]``
-        before the sigmoid: their probabilities then differ, but never on
-        which side of a nonzero multiple of 2^-53 they fall (``step_bits``)."""
-        pot = self.potentials(frames, out=out)
-        if self.spec.lam != 1.0:  # dividing by 1.0 changes no bit
-            pot /= self.spec.lam
-        if clip is not None:
-            view = pot[:, clip]
-            np.clip(view, -_SATURATION, _SATURATION, out=view)
-        return sigmoid(pot, out=pot)
+    def probabilities(self, frames: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Firing probabilities of all non-input neurons, ``sigmoid(potential
+        / lam)``, into ``out`` when given."""
+        return self._lookup(self._codes(frames), True, out)
 
     def step_bits(self, frames: np.ndarray, t: int, trials, input_bits) -> np.ndarray:
         """One synchronous step. Returns the new (B, N) uint8 frame.
@@ -277,26 +464,30 @@ class BatchRunner:
         input X) or one row per trial. The non-input bits are made one row
         tile at a time, in the workspace's buffers.
         """
-        batch = frames.shape[0]
+        batch, m = frames.shape[0], self.m
         new = np.empty((batch, self.spec.n_neurons), dtype=np.uint8)
         if self.input_ids.size:
             new[:, self._input_sel] = input_bits
         trials = np.asarray(trials)
-        tile = max(1, min(batch, _TILE_ELEMS // max(1, self.b.size)))
+        tile = max(1, min(batch, _TILE_ELEMS // max(1, m)))
         if self._tile_bufs is None or self._tile_bufs[0].shape[0] < tile:
-            shape = (tile, self.b.size)
-            self._tile_bufs = (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool))
-        p_buf, d_buf, fired = self._tile_bufs
+            offsets = self._kernel[3].offsets
+            shape = (tile, m)
+            self._tile_bufs = (
+                np.empty((tile, offsets.size), dtype=offsets.dtype),
+                np.empty(shape, dtype=np.intp),
+                np.empty(shape),
+                np.empty(shape),
+                np.empty(shape, dtype=bool),
+            )
+        code, idx, p_buf, d_buf, fired = self._tile_bufs
         for lo in range(0, batch, tile):
             rows = min(tile, batch - lo)
             draws = self.rng.uniform_block(
                 trials[lo : lo + rows], t, self.non_input, out=d_buf[:rows]
             )
-            # clipping changes no fired bit unless a clipped draw is exactly 0
-            clip = self.clip_cols
-            if clip is not None and not draws[:, clip].min() > 0.0:
-                clip = None
-            p = self.probabilities(frames[lo : lo + rows], out=p_buf[:rows], clip=clip)
+            self._codes(frames[lo : lo + rows], out=code[:rows])
+            p = self._lookup(code[:rows], True, out=p_buf[:rows], idx=idx[:rows])
             np.less(draws, p, out=fired[:rows])
             new[lo : lo + rows, self._non_input_sel] = fired[:rows]
         return new
@@ -326,6 +517,17 @@ def _draws_array(spec: NetworkSpec, draws) -> np.ndarray:
     return a
 
 
+# The runner of the last spec that ``potential`` or ``step`` read: calls in a
+# loop over one network build its tables once.
+_scalar: list[BatchRunner] = []
+
+
+def _scalar_runner(spec: NetworkSpec) -> BatchRunner:
+    if not _scalar or _scalar[0].spec is not spec:
+        _scalar[:] = [BatchRunner(spec, RandomnessContract(0))]
+    return _scalar[0]
+
+
 def potential(spec: NetworkSpec, window, u: int) -> float:
     """Membrane potential of neuron ``u`` given the last ``h`` firing vectors,
     ``sum_l sum_v w(v, u, l) * frame[t-l](v) - b(u)``: its entry of
@@ -335,7 +537,7 @@ def potential(spec: NetworkSpec, window, u: int) -> float:
     if spec.is_input(u):
         raise InputNeuronPotential(f"neuron {u} is an input")
     frames = window_frames(spec, window)
-    runner = BatchRunner(spec, RandomnessContract(0))
+    runner = _scalar_runner(spec)
     return float(runner.potentials(frames[None])[0, np.searchsorted(runner.non_input, u)])
 
 
@@ -350,7 +552,7 @@ def step(spec: NetworkSpec, window, next_input, draws) -> np.ndarray:
     frames = window_frames(spec, window)[None]
     d = _draws_array(spec, draws)
 
-    runner = BatchRunner(spec, RandomnessContract(0))
+    runner = _scalar_runner(spec)
     p = runner.probabilities(frames)[0]
     new = np.zeros(spec.n_neurons, dtype=np.uint8)
     new[spec.input_indices] = x

@@ -221,6 +221,66 @@ class TestProbeCommand:
         assert len(report["reconvergence_fractions"]) == 2
 
 
+_TRIAL_FLAGS = ["--n", "2", "--gamma", "10", "--ts", "3", "--tc", "20", "--trials", "30",
+                "--seed", "3"]
+# one small call of every command that writes a manifest
+_RERUN_CALLS = {
+    "build": ["build", "--variant", "log-inhibitor", "--n", "3", "--gamma", "10"],
+    "run": ["run", *_TRIAL_FLAGS, "--log-trials"],
+    "sweep": ["sweep", *_TRIAL_FLAGS[2:], "--n", "2,3"],
+    "oracle": ["oracle", "--n", "2", "--gamma", "10", "--ts", "3", "--tmax", "20"],
+    "lemma-check": ["lemma-check", "--lemma", "3.4", "--n", "4", "--samples", "300"],
+    "stabilize-probe": ["stabilize-probe", *_TRIAL_FLAGS, "--perturbations", "2"],
+}
+
+
+def _verdicts(text: str) -> list[str]:
+    return [line for line in text.splitlines() if line.split(" ")[0] in ("equal", "different")]
+
+
+class TestVerifiedRerun:
+    """The manifest records each output's sha256, and ``rerun`` compares."""
+
+    def _first_run(self, tmp_path, command):
+        code = main(_RERUN_CALLS[command] + ["--out", str(tmp_path / "o")])
+        (manifest,) = tmp_path.glob("*.manifest.json")
+        return code, manifest, json.loads(manifest.read_text())
+
+    @pytest.mark.parametrize("command", sorted(_RERUN_CALLS))
+    def test_every_command_reruns_all_equal(self, tmp_path, capsys, command):
+        code, manifest, data = self._first_run(tmp_path, command)
+        assert sorted(data["sha256"]) == sorted(data["outputs"])
+        for path, digest in data["sha256"].items():
+            assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == digest
+        capsys.readouterr()
+        assert main(["rerun", str(manifest)]) == code
+        want = [f"equal {path}" for path in sorted(data["outputs"])]
+        assert _verdicts(capsys.readouterr().out) == want
+
+    def test_an_edited_digest_is_reported_different(self, tmp_path, capsys):
+        _, manifest, data = self._first_run(tmp_path, "run")
+        edited = str(tmp_path / "o.csv")
+        data["sha256"][edited] = "0" * 64
+        manifest.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["rerun", str(manifest)]) == 1
+        verdicts = _verdicts(capsys.readouterr().out)
+        assert f"different {edited}" in verdicts
+        assert sum(v.startswith("equal") for v in verdicts) == len(data["outputs"]) - 1
+
+    def test_a_manifest_without_digests_still_reruns(self, tmp_path, capsys):
+        _, manifest, data = self._first_run(tmp_path, "run")
+        before = {p: Path(p).read_bytes() for p in data["outputs"]}
+        del data["sha256"]
+        manifest.write_text(json.dumps(data))
+        for path in before:
+            Path(path).unlink()
+        capsys.readouterr()
+        assert main(["rerun", str(manifest)]) == 0
+        assert _verdicts(capsys.readouterr().out) == []
+        assert {p: Path(p).read_bytes() for p in before} == before
+
+
 class TestInvalidInputsExitThree:
     """Inputs that once escaped as uncaught exceptions (exit 1 and a
     traceback) or ran although out of range: each is a validation error."""

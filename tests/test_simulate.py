@@ -25,6 +25,7 @@ from wtalab import (
     hold_probability,
     initial_window,
     potential,
+    rescale_temperature,
     run,
     run_trials,
     sigmoid,
@@ -33,7 +34,7 @@ from wtalab import (
 )
 from wtalab.experiments import batch_convergence_times, initial_windows_batch
 from wtalab.network import AUXILIARY, EXCITATORY, INHIBITORY, INPUT, OUTPUT
-from wtalab import simulate
+from wtalab import oracle, simulate
 from wtalab.simulate import BatchRunner
 
 from conftest import brute_convergence_time, random_network
@@ -332,14 +333,13 @@ class TestKernel:
 
     @pytest.mark.parametrize("history", [1, 2])
     def test_scalar_potential_is_the_batch_entry(self, nprng, history):
-        # potential is a batch of one of the kernel, for every non-input neuron
-        # (a batch of more rows may round differently: BLAS picks its dense
-        # kernel by shape)
+        # potential is an entry of the kernel, bit for bit, for every
+        # non-input neuron and whatever the number of rows in the call
         for sizes, density in [((2, 2, 2), 0.6), ((10, 40, 30), 0.1)]:
             spec = random_network(nprng, *sizes, history=history, density=density)
             runner = BatchRunner(spec, RandomnessContract(0))
-            for frames in random_frames(nprng, spec, 4, np.uint8):
-                batch = runner.potentials(frames[None])[0]
+            windows = random_frames(nprng, spec, 4, np.uint8)
+            for frames, batch in zip(windows, runner.potentials(windows)):
                 scalar = [potential(spec, frames, u) for u in spec.non_input_indices.tolist()]
                 assert np.asarray(scalar).tobytes() == batch.tobytes()
 
@@ -366,6 +366,145 @@ class TestKernel:
         assert len(runner.w_cols) == 2
         for lag in (1, 2):
             assert np.array_equal(runner.w_cols[lag - 1], spec.weights[lag - 1][:, ni])
+
+
+def _wide_network(nprng, lam=1.0):
+    """A random network whose 8 non-input columns each read 24 synapses of
+    distinct weights: 2^24 count codes, so every column has digit groups."""
+    return random_network(nprng, 4, 4, 4, history=2, lam=lam, density=1.0)
+
+
+_FAMILIES = {"two": build_two_inhibitor, "single": build_single_inhibitor,
+             "log": build_log_inhibitor}
+_RANDOM = {
+    "h1": lambda g: random_network(g, history=1),
+    "h2": lambda g: random_network(g, history=2),
+    "sparse": lambda g: random_network(g, 10, 40, 30, history=2, density=0.1),
+    "wide": _wide_network,
+}
+
+
+class TestBatchInvariance:
+    """A row's potentials and probabilities are the same bits whatever the
+    number of rows in the call: codes are sums of integers, and every value
+    comes from one table."""
+
+    @pytest.mark.parametrize("method", ["potentials", "probabilities"])
+    @pytest.mark.parametrize(
+        "case",
+        [f"{f}-{n}" for f in _FAMILIES for n in (8, 1024)] + [f"random-{k}" for k in _RANDOM],
+    )
+    def test_every_split_of_a_batch_gives_the_same_bits(self, nprng, case, method):
+        family, size = case.split("-")
+        spec = _FAMILIES[family](int(size), 7.3) if family in _FAMILIES else _RANDOM[size](nprng)
+        frames = random_frames(nprng, spec, 62, np.uint8)
+        call = getattr(BatchRunner(spec, RandomnessContract(0)), method)
+        whole = call(frames)
+        for k in (1, 2, 3, 8, 31, 62):
+            parts = [call(frames[lo : lo + k]) for lo in range(0, 62, k)]
+            assert np.array_equal(np.vstack(parts), whole), k
+
+    @pytest.mark.parametrize("spec_at", range(4))
+    def test_window_chain_probabilities_under_two_row_blocks(self, monkeypatch, nprng, spec_at):
+        spec = [build_two_inhibitor(3, 7.3), build_single_inhibitor(4, 7.3),
+                build_log_inhibitor(2, 7.3), random_network(nprng, history=2)][spec_at]
+        x = np.ones(spec.input_indices.size, dtype=np.uint8)
+        want = WindowStateSpace(spec, x).step_probabilities
+
+        class Blocks(BatchRunner):
+            """``probabilities`` in calls of ``block`` rows."""
+
+            def probabilities(self, frames, out=None):
+                out = np.empty((frames.shape[0], self.m)) if out is None else out
+                for lo in range(0, frames.shape[0], block):
+                    super().probabilities(frames[lo : lo + block], out=out[lo : lo + block])
+                return out
+
+        for block in (1, 7):
+            monkeypatch.setattr(oracle, "BatchRunner", Blocks)
+            assert np.array_equal(WindowStateSpace(spec, x).step_probabilities, want)
+
+
+def _reference_potential(spec, frames, u):
+    """Minus the bias of ``u``, then, for each distinct weight of its synapses
+    in the order of its first synapse, the weight times how many of its
+    synapses read a firing bit: summed per digit group (classes in order; a
+    class opens a new group, which starts from 0, when it would take a
+    nonempty group's product of degree + 1 past 2^16) and the groups added
+    in order. Plain Python floats over ``spec.edges()``."""
+    h = spec.history
+    counts = {}
+    for pre, post, lag, w in spec.edges():
+        if post == u:
+            counts[w] = counts.get(w, 0) + int(frames[h - lag][pre])
+    degree = {}
+    for pre, post, lag, w in spec.edges():
+        if post == u:
+            degree[w] = degree.get(w, 0) + 1
+    groups, size = [-float(spec.biases[u])], 1
+    for w, count in counts.items():  # dicts keep first-synapse order
+        if size > 1 and size * (degree[w] + 1) > 1 << 16:
+            groups.append(0.0)
+            size = 1
+        groups[-1] = groups[-1] + w * count
+        size *= degree[w] + 1
+    total = groups[0]
+    for part in groups[1:]:
+        total = total + part
+    return total
+
+
+class TestCountCodes:
+    """The tables against an independent per-synapse sum."""
+
+    def test_wide_network_has_digit_groups(self, nprng):
+        form = BatchRunner(_wide_network(nprng), RandomnessContract(0))._kernel[3]
+        assert np.array_equal(form.group_cols, np.arange(8))
+        assert len(form.levels) == 1 and form.offsets.size == 16
+
+    @pytest.mark.parametrize("lam", [1.0, 0.37])
+    def test_probabilities_equal_a_per_synapse_sum(self, nprng, lam):
+        specs = [random_network(nprng, history=2, lam=lam), _wide_network(nprng, lam),
+                 rescale_temperature(build_log_inhibitor(5, 7.3), lam),
+                 rescale_temperature(build_two_inhibitor(6, 7.3), lam)]
+        for spec in specs:
+            frames = random_frames(nprng, spec, 6, np.uint8)
+            runner = BatchRunner(spec, RandomnessContract(0))
+            pot, prob = runner.potentials(frames), runner.probabilities(frames)
+            ni = spec.non_input_indices.tolist()
+            want = np.array([[_reference_potential(spec, f, u) for u in ni] for f in frames])
+            assert np.array_equal(pot, want)
+            assert np.array_equal(prob, sigmoid(want / lam))
+            for f in frames[:2]:
+                dense, scale = dense_potentials(spec, f[None])
+                got = [potential(spec, f, u) for u in ni]
+                assert np.all(np.abs(got - dense[0]) <= 1e-9 * scale[0])
+
+    @pytest.mark.parametrize("build", [build_two_inhibitor, build_log_inhibitor])
+    def test_a_class_of_more_than_two_to_the_16_synapses_keeps_one_table(self, nprng, build):
+        # each inhibitor reads 2^16 (2^17) outputs of one weight: one class,
+        # one table of degree + 1 entries and int32 codes
+        spec = build(1 << 16, 10.0)
+        runner = BatchRunner(spec, RandomnessContract(0))
+        frames = random_frames(nprng, spec, 3, np.uint8)
+        frames[2] = 1
+        pot = runner.potentials(frames)
+        form = runner._kernel[3]
+        assert form.group_cols.size == 0 and form.offsets.dtype == np.int32
+        syn, ni, h = spec.synapses, spec.non_input_indices, spec.history
+        for f, row in zip(frames, pot):
+            fired = syn.weight * f[h - 1 - syn.lag0, syn.pre]
+            want = (np.bincount(syn.post, fired, spec.n_neurons) - spec.biases)[ni]
+            scale = (np.bincount(syn.post, np.abs(fired), spec.n_neurons)
+                     + np.abs(spec.biases))[ni]
+            assert np.all(np.abs(row - want) <= 1e-12 * scale)
+
+    def test_tables_are_built_on_first_use(self, nprng):
+        spec = random_network(nprng, history=2)
+        runner = BatchRunner(spec, RandomnessContract(0))
+        assert "_kernel" not in vars(runner)
+        runner.potentials(random_frames(nprng, spec, 2, np.uint8))
+        assert "_kernel" in vars(runner)
 
 
 def _tile_rows(monkeypatch, spec, rows):
@@ -553,21 +692,9 @@ class _ZeroFirstDraw(RandomnessContract):
 
 
 class TestSaturatedStep:
-    """``step_bits`` clips the scaled potentials to [-40, 40] in a tile whose
-    draws are all nonzero; no fired bit may differ from ``d < sigmoid(z)``."""
-
-    def test_clipping_decides_every_nonzero_draw_alike(self):
-        sat = simulate._SATURATION
-        edges = [-745.14, -745.13, -745.0, -744.44, -708.4, -708.39, -sat, -36.7, sat, 36.7]
-        z = np.concatenate([np.linspace(-900.0, 900.0, 180_001), edges,
-                            np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)])
-        exact, clipped = sigmoid(z), sigmoid(np.clip(z, -sat, sat))
-        assert np.any((exact > 0.0) & (exact < 2.0**-1022))  # subnormal probabilities
-        for k in (1, 2, 3, 1 << 20, 1 << 52, (1 << 53) - 1):
-            d = k * 2.0**-53
-            assert np.array_equal(d < exact, d < clipped), k
-        # a zero draw is where they part, so step_bits never clips then
-        assert not np.array_equal(0.0 < exact, 0.0 < clipped)
+    """Potentials far below -708, where ``exp`` makes subnormal results, go
+    through the same tables as any other; no fired bit may differ from
+    ``d < sigmoid(z)``, a zero draw included."""
 
     @pytest.mark.parametrize("rng", [RandomnessContract(3), _ZeroFirstDraw(3)],
                              ids=["draws", "forced_zero_draw"])
@@ -578,7 +705,6 @@ class TestSaturatedStep:
         trials = np.arange(5_000)
         frames = initial_windows_batch(spec, "uniform_random", x, trials, RandomnessContract(9))
         runner = BatchRunner(spec, rng)
-        assert runner.clip_cols == slice(0, spec.non_input_indices.size)  # every column clips
         new = runner.step_bits(frames, 2, trials, x)
         pot = BatchRunner(spec, rng).potentials(frames)
         assert np.any(pot < -745.0) and np.any((pot > -745.0) & (pot < -708.0))
