@@ -109,11 +109,14 @@ def _selector(indices: np.ndarray) -> np.ndarray | slice:
     return indices
 
 
-# A column whose classes' product of degree + 1 passes this many count codes
-# (a wide random network) splits its classes into groups, each a code column
-# with a table of at most this many entries. One class alone may pass it: its
-# table has degree + 1 entries.
+# A column's classes fall into digit groups, each a code column with one
+# table. A group takes the next class while its table stays within this many
+# entries and within _ENTRIES_PER_SYNAPSE per synapse it holds; a group's
+# first class always fits. So a spec's tables hold at most 32 entries per
+# synapse (a column without synapses has a 1-entry table), while the columns
+# of the builder networks, a few classes of high degree, keep one table each.
 _TABLE_LIMIT = 1 << 16
+_ENTRIES_PER_SYNAPSE = 32
 
 # Elements of one (rows x m) tile of a step. Each float64 tile buffer is then
 # 256 KiB, so a tile's buffers and temporaries stay in a core's L2 cache
@@ -216,18 +219,25 @@ def _table(start: float, digits) -> np.ndarray:
     return table
 
 
-class _CountForm(NamedTuple):
-    """A spec's count codes and tables (see ``BatchRunner``).
+class _Kernel(NamedTuple):
+    """A spec's count codes, tables and the split that sums the codes (see
+    ``BatchRunner``).
 
-    ``radix`` is each synapse's radix in its column's code, after a 0 for
-    "no synapse", and 0 for a synapse of a later digit group, which
-    ``group_slots`` (gather slots over the later groups' code columns) add.
+    ``slots`` are the gather slots ``(cols, src, radices)``; ``rows`` and
+    ``row_block`` the dense rows, ``cols``, ``col_src`` and ``col_block`` the
+    dense columns, their radices in float64 for BLAS. ``group_slots`` are
+    gather slots over the code columns of the later digit groups.
     ``offsets`` is each code column's offset into the flat tables, in the
     codes' dtype; ``pot`` and ``prob`` are the tables. ``group_cols`` are the
     columns with digit groups, and ``levels`` holds, per later group, the
     positions of its columns among them and its code columns."""
 
-    radix: np.ndarray
+    slots: list
+    rows: np.ndarray | slice
+    row_block: np.ndarray
+    cols: np.ndarray | slice
+    col_src: np.ndarray | slice
+    col_block: np.ndarray
     group_slots: list
     offsets: np.ndarray
     pot: np.ndarray
@@ -236,24 +246,26 @@ class _CountForm(NamedTuple):
     levels: list
 
 
-def _count_form(spec: NetworkSpec) -> _CountForm:
-    """The count codes and tables of ``spec`` (see ``BatchRunner``)."""
+def _count_kernel(spec: NetworkSpec) -> _Kernel:
+    """The count codes, tables and split of ``spec`` (see ``BatchRunner``)."""
+    h, n_all = spec.history, spec.n_neurons
     non_input, m = spec.non_input_indices, spec.non_input_indices.size
-    cls, k_col, k_w, k_deg = _classes(_columns_and_sources(spec)[0], spec.synapses.weight, m)
+    col, src = _columns_and_sources(spec)
+    cls, k_col, k_w, k_deg = _classes(col, spec.synapses.weight, m)
     # One pass over the classes (the digits of the codes), column by column:
     # each one's code column and radix, and each code column's signature (its
-    # start, then the weight and degree of each digit). A class that would
-    # take a group's product of degree + 1 past _TABLE_LIMIT opens the
-    # column's next group, a code column after the m real ones that starts
-    # from 0.
+    # start, then the weight and degree of each digit). A class that does not
+    # fit its column's current group (see _TABLE_LIMIT) opens the column's
+    # next group, a code column after the m real ones that starts from 0.
     keys = [[s] for s in (-spec.biases[non_input]).tolist()]
     code_col, radix, later = [], [], []  # later: (column, group) of code column m + i
     last = -1
     for c, w, d in zip(k_col.tolist(), k_w.tolist(), k_deg.tolist()):
         if c != last:
-            last, group, size, code = c, 0, 1, c
-        if size > 1 and size * (d + 1) > _TABLE_LIMIT:
-            group, size, code = group + 1, 1, len(keys)
+            last, group, size, held, code = c, 0, 1, 0, c
+        held += d
+        if size > 1 and size * (d + 1) > min(_TABLE_LIMIT, _ENTRIES_PER_SYNAPSE * held):
+            group, size, held, code = group + 1, 1, d, len(keys)
             later.append((c, group))
             keys.append([0.0])
         code_col.append(code)
@@ -266,18 +278,32 @@ def _count_form(spec: NetworkSpec) -> _CountForm:
     parts = [_table(k[0], zip(k[1::2], k[2::2])) for k in index]
     sizes = np.array([t.size for t in parts], dtype=np.intp)
     pot = np.concatenate(parts) if parts else np.zeros(0)
+    # codes index the flat tables, so a uint16 holds them up to 2^16 entries
+    dtype = np.uint16 if pot.size <= 1 << 16 else np.int32
 
-    # each synapse's radix, after a 0 for "no synapse"; the synapses of a
-    # later group are left out of the split and added by slots of their own
-    syn_radix = np.zeros(cls.size + 1)
-    np.take(np.array(radix, dtype=float), cls, out=syn_radix[1:])
+    # each synapse's radix; the synapses of a later group sum by gather
+    # slots of their own, the others by the split of the m real columns
+    rad = np.array(radix, dtype=float)[cls]
     group_slots = []
     if later:
         code = np.array(code_col)[cls]
-        moved = np.flatnonzero(code >= m)
-        src = _columns_and_sources(spec)[1][moved]
-        group_slots = _gather_slots(src, code[moved], syn_radix[1 + moved], len(keys))
-        syn_radix[1 + moved] = 0.0
+        main = code < m
+        group_slots = _gather_slots(src[~main], code[~main], rad[~main], len(keys))
+        col, src, rad = col[main], src[main], rad[main]
+    # A dense column costs about h*N multiply-adds per row and a gather slot
+    # about as much as 16 of them, so a target is a hub from h*N/16 in-edges
+    # on (a source likewise by its out-edges). At n=1024 only the
+    # auxiliaries are hubs and each output keeps its 2-3 other synapses in
+    # the gather; at n=8 every output is a hub. A fixed threshold would make
+    # the log-inhibitor outputs (14 in-edges) hubs at every n, and their
+    # dense block nearly h*N x m.
+    threshold = h * n_all / 16
+    cols, col_block, rest = _dense_block(col, src, rad, m, h * n_all, threshold)
+    col_src = np.flatnonzero(col_block.any(axis=0))
+    src, col, rad = src[rest], col[rest], rad[rest]
+    rows, row_block, rest = _dense_block(src, col, rad, h * n_all, m, threshold)
+    slots = _gather_slots(src[rest], col[rest], rad[rest], m)
+
     group_cols = np.array([c for c, g in later if g == 1], dtype=np.intp)
     levels = []
     for level in range(1, max((g for _, g in later), default=0) + 1):
@@ -286,16 +312,19 @@ def _count_form(spec: NetworkSpec) -> _CountForm:
             np.searchsorted(group_cols, [c for _, c in here]),
             m + np.array([i for i, _ in here], dtype=np.intp),
         ))
-    # codes index the flat tables, so a uint16 holds them up to 2^16 entries
-    dtype = np.uint16 if pot.size <= 1 << 16 else np.int32
-    return _CountForm(
-        syn_radix,
-        [(c, s, v.astype(dtype)) for c, s, v in group_slots],
-        (np.cumsum(sizes) - sizes)[which].astype(dtype),
-        pot,
-        sigmoid(pot / spec.lam),
-        group_cols,
-        levels,
+    return _Kernel(
+        slots=[(c, s, v.astype(dtype)) for c, s, v in slots],
+        rows=_selector(rows),
+        row_block=row_block,
+        cols=_selector(cols),
+        col_src=_selector(col_src),
+        col_block=np.ascontiguousarray(col_block[:, col_src].T),
+        group_slots=[(c, s, v.astype(dtype)) for c, s, v in group_slots],
+        offsets=(np.cumsum(sizes) - sizes)[which].astype(dtype),
+        pot=pot,
+        prob=sigmoid(pot / spec.lam),
+        group_cols=group_cols,
+        levels=levels,
     )
 
 
@@ -333,20 +362,21 @@ class BatchRunner:
     which its sum starts from. ``potentials`` and ``probabilities`` are
     lookups, and a step is draws, codes, one ``np.take`` and the compare.
 
-    **Digit groups.** A column whose classes' product of ``degree + 1``
-    passes ``_TABLE_LIMIT`` splits its classes into groups: group 0 is its own
-    code, with the bias, and each later group a code column after the ``m``
-    real ones that starts from 0, summed by gather slots of its own. The
-    column's potential is the sum of its groups' table potentials in group
-    order, and its probability the sigmoid of that, made per call
-    (``_lookup``). Only wide random networks have them, whose later groups
-    have few synapses each, so few gather slots.
+    **Digit groups.** A column's classes fall into groups, a group taking
+    the next class while its table stays within ``_TABLE_LIMIT`` entries and
+    within ``_ENTRIES_PER_SYNAPSE`` per synapse it holds; so the tables grow
+    with the synapses. Group 0 is the column's own code, with the bias, and
+    each later group a code column after the ``m`` real ones that starts
+    from 0, summed by gather slots of its own. The column's potential is the
+    sum of its groups' table potentials in group order, and its probability
+    the sigmoid of that, made per call (``_lookup``). Random networks whose
+    columns read many distinct weights have them; the builder networks'
+    columns, a few classes of high degree each, do not.
 
-    ``__init__`` splits the synapses, holding synapse numbers in place of
-    radices. The radices, offsets and tables are the spec's count form
-    (``_count_form``), which ``_kernel`` builds on the runner's first use
-    and puts the radices of into the split.
-    Index arrays that count up by one are kept as slices (``_selector``).
+    The split, codes and tables are the spec's count kernel
+    (``_count_kernel``), which the runner builds on its first use, never in
+    ``__init__``. Index arrays that count up by one are kept as slices
+    (``_selector``).
     """
 
     def __init__(self, spec: NetworkSpec, rng: RandomnessContract):
@@ -357,30 +387,6 @@ class BatchRunner:
         self.m = self.non_input.size
         self._non_input_sel = _selector(self.non_input)
         self._input_sel = _selector(self.input_ids)
-
-        h, n_all, m = spec.history, spec.n_neurons, self.m
-        col, src = _columns_and_sources(spec)
-        # A dense column costs about h*N multiply-adds per row and a gather
-        # slot about as much as 16 of them, so a target is a hub from h*N/16
-        # in-edges on (a source likewise by its out-edges). At n=1024 only
-        # the auxiliaries are hubs and each output keeps its 2-3 other
-        # synapses in the gather; at n=8 every output is a hub. A fixed
-        # threshold would make the log-inhibitor outputs (14 in-edges) hubs
-        # at every n, and their dense block nearly h*N x m.
-        threshold = h * n_all / 16
-        # the split holds synapse numbers from 1 (0: none) until _kernel
-        # puts each one's radix in its place
-        ids = np.arange(1, col.size + 1)
-
-        cols, block, rest = _dense_block(col, src, ids, m, h * n_all, threshold)
-        col_src = np.flatnonzero(block.any(axis=0))
-        self.cols, self.col_src = _selector(cols), _selector(col_src)
-        self._col_ids = np.ascontiguousarray(block[:, col_src].T)
-        src, col, ids = src[rest], col[rest], ids[rest]
-
-        rows, self._row_ids, rest = _dense_block(src, col, ids, h * n_all, m, threshold)
-        self.rows = _selector(rows)
-        self._slot_ids = _gather_slots(src[rest], col[rest], ids[rest], m)
         # (code, index, probability, draw, fired) tile buffers: the first
         # step allocates them and a larger tile grows them
         self._tile_bufs: tuple[np.ndarray, ...] | None = None
@@ -395,37 +401,28 @@ class BatchRunner:
         ]
 
     @cached_property
-    def _kernel(self) -> tuple[list, np.ndarray, np.ndarray, _CountForm]:
-        """The split's radices (``slots`` in the code dtype, ``row_block``
-        and ``col_block`` in float64 for BLAS) and the spec's count form, on
-        first use."""
-        form = _count_form(self.spec)
-        r = form.radix
-        slots = [(c, s, r[ids].astype(form.offsets.dtype)) for c, s, ids in self._slot_ids]
-        return slots, r[self._row_ids], r[self._col_ids], form
-
-    slots = property(lambda self: self._kernel[0])
-    row_block = property(lambda self: self._kernel[1])
-    col_block = property(lambda self: self._kernel[2])
+    def _kernel(self) -> _Kernel:
+        """The spec's count kernel, built on first use."""
+        return _count_kernel(self.spec)
 
     def _codes(self, frames: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """(B, M) codes of every code column, each its table offset plus its
-        count code, in the count form's code dtype. ``frames``: (B, h, N)
-        0/1. ``out``, when given, receives them."""
-        slots, row_block, col_block, form = self._kernel
+        count code, in the kernel's code dtype. ``frames``: (B, h, N) 0/1.
+        ``out``, when given, receives them."""
+        k = self._kernel
         rows, h, n_all = frames.shape
         f = np.asarray(frames, dtype=np.uint8).reshape(rows, h * n_all)
-        code = np.empty((rows, form.offsets.size), form.offsets.dtype) if out is None else out
-        np.copyto(code, form.offsets)  # broadcasts the offsets over the batch
+        code = np.empty((rows, k.offsets.size), k.offsets.dtype) if out is None else out
+        np.copyto(code, k.offsets)  # broadcasts the offsets over the batch
         main = code[:, : self.m]
-        for cols, src, val in slots:
+        for cols, src, val in k.slots:
             _add_into(main, cols, f[:, src] * val)
         # the dense blocks' float products are whole numbers: the casts are exact
-        if row_block.size:
-            main += (f[:, self.rows] @ row_block).astype(code.dtype)
-        if col_block.size:
-            _add_into(main, self.cols, (f[:, self.col_src] @ col_block).astype(code.dtype))
-        for cols, src, val in form.group_slots:
+        if k.row_block.size:
+            main += (f[:, k.rows] @ k.row_block).astype(code.dtype)
+        if k.col_block.size:
+            _add_into(main, k.cols, (f[:, k.col_src] @ k.col_block).astype(code.dtype))
+        for cols, src, val in k.group_slots:
             _add_into(code, cols, f[:, src] * val)
         return code
 
@@ -434,17 +431,17 @@ class BatchRunner:
         their codes, into ``out`` when given; ``idx``, an intp (B, m) array,
         holds the table indices when given. A column with digit groups sums
         its groups' table potentials in group order."""
-        form = self._kernel[3]
+        k = self._kernel
         at = code[:, : self.m]
         if idx is not None:  # else take makes intp indices of its own
             np.copyto(idx, at)
             at = idx
-        got = np.take(form.prob if probs else form.pot, at, out=out, mode="clip")
-        if form.group_cols.size:
-            pot = np.take(form.pot, code[:, form.group_cols], mode="clip")
-            for cols, code_cols in form.levels:
-                pot[:, cols] += np.take(form.pot, code[:, code_cols], mode="clip")
-            got[:, form.group_cols] = sigmoid(pot / self.spec.lam) if probs else pot
+        got = np.take(k.prob if probs else k.pot, at, out=out, mode="clip")
+        if k.group_cols.size:
+            pot = np.take(k.pot, code[:, k.group_cols], mode="clip")
+            for cols, code_cols in k.levels:
+                pot[:, cols] += np.take(k.pot, code[:, code_cols], mode="clip")
+            got[:, k.group_cols] = sigmoid(pot / self.spec.lam) if probs else pot
         return got
 
     def potentials(self, frames: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -471,7 +468,7 @@ class BatchRunner:
         trials = np.asarray(trials)
         tile = max(1, min(batch, _TILE_ELEMS // max(1, m)))
         if self._tile_bufs is None or self._tile_bufs[0].shape[0] < tile:
-            offsets = self._kernel[3].offsets
+            offsets = self._kernel.offsets
             shape = (tile, m)
             self._tile_bufs = (
                 np.empty((tile, offsets.size), dtype=offsets.dtype),
@@ -519,13 +516,15 @@ def _draws_array(spec: NetworkSpec, draws) -> np.ndarray:
 
 # The runner of the last spec that ``potential`` or ``step`` read: calls in a
 # loop over one network build its tables once.
-_scalar: list[BatchRunner] = []
+_scalar: list[BatchRunner | None] = [None]
 
 
 def _scalar_runner(spec: NetworkSpec) -> BatchRunner:
-    if not _scalar or _scalar[0].spec is not spec:
-        _scalar[:] = [BatchRunner(spec, RandomnessContract(0))]
-    return _scalar[0]
+    runner = _scalar[0]  # one read: the runner checked is the one returned
+    if runner is None or runner.spec is not spec:
+        runner = BatchRunner(spec, RandomnessContract(0))
+        _scalar[0] = runner
+    return runner
 
 
 def potential(spec: NetworkSpec, window, u: int) -> float:

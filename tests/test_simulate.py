@@ -268,7 +268,8 @@ def dense_potentials(spec, frames):
 
 def hubs(runner):
     """(dense columns, dense rows, gather slots) of the runner's kernel."""
-    return runner.col_block.shape[1], runner.row_block.shape[0], len(runner.slots)
+    k = runner._kernel
+    return k.col_block.shape[1], k.row_block.shape[0], len(k.slots)
 
 
 def random_frames(rng, spec, rows, dtype):
@@ -430,8 +431,9 @@ def _reference_potential(spec, frames, u):
     in the order of its first synapse, the weight times how many of its
     synapses read a firing bit: summed per digit group (classes in order; a
     class opens a new group, which starts from 0, when it would take a
-    nonempty group's product of degree + 1 past 2^16) and the groups added
-    in order. Plain Python floats over ``spec.edges()``."""
+    nonempty group's product of degree + 1 past 2^16 or past 32 per synapse
+    the group would hold) and the groups added in order. Plain Python floats
+    over ``spec.edges()``."""
     h = spec.history
     counts = {}
     for pre, post, lag, w in spec.edges():
@@ -441,11 +443,12 @@ def _reference_potential(spec, frames, u):
     for pre, post, lag, w in spec.edges():
         if post == u:
             degree[w] = degree.get(w, 0) + 1
-    groups, size = [-float(spec.biases[u])], 1
+    groups, size, held = [-float(spec.biases[u])], 1, 0
     for w, count in counts.items():  # dicts keep first-synapse order
-        if size > 1 and size * (degree[w] + 1) > 1 << 16:
+        held += degree[w]
+        if size > 1 and size * (degree[w] + 1) > min(1 << 16, 32 * held):
             groups.append(0.0)
-            size = 1
+            size, held = 1, degree[w]
         groups[-1] = groups[-1] + w * count
         size *= degree[w] + 1
     total = groups[0]
@@ -458,9 +461,33 @@ class TestCountCodes:
     """The tables against an independent per-synapse sum."""
 
     def test_wide_network_has_digit_groups(self, nprng):
-        form = BatchRunner(_wide_network(nprng), RandomnessContract(0))._kernel[3]
-        assert np.array_equal(form.group_cols, np.arange(8))
-        assert len(form.levels) == 1 and form.offsets.size == 16
+        # 2^8 codes are 32 per synapse: each column's 24 classes of one
+        # synapse fall into three groups of eight
+        k = BatchRunner(_wide_network(nprng), RandomnessContract(0))._kernel
+        assert np.array_equal(k.group_cols, np.arange(8))
+        assert len(k.levels) == 2 and k.offsets.size == 24
+        assert k.pot.size == 24 * 256
+
+    def test_tables_hold_at_most_32_entries_per_synapse(self, nprng):
+        # 200 neurons at the default density: about 240 synapses of distinct
+        # weights per column; one table per column would need 2^240 entries
+        spec = random_network(nprng, 10, 100, 90, history=2)
+        runner = BatchRunner(spec, RandomnessContract(0))
+        frames = random_frames(nprng, spec, 3, np.uint8)
+        got = runner.potentials(frames)
+        k = runner._kernel
+        assert k.pot.size <= 32 * spec.synapses.weight.size + runner.m
+        assert k.prob.size == k.pot.size
+        want, scale = dense_potentials(spec, frames)
+        assert np.all(np.abs(got - want) <= 1e-9 * scale)
+
+    @pytest.mark.parametrize("n", [8, 1024])
+    @pytest.mark.parametrize("build", [build_two_inhibitor, build_single_inhibitor,
+                                       build_log_inhibitor])
+    def test_builder_columns_keep_one_table(self, build, n):
+        runner = BatchRunner(build(n, 7.3), RandomnessContract(0))
+        k = runner._kernel
+        assert k.group_cols.size == 0 and k.offsets.size == runner.m
 
     @pytest.mark.parametrize("lam", [1.0, 0.37])
     def test_probabilities_equal_a_per_synapse_sum(self, nprng, lam):
@@ -489,8 +516,8 @@ class TestCountCodes:
         frames = random_frames(nprng, spec, 3, np.uint8)
         frames[2] = 1
         pot = runner.potentials(frames)
-        form = runner._kernel[3]
-        assert form.group_cols.size == 0 and form.offsets.dtype == np.int32
+        k = runner._kernel
+        assert k.group_cols.size == 0 and k.offsets.dtype == np.int32
         syn, ni, h = spec.synapses, spec.non_input_indices, spec.history
         for f, row in zip(frames, pot):
             fired = syn.weight * f[h - 1 - syn.lag0, syn.pre]
