@@ -41,7 +41,6 @@ from .experiments import (
 from .lemmas import GROUP_IDS, LemmaCheckReport, LemmaParams, lemma_check
 from .network import (
     NetworkSpec,
-    Neuron,
     Synapses,
     rescale_temperature,
     sigmoid,

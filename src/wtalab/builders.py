@@ -26,16 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidGamma, InvalidSize, MissingDelta, WtaLabError, check_int
-from .network import (
-    AUXILIARY,
-    EXCITATORY,
-    INHIBITORY,
-    INPUT,
-    OUTPUT,
-    NetworkSpec,
-    Neuron,
-    Synapses,
-)
+from .network import AUXILIARY, EXCITATORY, INHIBITORY, INPUT, OUTPUT, NetworkSpec, Synapses
 
 TWO_INHIBITOR = "two_inhibitor"
 SINGLE_INHIBITOR = "single_inhibitor"
@@ -65,7 +56,7 @@ def _network(
     n: int, *, out_bias: float, aux_biases: list, drive: float, inhibit: dict, fans: list
 ) -> NetworkSpec:
     """The competition network: inputs, outputs (bias ``out_bias``)
-    and one auxiliary per entry of ``aux_biases``, with history ``len(fans)``.
+    and one inhibitory auxiliary per entry of ``aux_biases``, with history ``len(fans)``.
 
     Its synapses, emitted in scan order: at lag 1, ``x_i -> y_i`` with
     weight ``drive``; then the first fan ``(loop, excite)``, each ``y_i`` onto
@@ -74,10 +65,10 @@ def _network(
     with ``inhibit[a]``. At lag ``l > 1``, the ``l``-th fan. The dicts list
     auxiliaries in index order. Array methods stand in for ``np.tile``: at
     small n, numpy call overhead is what a build costs."""
-    neurons = [Neuron(i, INPUT, EXCITATORY) for i in range(n)]
-    neurons += [Neuron(n + i, OUTPUT, EXCITATORY) for i in range(n)]
-    neurons += [Neuron(2 * n + j, AUXILIARY, INHIBITORY) for j in range(len(aux_biases))]
-    b = np.zeros(len(neurons))
+    counts = [n, n, len(aux_biases)]
+    kind = np.repeat(np.uint8([INPUT, OUTPUT, AUXILIARY]), counts)
+    polarity = np.repeat(np.uint8([EXCITATORY, EXCITATORY, INHIBITORY]), counts)
+    b = np.zeros(kind.size)
     b[n : 2 * n] = out_bias
     b[2 * n :] = aux_biases
     xs, ys = np.arange(2 * n).reshape(2, n)
@@ -98,7 +89,7 @@ def _network(
             weight += (np.full(n, drive), fan_weight, np.array(list(inhibit.values())).repeat(n))
         sizes.append(fan.size + (0 if lag0 else n + inhibitors.size * n))
     syn = Synapses(np.arange(len(fans)).repeat(sizes), *map(np.concatenate, (pre, post, weight)))
-    return NetworkSpec(tuple(neurons), syn, b, history=len(fans))
+    return NetworkSpec(kind, polarity, syn, b, history=len(fans))
 
 
 def build_two_inhibitor(n: int, gamma: float) -> NetworkSpec:

@@ -41,6 +41,7 @@ from .builders import (
     ceil_log2,
 )
 from .errors import LengthMismatch, TopologyMismatch, WtaLabError, check_bits, check_int
+from .simulate import Execution
 
 VALID = "valid"
 VALID_WTA = "valid_wta"
@@ -252,14 +253,6 @@ class ConvergenceOutcome:
     timed_out: bool
 
 
-def output_projection(frames, n: int) -> np.ndarray:
-    """Output bits of each frame: the outputs an ``Execution`` records, or
-    the canonical slice ``n..2n-1`` of a bare frame array."""
-    f = np.asarray(getattr(frames, "frames", frames), dtype=np.uint8)
-    outputs = getattr(frames, "output_indices", None)
-    return f[:, n : 2 * n] if outputs is None else f[:, outputs]
-
-
 # set bits of every byte value, for counting firing outputs in packed rows
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
@@ -314,16 +307,18 @@ class ConvergenceScan:
         self.converged_at = self.converged_at[keep]
 
 
-def convergence_time(execution, input_bits, t_s: int) -> ConvergenceOutcome:
+def convergence_time(execution: Execution, input_bits, t_s: int) -> ConvergenceOutcome:
     """Earliest frame ``t`` with a valid output fixed through ``t + t_s``.
 
-    Scans output projections only, as a batch of one through
+    Scans the outputs the ``Execution`` records, as a batch of one through
     ``ConvergenceScan``. A window that is valid for a while but changes
     before ``t_s`` repeats does not count; scanning continues. When no frame
     qualifies within the recorded horizon the outcome is a timeout.
     """
     scan = ConvergenceScan(input_bits, t_s)
-    outs = output_projection(execution, scan.x.size)
+    if not isinstance(execution, Execution):
+        raise WtaLabError(f"convergence_time takes an Execution, got {type(execution).__name__}")
+    outs = execution.frames[:, execution.output_indices]
     total = outs.shape[0]
     for t in range(total):
         if scan.update(t, outs[t : t + 1])[0]:

@@ -7,6 +7,11 @@ synchronous step a non-input neuron fires with probability
 ``sigmoid(potential / lam)``, where the potential is the lag-weighted sum of
 the last ``h`` firing vectors minus the bias.
 
+Each neuron's role and polarity are codes in two read-only uint8 arrays of
+shape ``(N,)``, indexed by neuron: ``kind`` (``INPUT``, ``OUTPUT``,
+``AUXILIARY`` are 0, 1, 2) and ``polarity`` (``EXCITATORY``, ``INHIBITORY``
+are 0, 1). Only the JSON rows name them (``"input"`` ... ``"inhibitory"``).
+
 Structural rules, which the ``NetworkSpec`` constructor enforces:
 
 * inputs and outputs are excitatory;
@@ -41,29 +46,11 @@ from .errors import (
     NonpositiveTemperature,
 )
 
-INPUT = "input"
-OUTPUT = "output"
-AUXILIARY = "auxiliary"
-EXCITATORY = "excitatory"
-INHIBITORY = "inhibitory"
-
-_KINDS = (INPUT, OUTPUT, AUXILIARY)
-_POLARITIES = (EXCITATORY, INHIBITORY)
-
-
-@dataclass(frozen=True)
-class Neuron:
-    """One neuron: dense index, role, and synaptic polarity."""
-
-    index: int
-    kind: str
-    polarity: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise InvalidNetwork(f"unknown neuron kind {self.kind!r}")
-        if self.polarity not in _POLARITIES:
-            raise InvalidNetwork(f"unknown polarity {self.polarity!r}")
+# a code is a position in its names tuple
+_KINDS = ("input", "output", "auxiliary")
+_POLARITIES = ("excitatory", "inhibitory")
+INPUT, OUTPUT, AUXILIARY = range(len(_KINDS))
+EXCITATORY, INHIBITORY = range(len(_POLARITIES))
 
 
 def _readonly(a, dtype=np.float64) -> np.ndarray:
@@ -87,20 +74,27 @@ class Synapses(NamedTuple):
 class NetworkSpec:
     """Immutable network description.
 
+    ``kind`` and ``polarity`` hold one code per neuron (see the module
+    docstring); the constructor keeps them as read-only uint8 arrays.
     ``synapses`` holds every nonzero weight, the lag-``lag0 + 1`` synapse
     from ``pre`` to ``post``, once each and in scan order. ``weights`` is the
     dense ``(history, N, N)`` view of them, built on first access.
     ``biases`` has shape ``(N,)``. ``lam`` is the sigmoid temperature.
     """
 
-    neurons: tuple[Neuron, ...]
+    kind: np.ndarray
+    polarity: np.ndarray
     synapses: Synapses
     biases: np.ndarray
     lam: float = 1.0
     history: int = 1
 
     def __post_init__(self) -> None:
-        n = len(self.neurons)
+        kind = _codes("kind", self.kind, _KINDS)
+        polarity = _codes("polarity", self.polarity, _POLARITIES)
+        n = kind.size
+        if polarity.shape != kind.shape:
+            raise InvalidNetwork(f"polarity shape {polarity.shape} != kind shape {kind.shape}")
         b = np.asarray(self.biases, dtype=np.float64)
         if b.shape != (n,):
             raise InvalidNetwork(f"biases shape {b.shape} != ({n},)")
@@ -116,7 +110,8 @@ class NetworkSpec:
         syn = Synapses(*map(_readonly, self.synapses, (np.intp, np.intp, np.intp, np.float64)))
         object.__setattr__(self, "synapses", syn)
         object.__setattr__(self, "biases", _readonly(b))
-        object.__setattr__(self, "neurons", tuple(self.neurons))
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "polarity", polarity)
         _check_synapses(syn, self.history, n)
         validate_network(self)
 
@@ -136,19 +131,16 @@ class NetworkSpec:
 
     @property
     def n_neurons(self) -> int:
-        return len(self.neurons)
+        return self.kind.size
 
-    def _indices_of(self, *kinds: str) -> np.ndarray:
-        return _readonly([u.index for u in self.neurons if u.kind in kinds], np.intp)
+    def _where(self, mask: np.ndarray) -> np.ndarray:
+        return _readonly(np.flatnonzero(mask), np.intp)
 
     # read-only index arrays of each role, found on first access
-    input_indices = cached_property(lambda self: self._indices_of(INPUT))
-    output_indices = cached_property(lambda self: self._indices_of(OUTPUT))
-    auxiliary_indices = cached_property(lambda self: self._indices_of(AUXILIARY))
-    non_input_indices = cached_property(lambda self: self._indices_of(OUTPUT, AUXILIARY))
-
-    def is_input(self, index: int) -> bool:
-        return self.neurons[index].kind == INPUT
+    input_indices = cached_property(lambda self: self._where(self.kind == INPUT))
+    output_indices = cached_property(lambda self: self._where(self.kind == OUTPUT))
+    auxiliary_indices = cached_property(lambda self: self._where(self.kind == AUXILIARY))
+    non_input_indices = cached_property(lambda self: self._where(self.kind != INPUT))
 
     def weight(self, pre: int, post: int, lag: int = 1) -> float:
         if not 1 <= lag <= self.history:
@@ -172,7 +164,8 @@ class NetworkSpec:
         if not isinstance(other, NetworkSpec):
             return NotImplemented
         return (
-            self.neurons == other.neurons
+            np.array_equal(self.kind, other.kind)
+            and np.array_equal(self.polarity, other.polarity)
             and self.history == other.history
             and self.lam == other.lam
             and all(map(np.array_equal, self.synapses, other.synapses))
@@ -183,21 +176,15 @@ class NetworkSpec:
 
     @classmethod
     def from_edges(
-        cls,
-        neurons: Iterable[Neuron],
-        edges: Mapping[tuple[int, int, int], float] | Iterable[tuple[int, int, int, float]],
-        biases: Mapping[int, float],
-        lam: float = 1.0,
-        history: int = 1,
+        cls, kind, polarity, edges: Iterable[tuple[int, int, int, float]],
+        biases: Mapping[int, float], lam: float = 1.0, history: int = 1,
     ) -> "NetworkSpec":
-        """Build a spec from sparse ``(pre, post, lag) -> weight`` entries.
+        """Build a spec from sparse ``(pre, post, lag, weight)`` edges and a
+        ``neuron -> bias`` mapping (absent neurons have bias 0).
 
-        Entries may come in any order; the last of repeated keys wins and
+        Edges may come in any order; the last of repeated keys wins and
         zero weights (``-0.0`` too) are dropped.
         """
-        neurons = tuple(neurons)
-        if isinstance(edges, Mapping):
-            edges = [(p, q, lag, v) for (p, q, lag), v in edges.items()]
         latest = {}
         for pre, post, lag, value in edges:
             if not 1 <= lag <= history:
@@ -210,26 +197,31 @@ class NetworkSpec:
         keys = sorted(k for k, v in latest.items() if v != 0.0)
         lag0, pre, post = np.reshape(np.asarray(keys, dtype=np.intp), (len(keys), 3)).T
         weight = [latest[k] for k in keys]
-        b = np.zeros(len(neurons))
+        b = np.zeros(np.size(kind))
         for idx, value in biases.items():
-            b[idx] = value
-        return cls(neurons, Synapses(lag0, pre, post, weight), b, lam=lam, history=history)
+            try:
+                i = operator.index(idx)
+            except TypeError:
+                raise InvalidNetwork(f"bias id {idx!r} is not an integer index") from None
+            if not 0 <= i < b.size:
+                raise InvalidNetwork(f"bias of neuron {i} is outside the network")
+            b[i] = value
+        return cls(kind, polarity, Synapses(lag0, pre, post, weight), b, lam, history)
 
     @classmethod
     def from_dense(
-        cls, neurons: Iterable[Neuron], weights, biases, lam: float = 1.0, history: int = 1
+        cls, kind, polarity, weights, biases, lam: float = 1.0, history: int = 1
     ) -> "NetworkSpec":
         """Build a spec from a dense ``(history, N, N)`` weight tensor, keeping
         its nonzero entries."""
-        neurons = tuple(neurons)
-        n = len(neurons)
+        n = np.size(kind)
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != (history, n, n):
             raise InvalidNetwork(f"weights shape {w.shape} != ({history}, {n}, {n})")
         # NaN and inf compare unequal to 0.0, so the constructor sees them all
         flat = np.flatnonzero(w.ravel() != 0.0)
         lag0, pre, post = np.unravel_index(flat, w.shape)
-        return cls(neurons, Synapses(lag0, pre, post, w.ravel()[flat]), biases, lam, history)
+        return cls(kind, polarity, Synapses(lag0, pre, post, w.ravel()[flat]), biases, lam, history)
 
     # -- serialization --------------------------------------------------
 
@@ -238,8 +230,8 @@ class NetworkSpec:
             "lambda": self.lam,
             "history": self.history,
             "neurons": [
-                {"id": u.index, "kind": u.kind, "polarity": u.polarity}
-                for u in self.neurons
+                {"id": i, "kind": _KINDS[k], "polarity": _POLARITIES[p]}
+                for i, (k, p) in enumerate(zip(self.kind.tolist(), self.polarity.tolist()))
             ],
             "edges": [
                 {"pre": p, "post": q, "lag": lag, "weight": v}
@@ -257,25 +249,40 @@ class NetworkSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "NetworkSpec":
-        neurons = tuple(
-            Neuron(d["id"], d["kind"], d["polarity"])
-            for d in sorted(data["neurons"], key=lambda d: d["id"])
-        )
-        edges = [
-            (d["pre"], d["post"], d["lag"], d["weight"]) for d in data["edges"]
-        ]
+        rows = sorted(data["neurons"], key=lambda d: d["id"])
+        if [d["id"] for d in rows] != list(range(len(rows))):
+            raise InvalidNetwork("neuron ids must be 0..N-1, each once")
+        kind = [_code(_KINDS, d["kind"], "neuron kind") for d in rows]
+        polarity = [_code(_POLARITIES, d["polarity"], "polarity") for d in rows]
+        edges = [(d["pre"], d["post"], d["lag"], d["weight"]) for d in data["edges"]]
         biases = {d["id"]: d["bias"] for d in data["biases"]}
-        return cls.from_edges(
-            neurons,
-            edges,
-            biases,
-            lam=data.get("lambda", 1.0),
-            history=data.get("history", 1),
-        )
+        lam, history = data.get("lambda", 1.0), data.get("history", 1)
+        return cls.from_edges(kind, polarity, edges, biases, lam, history)
 
     @classmethod
     def from_json(cls, text: str) -> "NetworkSpec":
         return cls.from_json_dict(json.loads(text))
+
+
+def _code(names: tuple[str, ...], name, what: str) -> int:
+    """The position of ``name`` in ``names``: a JSON name as its code."""
+    try:
+        return names.index(name)
+    except ValueError:
+        raise InvalidNetwork(f"unknown {what} {name!r}") from None
+
+
+def _codes(what: str, codes, names: tuple[str, ...]) -> np.ndarray:
+    """``codes`` as a read-only uint8 array; raises ``InvalidNetwork`` unless
+    it is 1-D and every entry is an integer position in ``names``."""
+    a = np.asarray(codes)
+    if a.ndim != 1 or (a.size and a.dtype.kind not in "biu"):
+        raise InvalidNetwork(f"{what} must be a 1-D integer array, got {a.dtype} {a.shape}")
+    bad = (a < 0) | (a >= len(names))
+    if np.count_nonzero(bad):
+        u = np.flatnonzero(bad)[0]
+        raise InvalidNetwork(f"{what} code {a[u]} of neuron {u} is not one of 0..{len(names) - 1}")
+    return _readonly(a, np.uint8)
 
 
 def _check_synapses(syn: Synapses, history: int, n: int) -> None:
@@ -315,22 +322,16 @@ def validate_network(spec: NetworkSpec) -> NetworkSpec:
     ``DalesPrincipleViolation`` if a neuron's outgoing weights disagree in
     sign with its polarity, and ``InvalidNetwork`` for layout violations.
     """
-    n = spec.n_neurons
-    indices = [u.index for u in spec.neurons]
-    if indices != list(range(n)):
-        raise InvalidNetwork("neuron indices must be dense 0..N-1 in order")
-    for u in spec.neurons:
-        if u.kind in (INPUT, OUTPUT) and u.polarity != EXCITATORY:
-            raise InvalidNetwork(
-                f"{u.kind} neuron {u.index} must be excitatory"
-            )
+    kind, excitatory = spec.kind, spec.polarity == EXCITATORY
+    inhibitory_io = ~excitatory & (kind != AUXILIARY)
+    if np.count_nonzero(inhibitory_io):
+        u = np.flatnonzero(inhibitory_io)[0]
+        raise InvalidNetwork(f"{_KINDS[kind[u]]} neuron {u} must be excitatory")
     syn = spec.synapses
-    is_input = np.zeros(n, dtype=bool)
-    is_input[spec.input_indices] = True
+    is_input = kind == INPUT
     if np.count_nonzero(is_input[syn.post]):
         k = np.flatnonzero(is_input[syn.post])[0]
         raise InputTargeted(f"synapse from neuron {syn.pre[k]} targets input neuron {syn.post[k]}")
-    excitatory = np.asarray([u.polarity == EXCITATORY for u in spec.neurons], dtype=bool)
     # every weight is nonzero, so its sign is wrong where it is positive and
     # its source inhibitory, or the other way round
     wrong_sign = (syn.weight > 0.0) != excitatory[syn.pre]
@@ -338,7 +339,7 @@ def validate_network(spec: NetworkSpec) -> NetworkSpec:
         u = int(syn.pre[wrong_sign].min())
         sign = "negative" if excitatory[u] else "positive"
         raise DalesPrincipleViolation(
-            f"{spec.neurons[u].polarity} neuron {u} has a {sign} outgoing weight"
+            f"{_POLARITIES[spec.polarity[u]]} neuron {u} has a {sign} outgoing weight"
         )
     return spec
 
@@ -384,4 +385,4 @@ def rescale_temperature(spec: NetworkSpec, new_lambda: float) -> NetworkSpec:
         w, b = syn.weight * factor, spec.biases * factor
     keep = w != 0.0  # a weight that underflows to zero is no synapse
     scaled = Synapses(syn.lag0[keep], syn.pre[keep], syn.post[keep], w[keep])
-    return NetworkSpec(spec.neurons, scaled, b, new_lambda, spec.history)
+    return NetworkSpec(spec.kind, spec.polarity, scaled, b, new_lambda, spec.history)

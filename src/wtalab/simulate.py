@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,9 +53,11 @@ from .errors import (
     InvalidNetwork,
     LengthMismatch,
     MissingDraw,
+    WtaLabError,
     check_bits,
+    check_int,
 )
-from .network import NetworkSpec, sigmoid
+from .network import INPUT, NetworkSpec, sigmoid
 from .randomness import RandomnessContract
 
 ALL_ZERO = "all_zero"
@@ -499,21 +501,6 @@ class BatchRunner:
         )
 
 
-def _draws_array(spec: NetworkSpec, draws) -> np.ndarray:
-    non_input = spec.non_input_indices
-    if isinstance(draws, Mapping):
-        try:
-            return np.asarray([draws[int(u)] for u in non_input], dtype=np.float64)
-        except KeyError as e:
-            raise MissingDraw(f"no draw for neuron {e.args[0]}") from None
-    a = np.asarray(draws, dtype=np.float64)
-    if a.shape != (non_input.size,):
-        raise MissingDraw(
-            f"need one draw per non-input neuron ({non_input.size}), got shape {a.shape}"
-        )
-    return a
-
-
 # The runner of the last spec that ``potential`` or ``step`` read: calls in a
 # loop over one network build its tables once.
 _scalar: list[BatchRunner | None] = [None]
@@ -531,9 +518,13 @@ def potential(spec: NetworkSpec, window, u: int) -> float:
     """Membrane potential of neuron ``u`` given the last ``h`` firing vectors,
     ``sum_l sum_v w(v, u, l) * frame[t-l](v) - b(u)``: its entry of
     ``BatchRunner.potentials`` over a batch of one. ``window`` is an
-    ``(h, N)`` bit array, most recent frame last.
+    ``(h, N)`` bit array, most recent frame last. ``u`` must be an int in
+    ``0..N-1`` (``WtaLabError``) and not an input (``InputNeuronPotential``).
     """
-    if spec.is_input(u):
+    check_int("u", u, 0)
+    if u >= spec.n_neurons:
+        raise WtaLabError(f"u must be a neuron of 0..{spec.n_neurons - 1}, got {u}")
+    if spec.kind[u] == INPUT:
         raise InputNeuronPotential(f"neuron {u} is an input")
     frames = window_frames(spec, window)
     runner = _scalar_runner(spec)
@@ -543,13 +534,16 @@ def potential(spec: NetworkSpec, window, u: int) -> float:
 def step(spec: NetworkSpec, window, next_input, draws) -> np.ndarray:
     """Advance one configuration: ``u`` fires iff ``draw(u) < p(u)``.
 
-    ``draws`` maps each non-input neuron index to a uniform in ``[0, 1)``
-    (mapping or array ordered by ``spec.non_input_indices``). Input bits are
-    copied from ``next_input``. Pure function of its arguments.
+    ``draws`` holds one uniform in ``[0, 1)`` per non-input neuron, ordered
+    by ``spec.non_input_indices``; any other shape raises ``MissingDraw``.
+    Input bits are copied from ``next_input``. Pure function of its arguments.
     """
     x = input_vector(spec, next_input)
     frames = window_frames(spec, window)[None]
-    d = _draws_array(spec, draws)
+    d = np.asarray(draws)
+    if d.shape != spec.non_input_indices.shape:
+        m = spec.non_input_indices.size
+        raise MissingDraw(f"need one draw per non-input neuron ({m}), got shape {d.shape}")
 
     runner = _scalar_runner(spec)
     p = runner.probabilities(frames)[0]

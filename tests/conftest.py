@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from wtalab import NetworkSpec, Neuron, validate_network
+from wtalab import NetworkSpec, validate_network
 from wtalab.network import AUXILIARY, EXCITATORY, INHIBITORY, INPUT, OUTPUT
 
 
@@ -23,30 +23,18 @@ def random_network(
     no synapse into inputs, random lags; each synapse exists with
     probability ``density``."""
     h = history if history is not None else int(rng.integers(1, 3))
-    neurons = (
-        [Neuron(i, INPUT, EXCITATORY) for i in range(n_inputs)]
-        + [Neuron(n_inputs + i, OUTPUT, EXCITATORY) for i in range(n_outputs)]
-        + [
-            Neuron(
-                n_inputs + n_outputs + i,
-                AUXILIARY,
-                EXCITATORY if rng.random() < 0.5 else INHIBITORY,
-            )
-            for i in range(n_aux)
-        ]
-    )
-    big_n = len(neurons)
+    kind = np.repeat(np.uint8([INPUT, OUTPUT, AUXILIARY]), [n_inputs, n_outputs, n_aux])
+    polarity = np.full(kind.size, EXCITATORY, dtype=np.uint8)
+    # one coin per auxiliary, drawn before the weights
+    polarity[kind == AUXILIARY] = np.where(rng.random(n_aux) < 0.5, EXCITATORY, INHIBITORY)
+    big_n = kind.size
     w = rng.uniform(0.0, scale, size=(h, big_n, big_n))
     w *= rng.random((h, big_n, big_n)) < density  # sparsify
-    for u in neurons:
-        if u.polarity == INHIBITORY:
-            w[:, u.index, :] *= -1.0
+    w[:, polarity == INHIBITORY, :] *= -1.0
     w[:, :, :n_inputs] = 0.0
     b = rng.uniform(-scale, scale, size=big_n)
     b[:n_inputs] = 0.0
-    return validate_network(
-        NetworkSpec.from_dense(tuple(neurons), w, b, lam=lam, history=h)
-    )
+    return validate_network(NetworkSpec.from_dense(kind, polarity, w, b, lam=lam, history=h))
 
 
 def brute_convergence_time(outputs: np.ndarray, x: np.ndarray, t_s: int):

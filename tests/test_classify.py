@@ -7,6 +7,7 @@ from wtalab import (
     LengthMismatch,
     RandomnessContract,
     TopologyMismatch,
+    Execution,
     WtaLabError,
     build_log_inhibitor,
     build_two_inhibitor,
@@ -32,6 +33,12 @@ from wtalab.classify import (
 )
 
 from conftest import brute_convergence_time
+
+
+def two_output_execution(frames):
+    """``frames`` of a network with inputs 0..1 and outputs 2..3, recorded
+    as an ``Execution``."""
+    return Execution(frames, np.arange(2, 4))
 
 
 def slow_two_inhibitor_labels(x, c):
@@ -299,7 +306,7 @@ class TestConvergenceTime:
         frames = np.zeros((8, 6), dtype=np.uint8)
         frames[:, 0] = 1
         frames[:, 2] = 1  # y_0 fires in every frame
-        out = convergence_time(frames, x, 3)
+        out = convergence_time(two_output_execution(frames), x, 3)
         assert out.converged_at == 0 and not out.timed_out
 
     def test_break_before_hold_keeps_scanning(self):
@@ -309,7 +316,7 @@ class TestConvergenceTime:
         frames[3:8, 2] = 1   # valid at frames 3..7
         frames[8, 3] = 1     # changes at frame 8 before a 5-step hold
         frames[9:, 2] = 1    # settles again from frame 9
-        out = convergence_time(frames, x, 5)
+        out = convergence_time(two_output_execution(frames), x, 5)
         assert out.converged_at == 9
 
     def test_against_independent_scanner(self):
@@ -340,16 +347,22 @@ class TestConvergenceTime:
         long = run(spec, init, x, 80, rng, trial=4)
         t_prev = None
         for horizon in (20, 40, 60, 80):
-            out = convergence_time(long.frames[:horizon], x, 5)
+            out = convergence_time(Execution(long.frames[:horizon], long.output_indices), x, 5)
             if t_prev is not None and t_prev.converged_at is not None:
                 assert out.converged_at == t_prev.converged_at
             t_prev = out
+
+    def test_bare_frames_are_rejected(self):
+        # a frame array does not say where its outputs are
+        frames = np.zeros((4, 6), dtype=np.uint8)
+        with pytest.raises(WtaLabError, match="takes an Execution, got ndarray"):
+            convergence_time(frames, [1, 1], 2)
 
     def test_timeout(self):
         x = [1, 1]
         frames = np.zeros((4, 6), dtype=np.uint8)
         frames[:, :2] = 1
-        out = convergence_time(frames, x, 10)
+        out = convergence_time(two_output_execution(frames), x, 10)
         assert out.timed_out and out.converged_at is None
 
 
@@ -422,10 +435,10 @@ class TestPackedScan:
         frames = np.zeros((6, 6), dtype=np.uint8)
         frames[:, [0, 1, 2, 4]] = 1  # valid from frame 0
         with pytest.raises(WtaLabError):
-            convergence_time(frames, [1, 1], -5)
+            convergence_time(two_output_execution(frames), [1, 1], -5)
         with pytest.raises(WtaLabError):
             ConvergenceScan(np.ones(2), -1)
-        assert convergence_time(frames, [1, 1], 0).converged_at == 0
+        assert convergence_time(two_output_execution(frames), [1, 1], 0).converged_at == 0
 
 
 # every public classify call that takes the input vector X (n = 2 here), with
@@ -446,7 +459,9 @@ _X_CALLS = {
     "classify_log_inhibitor": lambda x: classify_log_inhibitor(x, _PAIR),
     "window_labels": lambda x: window_labels("two_inhibitor", x, _ZEROS[None, None]),
     "ConvergenceScan": lambda x: ConvergenceScan(x, 2),
-    "convergence_time": lambda x: convergence_time(np.tile(_ZEROS, (4, 1)), x, 2),
+    "convergence_time": lambda x: convergence_time(
+        two_output_execution(np.tile(_ZEROS, (4, 1))), x, 2
+    ),
 }
 
 

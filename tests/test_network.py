@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -12,8 +13,8 @@ from wtalab import (
     LagOutOfRange,
     NetworkSpec,
     NonpositiveTemperature,
-    Neuron,
     RandomnessContract,
+    WtaLabError,
     build_log_inhibitor,
     build_two_inhibitor,
     potential,
@@ -47,60 +48,64 @@ class TestValidate:
         w = spec.weights.copy()
         w[0, 4, 0] = 1.0  # a_s -> x_0 is forbidden regardless of sign rules
         with pytest.raises(InputTargeted):
-            validate_network(NetworkSpec.from_dense(spec.neurons, np.abs(w), spec.biases))
+            validate_network(
+                NetworkSpec.from_dense(spec.kind, spec.polarity, np.abs(w), spec.biases)
+            )
 
     def test_mixed_sign_out_weights_rejected(self):
         spec = build_two_inhibitor(2, 5.0)
         w = spec.weights.copy()
         w[0, 2, 4] = -1.0  # excitatory y_0 -> a_s with negative weight
         with pytest.raises(DalesPrincipleViolation):
-            validate_network(
-                NetworkSpec.from_dense(spec.neurons, w, spec.biases, spec.lam, spec.history)
-            )
+            validate_network(NetworkSpec.from_dense(
+                spec.kind, spec.polarity, w, spec.biases, spec.lam, spec.history
+            ))
 
     @pytest.mark.parametrize("edge, error", [
         ((1, 0, 1, 5.0), InputTargeted),  # y_0 -> x_0
         ((2, 1, 1, 1.0), DalesPrincipleViolation),  # positive weight out of a_c
     ])
     def test_rejected_when_built(self, edge, error):
-        neurons = (
-            Neuron(0, INPUT, EXCITATORY),
-            Neuron(1, OUTPUT, EXCITATORY),
-            Neuron(2, AUXILIARY, INHIBITORY),
-        )
+        roles = [INPUT, OUTPUT, AUXILIARY], [EXCITATORY, EXCITATORY, INHIBITORY]
         with pytest.raises(error):
-            NetworkSpec.from_edges(neurons, [(0, 1, 1, 2.0), edge], {1: 0.5})
-        data = NetworkSpec.from_edges(neurons, [(0, 1, 1, 2.0)], {1: 0.5}).to_json_dict()
+            NetworkSpec.from_edges(*roles, [(0, 1, 1, 2.0), edge], {1: 0.5})
+        data = NetworkSpec.from_edges(*roles, [(0, 1, 1, 2.0)], {1: 0.5}).to_json_dict()
         data["edges"].append(dict(zip(("pre", "post", "lag", "weight"), edge)))
         with pytest.raises(error):
             NetworkSpec.from_json_dict(data)
 
     def test_lag_out_of_range(self):
-        neurons = (
-            Neuron(0, INPUT, EXCITATORY),
-            Neuron(1, OUTPUT, EXCITATORY),
-        )
         with pytest.raises(LagOutOfRange):
-            NetworkSpec.from_edges(neurons, [(0, 1, 2, 1.0)], {}, history=1)
+            NetworkSpec.from_edges(
+                [INPUT, OUTPUT], [EXCITATORY] * 2, [(0, 1, 2, 1.0)], {}, history=1
+            )
 
     def test_inputs_must_be_excitatory(self):
-        with pytest.raises(Exception):
-            Neuron(0, INPUT, "inhibitory_typo")
+        kind = [INPUT, OUTPUT, AUXILIARY]
+        for u, name in ((0, "input"), (1, "output")):
+            polarity = [EXCITATORY] * 3
+            polarity[u] = INHIBITORY
+            with pytest.raises(InvalidNetwork, match=f"^{name} neuron {u} must be excitatory$"):
+                NetworkSpec.from_edges(kind, polarity, [], {})
+        # an inhibitory auxiliary is legal
+        NetworkSpec.from_edges(kind, [EXCITATORY, EXCITATORY, INHIBITORY], [], {})
 
     def test_violations_name_the_neuron(self):
         spec = build_two_inhibitor(2, 5.0)
         w = spec.weights.copy()
         w[0, 4, 1] = 1.0
         with pytest.raises(InputTargeted, match="input neuron 1"):
-            validate_network(NetworkSpec.from_dense(spec.neurons, np.abs(w), spec.biases))
+            validate_network(
+                NetworkSpec.from_dense(spec.kind, spec.polarity, np.abs(w), spec.biases)
+            )
         w = spec.weights.copy()
         w[0, 3, 5] = -1.0  # excitatory y_1; inhibitory a_s -> y_0 stays legal
         with pytest.raises(DalesPrincipleViolation, match="excitatory neuron 3 "):
-            validate_network(NetworkSpec.from_dense(spec.neurons, w, spec.biases))
+            validate_network(NetworkSpec.from_dense(spec.kind, spec.polarity, w, spec.biases))
         w = spec.weights.copy()
         w[0, 5, 2] = 1.0  # inhibitory a_c
         with pytest.raises(DalesPrincipleViolation, match="inhibitory neuron 5 "):
-            validate_network(NetworkSpec.from_dense(spec.neurons, w, spec.biases))
+            validate_network(NetworkSpec.from_dense(spec.kind, spec.polarity, w, spec.biases))
 
 
 class TestSynapses:
@@ -126,8 +131,7 @@ class TestSynapses:
             assert not a.flags.writeable
 
     def test_negative_zero_is_no_synapse(self):
-        neurons = (Neuron(0, INPUT, EXCITATORY), Neuron(1, OUTPUT, EXCITATORY))
-        spec = NetworkSpec.from_edges(neurons, [(0, 1, 1, -0.0)], {})
+        spec = NetworkSpec.from_edges([INPUT, OUTPUT], [EXCITATORY] * 2, [(0, 1, 1, -0.0)], {})
         assert spec.synapses.weight.size == 0
         assert validate_network(spec) is spec
 
@@ -155,13 +159,15 @@ class TestSynapses:
             syn = spec.synapses
             assert np.count_nonzero(w) == syn.weight.size
             assert np.array_equal(w[syn.lag0, syn.pre, syn.post], syn.weight)
-            same = NetworkSpec.from_dense(spec.neurons, w, spec.biases, spec.lam, spec.history)
+            same = NetworkSpec.from_dense(
+                spec.kind, spec.polarity, w, spec.biases, spec.lam, spec.history
+            )
             assert same == spec
 
 
 def _three_neurons():
-    return (Neuron(0, INPUT, EXCITATORY), Neuron(1, OUTPUT, EXCITATORY),
-            Neuron(2, OUTPUT, EXCITATORY))
+    """``kind`` and ``polarity`` of an input and two outputs."""
+    return [INPUT, OUTPUT, OUTPUT], [EXCITATORY] * 3
 
 
 class TestSynapseChecks:
@@ -187,36 +193,121 @@ class TestSynapseChecks:
     )
     def test_rejected(self, lag0, pre, post, weight, match):
         with pytest.raises(InvalidNetwork, match=match):
-            NetworkSpec(_three_neurons(), Synapses(lag0, pre, post, weight), np.zeros(3))
+            NetworkSpec(*_three_neurons(), Synapses(lag0, pre, post, weight), np.zeros(3))
 
     def test_accepted_in_scan_order(self):
         syn = Synapses([0, 0, 1], [0, 1, 0], [2, 2, 1], [1.0, 2.0, 3.0])
-        spec = NetworkSpec(_three_neurons(), syn, np.zeros(3), history=2)
+        spec = NetworkSpec(*_three_neurons(), syn, np.zeros(3), history=2)
         assert spec.weight(1, 2) == 2.0 and spec.weight(0, 1, lag=2) == 3.0
         assert spec.weight(0, 1) == 0.0
 
     def test_from_edges_sorts_keeps_the_last_repeat_and_drops_zeros(self):
         edges = [(0, 2, 1, 1.0), (0, 1, 1, 2.0), (0, 1, 1, 3.0), (0, 2, 1, 0.0), (1, 2, 1, 4.0)]
-        spec = NetworkSpec.from_edges(_three_neurons(), edges, {})
+        spec = NetworkSpec.from_edges(*_three_neurons(), edges, {})
         assert list(spec.edges()) == [(0, 1, 1, 3.0), (1, 2, 1, 4.0)]
-        mapping = {(1, 2, 1): 4.0, (0, 1, 1): 3.0, (0, 2, 1): -0.0}
-        assert NetworkSpec.from_edges(_three_neurons(), mapping, {}) == spec
 
     def test_from_edges_rejects_a_neuron_outside_the_network(self):
         with pytest.raises(InvalidNetwork, match="outside"):
-            NetworkSpec.from_edges(_three_neurons(), [(0, 3, 1, 1.0)], {})
+            NetworkSpec.from_edges(*_three_neurons(), [(0, 3, 1, 1.0)], {})
 
     @pytest.mark.parametrize("edge", [(0, 1.7, 1, 1.0), (0.0, 1, 1, 1.0), (0, 1, 1.0, 1.0)])
     def test_from_edges_rejects_a_non_integer_index(self, edge):
         with pytest.raises(InvalidNetwork, match="non-integer"):
-            NetworkSpec.from_edges(_three_neurons(), [edge], {})
+            NetworkSpec.from_edges(*_three_neurons(), [edge], {})
 
     def test_rescale_drops_a_weight_that_underflows(self):
-        spec = NetworkSpec.from_edges(_three_neurons(), [(0, 1, 1, 1e-300), (0, 2, 1, 1.0)], {})
+        spec = NetworkSpec.from_edges(*_three_neurons(), [(0, 1, 1, 1e-300), (0, 2, 1, 1.0)], {})
         scaled = rescale_temperature(spec, 1e-30)
         assert list(scaled.edges()) == [(0, 2, 1, 1e-30)]
-        dense = NetworkSpec.from_dense(_three_neurons(), spec.weights * 1e-30, np.zeros(3), 1e-30)
+        dense = NetworkSpec.from_dense(*_three_neurons(), spec.weights * 1e-30, np.zeros(3), 1e-30)
         assert scaled == dense
+
+
+class TestRoleArrays:
+    """``kind`` and ``polarity`` are read-only uint8 code arrays, one code per
+    neuron; the JSON rows carry the names."""
+
+    def test_builder_arrays(self):
+        spec = build_log_inhibitor(5, 4.0)
+        assert spec.kind.tolist() == [INPUT] * 5 + [OUTPUT] * 5 + [AUXILIARY] * 4
+        assert spec.polarity.tolist() == [EXCITATORY] * 10 + [INHIBITORY] * 4
+        for a in (spec.kind, spec.polarity):
+            assert a.dtype == np.uint8 and not a.flags.writeable
+        assert (INPUT, OUTPUT, AUXILIARY, EXCITATORY, INHIBITORY) == (0, 1, 2, 0, 1)
+
+    @pytest.mark.parametrize("kind, polarity, match", [
+        ([[0, 1, 1]], [0, 0, 0], "kind must be a 1-D integer array"),
+        (0, [0], "kind must be a 1-D integer array"),
+        ([0.0, 1.0, 1.0], [0, 0, 0], "kind must be a 1-D integer array"),
+        ([0, 1, 1], [0, 0], "polarity shape"),
+        ([0, 1, 1, 1], [0, 0, 0, 0], "biases shape"),
+        ([0, 1, 3], [0, 0, 0], "kind code 3 of neuron 2 is not one of 0..2"),
+        ([0, -1, 1], [0, 0, 0], "kind code -1 of neuron 1 is not one of 0..2"),
+        ([0, 1, 257], [0, 0, 0], "kind code 257 of neuron 2"),  # not wrapped to 1
+        ([0, 1, 1], [0, 2, 0], "polarity code 2 of neuron 1 is not one of 0..1"),
+        ([0, 1, 1], ["excitatory"] * 3, "polarity must be a 1-D integer array"),
+    ])
+    def test_constructor_rejects(self, kind, polarity, match):
+        with pytest.raises(InvalidNetwork, match=match):
+            NetworkSpec(kind, polarity, Synapses([], [], [], []), np.zeros(3))
+
+    def test_one_code_apart_is_unequal(self):
+        edges, biases = [(0, 1, 1, 2.0)], {1: 0.5}
+        spec = NetworkSpec.from_edges([INPUT, OUTPUT, AUXILIARY], [0, 0, 0], edges, biases)
+        assert NetworkSpec.from_edges(np.uint8([0, 1, 2]), [0, 0, 0], edges, biases) == spec
+        for kind, polarity in (([0, 1, 1], [0, 0, 0]), ([0, 1, 2], [0, 0, 1])):
+            other = NetworkSpec.from_edges(kind, polarity, edges, biases)
+            assert other != spec and spec != other
+
+    @pytest.mark.parametrize("field, name, match", [
+        ("kind", "hidden", "unknown neuron kind 'hidden'"),
+        ("kind", 1, "unknown neuron kind 1"),  # a code is no JSON name
+        ("polarity", "inhibitory_typo", "unknown polarity 'inhibitory_typo'"),
+    ])
+    def test_json_rejects_an_unknown_name(self, field, name, match):
+        data = build_two_inhibitor(2, 5.0).to_json_dict()
+        data["neurons"][3][field] = name
+        with pytest.raises(InvalidNetwork, match=match):
+            NetworkSpec.from_json_dict(data)
+
+    @pytest.mark.parametrize("ids", [
+        [0, 1, 2, 3, 4, 4],  # duplicate
+        [0, 1, 2, 3, 4, 6],  # missing 5
+        [1, 2, 3, 4, 5, 6],  # missing 0
+        [-1, 0, 1, 2, 3, 4],
+    ])
+    def test_json_rejects_ids_that_are_not_0_to_n(self, ids):
+        data = build_two_inhibitor(2, 5.0).to_json_dict()
+        for row, i in zip(data["neurons"], ids):
+            row["id"] = i
+        with pytest.raises(InvalidNetwork, match="neuron ids must be 0..N-1, each once"):
+            NetworkSpec.from_json_dict(data)
+
+    def test_json_rows_in_any_order(self):
+        spec = build_two_inhibitor(2, 5.0)
+        data = spec.to_json_dict()
+        data["neurons"].reverse()
+        assert NetworkSpec.from_json_dict(data) == spec
+
+    @pytest.mark.parametrize("i, match", [
+        (-1, "bias of neuron -1 is outside the network"),
+        (6, "bias of neuron 6 is outside the network"),
+        (1.5, "bias id 1.5 is not an integer index"),
+    ])
+    def test_json_rejects_a_bias_outside_the_network(self, i, match):
+        # two-inhibitor n=2 has neurons 0..5; id -1 must not land on a_c
+        data = build_two_inhibitor(2, 3.0).to_json_dict()
+        data["biases"].append({"id": i, "bias": 7.0})
+        with pytest.raises(InvalidNetwork, match=match):
+            NetworkSpec.from_json_dict(data)
+
+    def test_seeded_random_network_is_unchanged(self):
+        # recorded when neurons were objects: random_network still draws its
+        # polarity coins before the weights
+        spec = random_network(np.random.default_rng(20240817), 3, 4, 5)
+        assert set(spec.polarity[7:].tolist()) == {EXCITATORY, INHIBITORY}
+        digest = hashlib.sha256(spec.to_json().encode()).hexdigest()
+        assert digest == "610dea8f9426493fdf7aa92a6f793689bab0898eadfb57f04d185c6a6489c889"
 
 
 class TestNonFinite:
@@ -226,7 +317,7 @@ class TestNonFinite:
         w = spec.weights.copy()
         w[0, 2, 4] = bad  # excitatory y_0 -> a_s: a NaN must not pass for positive
         with pytest.raises(InvalidNetwork, match="neuron 2 to neuron 4"):
-            NetworkSpec.from_dense(spec.neurons, w, spec.biases)
+            NetworkSpec.from_dense(spec.kind, spec.polarity, w, spec.biases)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_bias(self, bad):
@@ -234,13 +325,13 @@ class TestNonFinite:
         b = spec.biases.copy()
         b[3] = bad
         with pytest.raises(InvalidNetwork, match="neuron 3"):
-            NetworkSpec.from_dense(spec.neurons, spec.weights, b)
+            NetworkSpec.from_dense(spec.kind, spec.polarity, spec.weights, b)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_lam(self, bad):
         spec = build_two_inhibitor(2, 5.0)
         with pytest.raises(InvalidNetwork):
-            NetworkSpec.from_dense(spec.neurons, spec.weights, spec.biases, lam=bad)
+            NetworkSpec.from_dense(spec.kind, spec.polarity, spec.weights, spec.biases, lam=bad)
 
     def test_from_json(self):
         data = build_two_inhibitor(2, 5.0).to_json_dict()
@@ -288,6 +379,16 @@ class TestPotential:
         spec = build_two_inhibitor(2, 5.0)
         with pytest.raises(InputNeuronPotential):
             potential(spec, make_window(spec, {}), 0)
+
+    @pytest.mark.parametrize("u", [-1, 6, 2.0])
+    def test_neuron_outside_the_network_rejected(self, u):
+        # -1 once read the first output's potential, not a_c's
+        spec = build_two_inhibitor(2, 3.0)
+        with pytest.raises(WtaLabError) as err:
+            potential(spec, make_window(spec, {}), u)
+        assert not isinstance(err.value, InputNeuronPotential)
+        assert potential(spec, make_window(spec, {}), 5) == -4.5
+        assert potential(spec, make_window(spec, {}), np.int64(5)) == -4.5
 
 
 class TestSpikeProbability:

@@ -8,7 +8,6 @@ from wtalab import (
     LengthMismatch,
     LumpedChain,
     NetworkSpec,
-    Neuron,
     NotValidConfiguration,
     RandomnessContract,
     StateSpaceTooLarge,
@@ -37,13 +36,8 @@ from test_simulate import dense_potentials
 
 class TestStepDistribution:
     def test_uniform_when_all_potentials_zero(self):
-        neurons = (
-            Neuron(0, INPUT, EXCITATORY),
-            Neuron(1, OUTPUT, EXCITATORY),
-            Neuron(2, AUXILIARY, EXCITATORY),
-            Neuron(3, AUXILIARY, EXCITATORY),
-        )
-        spec = NetworkSpec.from_edges(neurons, [], {})
+        kind = [INPUT, OUTPUT, AUXILIARY, AUXILIARY]
+        spec = NetworkSpec.from_edges(kind, [EXCITATORY] * 4, [], {})
         d = exact_step_distribution(spec, np.zeros((1, 4), np.uint8), [0])
         assert np.allclose(d.probs, 1.0 / 8.0)
 
@@ -388,7 +382,7 @@ def _lateral(spec, weight, pairs):
     outs = spec.output_indices
     for i, j in pairs:
         w[0, outs[i], outs[j]] = weight
-    return NetworkSpec.from_dense(spec.neurons, w, spec.biases)
+    return NetworkSpec.from_dense(spec.kind, spec.polarity, w, spec.biases)
 
 
 class TestLumpedChain:
@@ -420,7 +414,7 @@ class TestLumpedChain:
         w = spec.weights.copy()
         w[0, y0, y0] += 1.0  # one output's self-loop changed
         return [
-            NetworkSpec.from_dense(spec.neurons, w, spec.biases),
+            NetworkSpec.from_dense(spec.kind, spec.polarity, w, spec.biases),
             _lateral(spec, 0.8, [(0, 1)]),  # one lateral synapse of six
             random_network(np.random.default_rng(5), 3, 3, 2, history=1),
         ]

@@ -9,7 +9,6 @@ from wtalab import (
     InvalidNetwork,
     MissingDraw,
     NetworkSpec,
-    Neuron,
     RandomnessContract,
     TrialPlan,
     WindowStateSpace,
@@ -49,13 +48,9 @@ def zero_window(spec, x=None):
 
 class TestStep:
     def test_huge_bias_means_silence(self):
-        neurons = (
-            Neuron(0, INPUT, EXCITATORY),
-            Neuron(1, OUTPUT, EXCITATORY),
-            Neuron(2, AUXILIARY, EXCITATORY),
-        )
-        spec = NetworkSpec.from_edges(neurons, [], {1: 1e9, 2: 1e9})
-        out = step(spec, zero_window(spec), [1], {1: 0.0, 2: 0.0})
+        kind = [INPUT, OUTPUT, AUXILIARY]
+        spec = NetworkSpec.from_edges(kind, [EXCITATORY] * 3, [], {1: 1e9, 2: 1e9})
+        out = step(spec, zero_window(spec), [1], [0.0, 0.0])
         assert out.tolist() == [1, 0, 0]  # p saturates to 0, draws irrelevant
 
     def test_threshold_at_half(self):
@@ -63,9 +58,9 @@ class TestStep:
         spec = build_two_inhibitor(1, 12.0)
         win = zero_window(spec, [1])
         assert potential(spec, win, 1) == 0.0
-        fired = step(spec, win, [1], {1: 0.49, 2: 0.9, 3: 0.9})
+        fired = step(spec, win, [1], [0.49, 0.9, 0.9])  # draws of neurons 1, 2, 3
         assert fired[1] == 1
-        silent = step(spec, win, [1], {1: 0.51, 2: 0.9, 3: 0.9})
+        silent = step(spec, win, [1], [0.51, 0.9, 0.9])
         assert silent[1] == 0
 
     def test_valid_configuration_step_derived_probabilities(self):
@@ -79,17 +74,19 @@ class TestStep:
         assert pots == {2: 12.0, 3: -12.0, 4: 6.0, 5: -6.0}
         probs = {u: spike_probability(spec, p) for u, p in pots.items()}
         # a_c's firing probability is ~0.00247, so a draw of 0.001 fires it
-        out = step(spec, win, [1, 1], {u: 0.001 for u in (2, 3, 4, 5)})
+        out = step(spec, win, [1, 1], np.full(4, 0.001))
         assert out.tolist() == [1, 1, 1, 0, 1, 1]
         # draws above every wrong-event probability reproduce the configuration
-        out2 = step(spec, win, [1, 1], {u: 0.005 for u in (2, 3, 4, 5)})
+        out2 = step(spec, win, [1, 1], np.full(4, 0.005))
         assert np.array_equal(out2, cfg)
         assert 0.001 < probs[5] < 0.005
 
     def test_missing_draw(self):
         spec = build_two_inhibitor(1, 5.0)
-        with pytest.raises(MissingDraw):
-            step(spec, zero_window(spec), [1], {1: 0.5, 2: 0.5})
+        # one draw per non-input neuron, as one array: neither fewer nor a mapping
+        for draws in ([0.5, 0.5], np.full((1, 3), 0.5), {1: 0.5, 2: 0.5, 3: 0.5}):
+            with pytest.raises(MissingDraw, match=r"non-input neuron \(3\)"):
+                step(spec, zero_window(spec), [1], draws)
 
 
 class TestRun:
@@ -135,7 +132,7 @@ class TestMarkovProperty:
             x = (nprng.random(2) < 0.5).astype(np.uint8)
             frames = (nprng.random((5, spec.n_neurons)) < 0.5).astype(np.uint8)
             frames[:, :2] = x
-            draws = {int(u): float(nprng.random()) for u in spec.non_input_indices}
+            draws = nprng.random(spec.non_input_indices.size)
             full = step(spec, frames[-2:], x, draws)
             mutated = frames.copy()
             mutated[0] = 1 - mutated[0]  # touch a frame older than the window
@@ -154,14 +151,10 @@ class TestSymmetry:
             permuted = bits.copy()
             permuted[:n] = bits[:n][perm]
             permuted[n : 2 * n] = bits[n : 2 * n][perm]
-            draw_map = {n + i: draws[n + i] for i in range(n)}
-            draw_map.update({2 * n: draws[2 * n], 2 * n + 1: draws[2 * n + 1]})
-            perm_draws = {n + i: draws[n + int(perm[i])] for i in range(n)}
-            perm_draws.update({2 * n: draws[2 * n], 2 * n + 1: draws[2 * n + 1]})
-            out = step(spec, bits, bits[:n], draw_map)
-            out_p = step(
-                spec, permuted, permuted[:n], perm_draws
-            )
+            # the non-input neurons are n..2n+1: outputs, then a_s and a_c
+            perm_draws = np.concatenate([draws[n + perm], draws[2 * n :]])
+            out = step(spec, bits, bits[:n], draws[n:])
+            out_p = step(spec, permuted, permuted[:n], perm_draws)
             assert np.array_equal(out_p[n : 2 * n], out[n : 2 * n][perm])
             assert np.array_equal(out_p[2 * n :], out[2 * n :])
 
@@ -206,12 +199,10 @@ class TestInitialPolicies:
 def permuted(spec, order):
     """The same network with neuron ``order[k]`` moved to index ``k``."""
     order = np.asarray(order)
-    neurons = tuple(
-        Neuron(k, spec.neurons[i].kind, spec.neurons[i].polarity)
-        for k, i in enumerate(order.tolist())
-    )
     w = spec.weights[:, order][:, :, order]
-    return NetworkSpec.from_dense(neurons, w, spec.biases[order], spec.lam, spec.history)
+    return NetworkSpec.from_dense(
+        spec.kind[order], spec.polarity[order], w, spec.biases[order], spec.lam, spec.history
+    )
 
 
 class TestBatchScanner:
@@ -322,14 +313,10 @@ class TestKernel:
 
     def test_synapse_into_input_is_rejected(self):
         # the constructor rejects it, so the kernel never sees one
-        neurons = (
-            Neuron(0, INPUT, EXCITATORY),
-            Neuron(1, OUTPUT, EXCITATORY),
-            Neuron(2, AUXILIARY, INHIBITORY),
-        )
+        kind, polarity = [INPUT, OUTPUT, AUXILIARY], [EXCITATORY, EXCITATORY, INHIBITORY]
         with pytest.raises(InputTargeted):
             NetworkSpec.from_edges(
-                neurons, [(1, 0, 1, 5.0), (0, 1, 1, 2.0), (2, 1, 1, -1.0)], {1: 0.5}
+                kind, polarity, [(1, 0, 1, 5.0), (0, 1, 1, 2.0), (2, 1, 1, -1.0)], {1: 0.5}
             )
 
     @pytest.mark.parametrize("history", [1, 2])
