@@ -1,5 +1,5 @@
-"""Exception types shared across the package, the one integer check and
-the one 0/1 bit check."""
+"""Exception types shared across the package, the one integer check, the
+one neuron-index check and the one 0/1 bit check."""
 
 from numbers import Integral as _Integral
 
@@ -14,6 +14,13 @@ def check_int(name: str, value, minimum: int) -> None:
     """Raise ``WtaLabError`` unless ``value`` is an integer ``>= minimum``."""
     if not (isinstance(value, _Integral) and value >= minimum):
         raise WtaLabError(f"{name} must be an int >= {minimum}, got {value!r}")
+
+
+def check_neuron(name: str, value, n: int) -> None:
+    """Raise ``WtaLabError`` unless ``value`` is an integer in ``0..n-1``,
+    a neuron of an ``n``-neuron network."""
+    if not (isinstance(value, _Integral) and 0 <= value < n):
+        raise WtaLabError(f"{name} must be a neuron of 0..{n - 1}, got {value!r}")
 
 
 def check_bits(name: str, value) -> _np.ndarray:

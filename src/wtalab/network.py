@@ -44,6 +44,7 @@ from .errors import (
     InvalidNetwork,
     LagOutOfRange,
     NonpositiveTemperature,
+    check_neuron,
 )
 
 # a code is a position in its names tuple
@@ -53,10 +54,16 @@ INPUT, OUTPUT, AUXILIARY = range(len(_KINDS))
 EXCITATORY, INHIBITORY = range(len(_POLARITIES))
 
 
-def _readonly(a, dtype=np.float64) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=dtype)
+def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _readonly(a, dtype=np.float64) -> np.ndarray:
+    """A read-only C-contiguous copy of ``a`` as ``dtype``. The copy is the
+    spec's own: the caller's array stays writeable, and its later writes do
+    not reach the spec."""
+    return _frozen(np.array(a, dtype=dtype, order="C"))
 
 
 class Synapses(NamedTuple):
@@ -125,7 +132,7 @@ class NetworkSpec:
         w = np.zeros((self.history, n, n))
         syn = self.synapses
         w[syn.lag0, syn.pre, syn.post] = syn.weight
-        return _readonly(w)
+        return _frozen(w)
 
     # -- layout ---------------------------------------------------------
 
@@ -134,7 +141,7 @@ class NetworkSpec:
         return self.kind.size
 
     def _where(self, mask: np.ndarray) -> np.ndarray:
-        return _readonly(np.flatnonzero(mask), np.intp)
+        return _frozen(np.flatnonzero(mask))
 
     # read-only index arrays of each role, found on first access
     input_indices = cached_property(lambda self: self._where(self.kind == INPUT))
@@ -143,6 +150,8 @@ class NetworkSpec:
     non_input_indices = cached_property(lambda self: self._where(self.kind != INPUT))
 
     def weight(self, pre: int, post: int, lag: int = 1) -> float:
+        check_neuron("pre", pre, self.n_neurons)
+        check_neuron("post", post, self.n_neurons)
         if not 1 <= lag <= self.history:
             raise LagOutOfRange(f"lag {lag} outside 1..{self.history}")
         syn = self.synapses
@@ -150,6 +159,7 @@ class NetworkSpec:
         return float(syn.weight[at[0]]) if at.size else 0.0
 
     def bias(self, index: int) -> float:
+        check_neuron("index", index, self.n_neurons)
         return float(self.biases[index])
 
     def edges(self) -> Iterable[tuple[int, int, int, float]]:
@@ -344,24 +354,18 @@ def validate_network(spec: NetworkSpec) -> NetworkSpec:
     return spec
 
 
-def sigmoid(z, out=None) -> np.ndarray | float:
+def sigmoid(z) -> np.ndarray | float:
     """Numerically stable logistic function.
 
     Only ever exponentiates a nonpositive argument, so it saturates cleanly
-    to 0.0 / 1.0 instead of overflowing for ``|z|`` beyond ~745. ``out``, a
-    float64 array of ``z``'s shape (``z`` itself included), receives the
-    result; without it a scalar gives a float and an array a new array.
+    to 0.0 / 1.0 instead of overflowing for ``|z|`` beyond ~745. A scalar
+    gives a float and an array a new array.
     """
     z = np.asarray(z, dtype=np.float64)
-    nonneg = z >= 0.0
-    e = np.abs(z, out=np.empty_like(z) if out is None else out)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    den = e + 1.0
+    e = np.exp(-np.abs(z))
     # numerator 1 where z >= 0, else e: e <= 1, so a max picks it without a branch
-    np.maximum(e, nonneg, out=e)
-    np.divide(e, den, out=e)
-    return float(e) if out is None and e.ndim == 0 else e
+    p = np.maximum(e, z >= 0.0) / (e + 1.0)
+    return float(p) if p.ndim == 0 else p
 
 
 def spike_probability(spec: NetworkSpec, pot: float) -> float:

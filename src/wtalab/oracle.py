@@ -138,7 +138,7 @@ class WindowStateSpace:
         p = np.empty((self.n_states, self.m))
         rows = max(1, (self.n_states << self.m) // (self.h * self.spec.n_neurons))
         for lo in range(0, self.n_states, rows):
-            runner.probabilities(self.full_frames[codes[lo : lo + rows]], out=p[lo : lo + rows])
+            p[lo : lo + rows] = runner.probabilities(self.full_frames[codes[lo : lo + rows]])
         return p
 
     @cached_property

@@ -10,10 +10,8 @@ splitmix64 finalizer, then maps the top 53 bits to ``[0, 1)``.
 
 The hash runs in place: ``_mix`` rewrites its array with one scratch array
 of the same shape, and ``uniform_block`` hashes the (trials x neurons) block
-inside the float64 array it returns, viewed as uint64. A caller that steps a
-batch tile by tile passes that array as ``out=`` and reuses it, so a block
-costs no allocation beyond its one scratch array; without ``out`` the block
-is a fresh array. Both give the same bits.
+inside the float64 array it returns, viewed as uint64. So a block costs that
+array and one scratch array of its size.
 """
 
 from __future__ import annotations
@@ -67,21 +65,19 @@ class RandomnessContract:
         s = np.asarray([self.root_seed & _MASK64], dtype=np.uint64)
         return _mixed(s * _K_SEED + _M2)
 
-    def uniform_block(self, trials, time: int, neurons, out=None) -> np.ndarray:
+    def uniform_block(self, trials, time: int, neurons) -> np.ndarray:
         """Uniform draws in ``[0, 1)`` for a trial x neuron block at one time.
 
         ``trials`` and ``neurons`` are nonnegative integer arrays; the result
         has shape ``(len(trials), len(neurons))`` and entry ``[i, j]`` depends
-        only on ``(root_seed, trials[i], time, neurons[j])``. ``out``, a
-        float64 array of that shape, receives the draws and is returned.
+        only on ``(root_seed, trials[i], time, neurons[j])``.
         """
         t = np.asarray(trials, dtype=np.uint64)
         u = np.asarray(neurons, dtype=np.uint64)
         tw = np.asarray([int(time) & _MASK64], dtype=np.uint64)
         a = _mixed(self._seed_word ^ (t * _K_TRIAL))
         b = _mixed(a ^ (tw * _K_TIME))
-        if out is None:
-            out = np.empty((t.size, u.size))
+        out = np.empty((t.size, u.size))
         c = out.view(np.uint64)
         np.bitwise_xor(b[:, None], u * _K_NEURON, out=c)
         scratch = np.empty_like(c)

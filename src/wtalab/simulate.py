@@ -28,15 +28,9 @@ how many rows share its call (chunk invariance), and the scalar calls equal
 the batch ones (scalar-versus-batch identity).
 
 A step works through the batch in row tiles of about ``_TILE_ELEMS``
-neuron slots. For each tile the runner draws into one float64 buffer; sums
-the codes into a second, in the tables' integer dtype; copies them to intp
-indices and takes the probabilities into a float64 buffer with one
-``np.take``; compares into a bool buffer; then copies the fired bits into
-the new frame. The buffers are the runner's workspace: allocated by its
-first step (never by ``__init__``), grown when a larger tile arrives, reused
-by every later step. ``potentials``, ``probabilities`` and
-``RandomnessContract.uniform_block`` take ``out=``; without it each returns
-a new array with the same bits. Where the tiles fall changes no bit.
+neuron slots, which bounds its peak memory. Each tile is one expression:
+its draws compared with its ``probabilities``. The runner keeps no
+workspace, and where the tiles fall changes no bit.
 """
 
 from __future__ import annotations
@@ -53,9 +47,8 @@ from .errors import (
     InvalidNetwork,
     LengthMismatch,
     MissingDraw,
-    WtaLabError,
     check_bits,
-    check_int,
+    check_neuron,
 )
 from .network import INPUT, NetworkSpec, sigmoid
 from .randomness import RandomnessContract
@@ -120,9 +113,9 @@ def _selector(indices: np.ndarray) -> np.ndarray | slice:
 _TABLE_LIMIT = 1 << 16
 _ENTRIES_PER_SYNAPSE = 32
 
-# Elements of one (rows x m) tile of a step. Each float64 tile buffer is then
-# 256 KiB, so a tile's buffers and temporaries stay in a core's L2 cache
-# while every operation of the step passes over them.
+# Elements of one (rows x m) tile of a step. A tile's float64 arrays are
+# then 256 KiB each, so they stay in a core's L2 cache while every operation
+# of the step passes over them.
 _TILE_ELEMS = 32768
 
 
@@ -227,12 +220,11 @@ class _Kernel(NamedTuple):
 
     ``slots`` are the gather slots ``(cols, src, radices)``; ``rows`` and
     ``row_block`` the dense rows, ``cols``, ``col_src`` and ``col_block`` the
-    dense columns, their radices in float64 for BLAS. ``group_slots`` are
-    gather slots over the code columns of the later digit groups.
-    ``offsets`` is each code column's offset into the flat tables, in the
-    codes' dtype; ``pot`` and ``prob`` are the tables. ``group_cols`` are the
-    columns with digit groups, and ``levels`` holds, per later group, the
-    positions of its columns among them and its code columns."""
+    dense columns, their radices in float64 for BLAS. All of them range over
+    every code column. ``offsets`` is each code column's offset into the flat
+    tables, in the codes' dtype; ``pot`` and ``prob`` are the tables.
+    ``levels`` holds, per digit group after the first, its real columns and
+    their code columns."""
 
     slots: list
     rows: np.ndarray | slice
@@ -240,11 +232,9 @@ class _Kernel(NamedTuple):
     cols: np.ndarray | slice
     col_src: np.ndarray | slice
     col_block: np.ndarray
-    group_slots: list
     offsets: np.ndarray
     pot: np.ndarray
     prob: np.ndarray
-    group_cols: np.ndarray
     levels: list
 
 
@@ -283,15 +273,9 @@ def _count_kernel(spec: NetworkSpec) -> _Kernel:
     # codes index the flat tables, so a uint16 holds them up to 2^16 entries
     dtype = np.uint16 if pot.size <= 1 << 16 else np.int32
 
-    # each synapse's radix; the synapses of a later group sum by gather
-    # slots of their own, the others by the split of the m real columns
-    rad = np.array(radix, dtype=float)[cls]
-    group_slots = []
-    if later:
-        code = np.array(code_col)[cls]
-        main = code < m
-        group_slots = _gather_slots(src[~main], code[~main], rad[~main], len(keys))
-        col, src, rad = col[main], src[main], rad[main]
+    # each synapse's code column and radix
+    n_codes = len(keys)
+    code, rad = np.array(code_col, dtype=np.intp)[cls], np.array(radix, dtype=float)[cls]
     # A dense column costs about h*N multiply-adds per row and a gather slot
     # about as much as 16 of them, so a target is a hub from h*N/16 in-edges
     # on (a source likewise by its out-edges). At n=1024 only the
@@ -300,20 +284,14 @@ def _count_kernel(spec: NetworkSpec) -> _Kernel:
     # the log-inhibitor outputs (14 in-edges) hubs at every n, and their
     # dense block nearly h*N x m.
     threshold = h * n_all / 16
-    cols, col_block, rest = _dense_block(col, src, rad, m, h * n_all, threshold)
+    cols, col_block, rest = _dense_block(code, src, rad, n_codes, h * n_all, threshold)
     col_src = np.flatnonzero(col_block.any(axis=0))
-    src, col, rad = src[rest], col[rest], rad[rest]
-    rows, row_block, rest = _dense_block(src, col, rad, h * n_all, m, threshold)
-    slots = _gather_slots(src[rest], col[rest], rad[rest], m)
+    src, code, rad = src[rest], code[rest], rad[rest]
+    rows, row_block, rest = _dense_block(src, code, rad, h * n_all, n_codes, threshold)
+    slots = _gather_slots(src[rest], code[rest], rad[rest], n_codes)
 
-    group_cols = np.array([c for c, g in later if g == 1], dtype=np.intp)
-    levels = []
-    for level in range(1, max((g for _, g in later), default=0) + 1):
-        here = [(i, c) for i, (c, g) in enumerate(later) if g == level]
-        levels.append((
-            np.searchsorted(group_cols, [c for _, c in here]),
-            m + np.array([i for i, _ in here], dtype=np.intp),
-        ))
+    later = np.array(later, dtype=np.intp).reshape(-1, 2)
+    groups = [np.flatnonzero(later[:, 1] == g) for g in range(1, later[:, 1].max(initial=0) + 1)]
     return _Kernel(
         slots=[(c, s, v.astype(dtype)) for c, s, v in slots],
         rows=_selector(rows),
@@ -321,12 +299,10 @@ def _count_kernel(spec: NetworkSpec) -> _Kernel:
         cols=_selector(cols),
         col_src=_selector(col_src),
         col_block=np.ascontiguousarray(col_block[:, col_src].T),
-        group_slots=[(c, s, v.astype(dtype)) for c, s, v in group_slots],
         offsets=(np.cumsum(sizes) - sizes)[which].astype(dtype),
         pot=pot,
         prob=sigmoid(pot / spec.lam),
-        group_cols=group_cols,
-        levels=levels,
+        levels=[(later[at, 0], m + at) for at in groups],
     )
 
 
@@ -369,11 +345,13 @@ class BatchRunner:
     within ``_ENTRIES_PER_SYNAPSE`` per synapse it holds; so the tables grow
     with the synapses. Group 0 is the column's own code, with the bias, and
     each later group a code column after the ``m`` real ones that starts
-    from 0, summed by gather slots of its own. The column's potential is the
-    sum of its groups' table potentials in group order, and its probability
-    the sigmoid of that, made per call (``_lookup``). Random networks whose
-    columns read many distinct weights have them; the builder networks'
-    columns, a few classes of high degree each, do not.
+    from 0. The split sums all ``M`` code columns alike. The column's
+    potential is the sum of its groups' table potentials in group order,
+    and when a spec has groups every probability is the sigmoid of its
+    potential, made per call (``_lookup``); for a column of one group that
+    is the bits of its ``prob`` entry. Random networks whose columns read
+    many distinct weights have groups; the builder networks' columns, a few
+    classes of high degree each, do not.
 
     The split, codes and tables are the spec's count kernel
     (``_count_kernel``), which the runner builds on its first use, never in
@@ -389,9 +367,6 @@ class BatchRunner:
         self.m = self.non_input.size
         self._non_input_sel = _selector(self.non_input)
         self._input_sel = _selector(self.input_ids)
-        # (code, index, probability, draw, fired) tile buffers: the first
-        # step allocates them and a larger tile grows them
-        self._tile_bufs: tuple[np.ndarray, ...] | None = None
 
     @cached_property
     def w_cols(self) -> list[np.ndarray]:
@@ -407,88 +382,61 @@ class BatchRunner:
         """The spec's count kernel, built on first use."""
         return _count_kernel(self.spec)
 
-    def _codes(self, frames: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def _codes(self, frames: np.ndarray) -> np.ndarray:
         """(B, M) codes of every code column, each its table offset plus its
-        count code, in the kernel's code dtype. ``frames``: (B, h, N) 0/1.
-        ``out``, when given, receives them."""
+        count code, in the kernel's code dtype. ``frames``: (B, h, N) 0/1."""
         k = self._kernel
         rows, h, n_all = frames.shape
         f = np.asarray(frames, dtype=np.uint8).reshape(rows, h * n_all)
-        code = np.empty((rows, k.offsets.size), k.offsets.dtype) if out is None else out
-        np.copyto(code, k.offsets)  # broadcasts the offsets over the batch
-        main = code[:, : self.m]
+        code = np.tile(k.offsets, (rows, 1))
         for cols, src, val in k.slots:
-            _add_into(main, cols, f[:, src] * val)
+            _add_into(code, cols, f[:, src] * val)
         # the dense blocks' float products are whole numbers: the casts are exact
         if k.row_block.size:
-            main += (f[:, k.rows] @ k.row_block).astype(code.dtype)
+            code += (f[:, k.rows] @ k.row_block).astype(code.dtype)
         if k.col_block.size:
-            _add_into(main, k.cols, (f[:, k.col_src] @ k.col_block).astype(code.dtype))
-        for cols, src, val in k.group_slots:
-            _add_into(code, cols, f[:, src] * val)
+            _add_into(code, k.cols, (f[:, k.col_src] @ k.col_block).astype(code.dtype))
         return code
 
-    def _lookup(self, code: np.ndarray, probs: bool, out=None, idx=None) -> np.ndarray:
+    def _lookup(self, code: np.ndarray, probs: bool) -> np.ndarray:
         """Potentials or probabilities of the ``m`` non-input columns from
-        their codes, into ``out`` when given; ``idx``, an intp (B, m) array,
-        holds the table indices when given. A column with digit groups sums
-        its groups' table potentials in group order."""
+        their codes. A column with digit groups sums its groups' table
+        potentials in group order."""
         k = self._kernel
-        at = code[:, : self.m]
-        if idx is not None:  # else take makes intp indices of its own
-            np.copyto(idx, at)
-            at = idx
-        got = np.take(k.prob if probs else k.pot, at, out=out, mode="clip")
-        if k.group_cols.size:
-            pot = np.take(k.pot, code[:, k.group_cols], mode="clip")
-            for cols, code_cols in k.levels:
-                pot[:, cols] += np.take(k.pot, code[:, code_cols], mode="clip")
-            got[:, k.group_cols] = sigmoid(pot / self.spec.lam) if probs else pot
-        return got
+        if not k.levels:  # one code column per column
+            return np.take(k.prob if probs else k.pot, code, mode="clip")
+        pot = np.take(k.pot, code[:, : self.m], mode="clip")
+        for cols, code_cols in k.levels:
+            pot[:, cols] += np.take(k.pot, code[:, code_cols], mode="clip")
+        return sigmoid(pot / self.spec.lam) if probs else pot
 
-    def potentials(self, frames: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Potentials of all non-input neurons. ``frames``: (B, h, N) 0/1.
-        ``out``, a float64 (B, m) array, receives them and is returned."""
-        return self._lookup(self._codes(frames), False, out)
+    def potentials(self, frames: np.ndarray) -> np.ndarray:
+        """Potentials of all non-input neurons. ``frames``: (B, h, N) 0/1."""
+        return self._lookup(self._codes(frames), False)
 
-    def probabilities(self, frames: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def probabilities(self, frames: np.ndarray) -> np.ndarray:
         """Firing probabilities of all non-input neurons, ``sigmoid(potential
-        / lam)``, into ``out`` when given."""
-        return self._lookup(self._codes(frames), True, out)
+        / lam)``."""
+        return self._lookup(self._codes(frames), True)
 
     def step_bits(self, frames: np.ndarray, t: int, trials, input_bits) -> np.ndarray:
         """One synchronous step. Returns the new (B, N) uint8 frame.
 
         ``input_bits`` is either one vector shared by the batch (the fixed
         input X) or one row per trial. The non-input bits are made one row
-        tile at a time, in the workspace's buffers.
+        tile at a time.
         """
-        batch, m = frames.shape[0], self.m
+        batch = frames.shape[0]
         new = np.empty((batch, self.spec.n_neurons), dtype=np.uint8)
         if self.input_ids.size:
             new[:, self._input_sel] = input_bits
         trials = np.asarray(trials)
-        tile = max(1, min(batch, _TILE_ELEMS // max(1, m)))
-        if self._tile_bufs is None or self._tile_bufs[0].shape[0] < tile:
-            offsets = self._kernel.offsets
-            shape = (tile, m)
-            self._tile_bufs = (
-                np.empty((tile, offsets.size), dtype=offsets.dtype),
-                np.empty(shape, dtype=np.intp),
-                np.empty(shape),
-                np.empty(shape),
-                np.empty(shape, dtype=bool),
-            )
-        code, idx, p_buf, d_buf, fired = self._tile_bufs
+        tile = max(1, _TILE_ELEMS // max(1, self.m))
         for lo in range(0, batch, tile):
-            rows = min(tile, batch - lo)
-            draws = self.rng.uniform_block(
-                trials[lo : lo + rows], t, self.non_input, out=d_buf[:rows]
-            )
-            self._codes(frames[lo : lo + rows], out=code[:rows])
-            p = self._lookup(code[:rows], True, out=p_buf[:rows], idx=idx[:rows])
-            np.less(draws, p, out=fired[:rows])
-            new[lo : lo + rows, self._non_input_sel] = fired[:rows]
+            hi = lo + tile
+            new[lo:hi, self._non_input_sel] = self.rng.uniform_block(
+                trials[lo:hi], t, self.non_input
+            ) < self.probabilities(frames[lo:hi])
         return new
 
     def advance(self, frames: np.ndarray, t: int, trials, input_bits) -> np.ndarray:
@@ -521,9 +469,7 @@ def potential(spec: NetworkSpec, window, u: int) -> float:
     ``(h, N)`` bit array, most recent frame last. ``u`` must be an int in
     ``0..N-1`` (``WtaLabError``) and not an input (``InputNeuronPotential``).
     """
-    check_int("u", u, 0)
-    if u >= spec.n_neurons:
-        raise WtaLabError(f"u must be a neuron of 0..{spec.n_neurons - 1}, got {u}")
+    check_neuron("u", u, spec.n_neurons)
     if spec.kind[u] == INPUT:
         raise InputNeuronPotential(f"neuron {u} is an input")
     frames = window_frames(spec, window)

@@ -402,11 +402,9 @@ class TestBatchInvariance:
         class Blocks(BatchRunner):
             """``probabilities`` in calls of ``block`` rows."""
 
-            def probabilities(self, frames, out=None):
-                out = np.empty((frames.shape[0], self.m)) if out is None else out
-                for lo in range(0, frames.shape[0], block):
-                    super().probabilities(frames[lo : lo + block], out=out[lo : lo + block])
-                return out
+            def probabilities(self, frames):
+                return np.vstack([super(Blocks, self).probabilities(frames[lo : lo + block])
+                                  for lo in range(0, frames.shape[0], block)])
 
         for block in (1, 7):
             monkeypatch.setattr(oracle, "BatchRunner", Blocks)
@@ -451,8 +449,11 @@ class TestCountCodes:
         # 2^8 codes are 32 per synapse: each column's 24 classes of one
         # synapse fall into three groups of eight
         k = BatchRunner(_wide_network(nprng), RandomnessContract(0))._kernel
-        assert np.array_equal(k.group_cols, np.arange(8))
         assert len(k.levels) == 2 and k.offsets.size == 24
+        # each column's later groups follow the 8 real columns in turn
+        for level, (cols, code_cols) in enumerate(k.levels):
+            assert np.array_equal(cols, np.arange(8))
+            assert np.array_equal(code_cols, 8 + 2 * np.arange(8) + level)
         assert k.pot.size == 24 * 256
 
     def test_tables_hold_at_most_32_entries_per_synapse(self, nprng):
@@ -474,7 +475,7 @@ class TestCountCodes:
     def test_builder_columns_keep_one_table(self, build, n):
         runner = BatchRunner(build(n, 7.3), RandomnessContract(0))
         k = runner._kernel
-        assert k.group_cols.size == 0 and k.offsets.size == runner.m
+        assert not k.levels and k.offsets.size == runner.m
 
     @pytest.mark.parametrize("lam", [1.0, 0.37])
     def test_probabilities_equal_a_per_synapse_sum(self, nprng, lam):
@@ -504,7 +505,7 @@ class TestCountCodes:
         frames[2] = 1
         pot = runner.potentials(frames)
         k = runner._kernel
-        assert k.group_cols.size == 0 and k.offsets.dtype == np.int32
+        assert not k.levels and k.offsets.dtype == np.int32
         syn, ni, h = spec.synapses, spec.non_input_indices, spec.history
         for f, row in zip(frames, pot):
             fired = syn.weight * f[h - 1 - syn.lag0, syn.pre]
@@ -528,14 +529,15 @@ def _tile_rows(monkeypatch, spec, rows):
 
 
 class TestTiles:
-    """A step makes its non-input bits one row tile at a time, in buffers
-    the runner reuses; where the tiles fall must not change a bit."""
+    """A step makes its non-input bits one row tile at a time; where the
+    tiles fall must not change a bit."""
 
     @pytest.mark.parametrize("build, n", [
         (build_two_inhibitor, 5), (build_single_inhibitor, 5), (build_log_inhibitor, 4),
+        pytest.param(None, 4, id="wide"),  # digit groups
     ])
     def test_step_and_advance_match_untiled(self, monkeypatch, nprng, build, n):
-        spec = build(n, 9.0)
+        spec = build(n, 9.0) if build else _wide_network(nprng)
         rng = RandomnessContract(2**63 + 11)
         batch = 23  # a multiple of no tile below
         x_rows = (nprng.random((batch, n)) < 0.7).astype(np.uint8)
@@ -556,7 +558,7 @@ class TestTiles:
         for rows in (1, 3, 7):
             _tile_rows(monkeypatch, spec, rows)
             runner = BatchRunner(spec, rng)
-            # a small batch first, so the workspace grows between calls
+            # a small batch first, then the full ones
             small = runner.step_bits(frames[:2], 5, trials[:2], x_rows[:2])
             assert np.array_equal(small, want[0][:2])
             for got, ref in zip(steps(runner), want):
@@ -582,14 +584,14 @@ class TestTiles:
     def test_warm_advance_allocates_no_batch_sized_temporaries(self):
         # One (250 x 1026) float64 array is 2 MB: a step that allocated one per
         # operation peaked above 8 MB here. The new (250 x 2050) uint8 frame
-        # is 0.5 MB and the tile buffers are reused.
+        # is 0.5 MB, and a tile's arrays are 256 KiB each.
         spec = build_two_inhibitor(1024, 10.0)
         rng = RandomnessContract(3)
         runner = BatchRunner(spec, rng)
         trials = np.arange(250)
         x = np.ones(1024, dtype=np.uint8)
         frames = initial_windows_batch(spec, "uniform_random", x, trials, rng)
-        frames = runner.advance(frames, 1, trials, x)  # allocates the workspace
+        frames = runner.advance(frames, 1, trials, x)  # builds the kernel
         tracemalloc.start()
         try:
             runner.advance(frames, 2, trials, x)
@@ -699,8 +701,8 @@ class TestInputVector:
 class _ZeroFirstDraw(RandomnessContract):
     """The contract's draws, except that each block's first draw is 0."""
 
-    def uniform_block(self, trials, time, neurons, out=None):
-        draws = super().uniform_block(trials, time, neurons, out=out)
+    def uniform_block(self, trials, time, neurons):
+        draws = super().uniform_block(trials, time, neurons)
         draws[0, 0] = 0.0
         return draws
 

@@ -6,8 +6,11 @@ Run it on each tree and diff the outputs:
 
 The cells cover the Monte Carlo path (``run_trials`` convergence times and
 final windows, three families at n = 16, 64, 1024), every lemma report
-(all 28 checks, in ``GROUP_IDS`` order) and the exact oracle
-(``convergence_cdf`` for two-inhibitor n <= 8 and log-inhibitor n <= 3).
+(all 28 checks, in ``GROUP_IDS`` order), the exact oracle
+(``convergence_cdf`` for two-inhibitor n <= 8 and log-inhibitor n <= 3),
+and ``BatchRunner`` potentials, probabilities and steps on seeded random
+networks whose columns read many distinct weights. Those columns' count
+codes fall into digit groups, a path the builder families never reach.
 It uses numpy and the public ``wtalab`` API only, and runs in well under a
 minute on one core.
 """
@@ -25,6 +28,9 @@ from wtalab import (
     LOG_INHIBITOR,
     SINGLE_INHIBITOR,
     TWO_INHIBITOR,
+    BatchRunner,
+    NetworkSpec,
+    RandomnessContract,
     TrialPlan,
     WtaInstance,
     WtaVariant,
@@ -34,6 +40,7 @@ from wtalab import (
     lemma_check,
     run_trials,
 )
+from wtalab.network import AUXILIARY, EXCITATORY, INHIBITORY, INPUT, OUTPUT
 
 # (gamma, t_s) per family: most trials converge within the horizon and a few
 # time out (none for log-inhibitor at n = 16 and 1024), so the digests cover
@@ -94,9 +101,54 @@ def oracle_cells() -> dict:
     return cells
 
 
+def _group_spec(seed: int) -> NetworkSpec:
+    """A seeded random network: 3 inputs, then outputs and auxiliaries (each
+    auxiliary inhibitory with probability 1/2), history 1 or 2. Seeds below
+    8 make 3 to 18 of each with each allowed synapse present with
+    probability 0.8, so their synapses fall in the dense columns; later
+    seeds make 40 to 90 of each at 0.15, whose synapses fall in the dense
+    rows and the gather slots. A column reads about 7 to 70 synapses. Every
+    third spec rounds its weights to quarters, so classes of several
+    synapses meet single ones."""
+    g = np.random.default_rng(seed)
+    low, high, density = (3, 19, 0.8) if seed < 8 else (40, 91, 0.15)
+    h, n_out, n_aux = int(g.integers(1, 3)), *map(int, g.integers(low, high, 2))
+    kind = np.repeat(np.uint8([INPUT, OUTPUT, AUXILIARY]), [3, n_out, n_aux])
+    n = kind.size
+    polarity = np.where((kind == AUXILIARY) & (g.random(n) < 0.5), INHIBITORY, EXCITATORY)
+    w = g.uniform(0.0, 3.0, (h, n, n)) * (g.random((h, n, n)) < density)
+    if seed % 3 == 0:
+        w = np.round(w * 4.0) / 4.0
+    w[:, polarity == INHIBITORY, :] *= -1.0
+    w[:, :, kind == INPUT] = 0.0
+    b = g.uniform(-3.0, 3.0, n) * (kind != INPUT)
+    lam = float(g.choice([1.0, 0.37]))
+    return NetworkSpec.from_dense(kind, polarity.astype(np.uint8), w, b, lam=lam, history=h)
+
+
+def group_cells() -> dict:
+    cells = {}
+    for seed in range(14):
+        spec = _group_spec(seed)
+        g = np.random.default_rng(1000 + seed)
+        frames = (g.random((64, spec.history, spec.n_neurons)) < 0.5).astype(np.uint8)
+        x = (g.random(spec.input_indices.size) < 0.5).astype(np.uint8)
+        frames[:, :, spec.input_indices] = x
+        runner = BatchRunner(spec, RandomnessContract(seed))
+        cells[f"groups/{seed}/potentials"] = _sha(runner.potentials(frames))
+        cells[f"groups/{seed}/probabilities"] = _sha(runner.probabilities(frames))
+        trials = np.arange(frames.shape[0])
+        windows = []
+        for t in range(spec.history, spec.history + 8):
+            frames = runner.advance(frames, t, trials, x)
+            windows.append(frames)
+        cells[f"groups/{seed}/advance"] = _sha(*windows)
+    return cells
+
+
 def main() -> None:
     cells = {"wtalab": wtalab.__version__}
-    for part in (trial_cells, lemma_cells, oracle_cells):
+    for part in (trial_cells, lemma_cells, oracle_cells, group_cells):
         cells.update(part())
     print(json.dumps(cells, indent=1))
 
