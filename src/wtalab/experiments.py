@@ -303,7 +303,7 @@ class ProbeSummary:
 
 
 def self_stabilization_probe(plan: TrialPlan, perturbations: int) -> ProbeSummary:
-    """Measure re-convergence after adversarial full-state overwrites.
+    """Measure re-convergence after full-state overwrites with all-fire.
 
     Perturbations come ``t_c + t_s + 1`` frames apart, the first at the end
     of the plan's horizon. At each one the whole h-frame window of every

@@ -34,6 +34,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -152,8 +153,8 @@ class NetworkSpec:
     def weight(self, pre: int, post: int, lag: int = 1) -> float:
         check_neuron("pre", pre, self.n_neurons)
         check_neuron("post", post, self.n_neurons)
-        if not 1 <= lag <= self.history:
-            raise LagOutOfRange(f"lag {lag} outside 1..{self.history}")
+        if not (isinstance(lag, Integral) and 1 <= lag <= self.history):
+            raise LagOutOfRange(f"lag must be an integer in 1..{self.history}, got {lag!r}")
         syn = self.synapses
         at = np.flatnonzero((syn.lag0 == lag - 1) & (syn.pre == pre) & (syn.post == post))
         return float(syn.weight[at[0]]) if at.size else 0.0

@@ -5,11 +5,12 @@ finite Markov chain whose one-step kernel has closed product form: given the
 window, each non-input neuron fires independently, so the probability of a
 next configuration ``c`` is ``prod_u [c_u p_u + (1 - c_u)(1 - p_u)]``.
 
-``convergence_cdf`` propagates a probability vector over (state,
-stability-counter) pairs to compute the exact distribution of the
-convergence event: a valid output configuration held fixed for ``t_s``
-further steps. It is the reference the Monte Carlo harness is checked
-against, and it walks one of two chains:
+``convergence_cdf`` computes the exact distribution of the convergence
+event, a valid output configuration held fixed for ``t_s`` further steps, as
+the absorption time of the (state, hold counter) chain (Kemeny & Snell,
+absorbing chains). It is the reference the Monte Carlo harness is checked
+against. Two chains supply the states, and one walk (``_CounterWalk.cdf``)
+propagates the mass over both:
 
 * ``LumpedChain``, for every history-1 spec whose outputs are exchangeable
   within their input class (checked on the synapse arrays, never on a family
@@ -21,7 +22,9 @@ against, and it walks one of two chains:
   ``m`` non-input neurons, with a dense ``2^(m*h) x 2^m`` one-step kernel.
   It is also the independent reference the lumped chain is tested against.
 
-Both take their firing probabilities from the one batch kernel
+Each chain gives the walk its states, its valid states, a ``push`` of mass
+one step forward and a ``hold`` of the mass whose outputs repeat. Both take
+their firing probabilities from the one batch kernel
 (``simulate.BatchRunner.probabilities``), over every window state or one
 representative window per lumped state.
 """
@@ -59,7 +62,44 @@ def _outcome_probs(p: np.ndarray) -> np.ndarray:
     return out
 
 
-class WindowStateSpace:
+class _CounterWalk:
+    """The forward walk over (state, hold counter) pairs that both chains
+    share. A chain supplies ``spec``, ``x``, ``n_states``, ``state_index``,
+    the sorted ``valid_states`` (latest outputs valid), ``push`` and ``hold``."""
+
+    def cdf(self, window, t_s: int, t_max: int) -> np.ndarray:
+        """``convergence_cdf`` on this chain. Counter 0 holds mass on every
+        state; counters ``1..t_s`` only on the valid states, so only those
+        rows propagate for them."""
+        c0, absorbed_at = _initial_counter(self.spec, self.x, window, t_s)
+        cdf = np.zeros(t_max + 1)
+        if absorbed_at >= 0:  # only a window of h >= 2 frames certifies the hold
+            cdf[absorbed_at:] = 1.0
+            return cdf
+        s0 = self.state_index(window)
+        valid = self.valid_states
+        rest = np.zeros(self.n_states)
+        held = np.zeros((t_s, valid.size))
+        if c0:
+            held[c0 - 1, np.searchsorted(valid, s0)] = 1.0
+        else:
+            rest[s0] = 1.0
+        absorbed = 0.0
+        for frame in range(self.spec.history, t_max + 1):
+            nxt = self.push(rest, slice(None)) + self.push(held.sum(axis=0), valid)
+            # extend[c] leaves counter c + 1 for c + 2; what else lands on a
+            # valid state restarts at counter 1, the rest resets to 0
+            extend = self.hold(held)
+            restart = np.maximum(nxt[valid] - extend.sum(axis=0), 0.0)
+            nxt[valid] = 0.0
+            rest = nxt
+            absorbed += float(extend[-1].sum())
+            held = np.vstack([restart[None], extend[:-1]])
+            cdf[frame] = absorbed
+        return cdf
+
+
+class WindowStateSpace(_CounterWalk):
     """Enumeration of all non-input window states for one fixed input.
 
     A window of ``h`` frames over ``m`` non-input neurons is indexed by
@@ -112,7 +152,7 @@ class WindowStateSpace:
         """(2^m,) whether the frame code's output projection is valid."""
         return valid_outputs(self.x, self.frame_bits[:, self.out_positions])
 
-    def window_index(self, window) -> int:
+    def state_index(self, window) -> int:
         frames = window_frames(self.spec, window)
         # latest frame first, so code_a (the frame `a` lags back) lands in
         # bits m*a and up
@@ -146,63 +186,41 @@ class WindowStateSpace:
         """(S, 2^m) probability of each next frame code from each state."""
         return _outcome_probs(self.step_probabilities)
 
-    def next_state_indices(self) -> np.ndarray:
-        """(S,) partial next-state index before adding the new frame code.
-
-        The full transition is ``next = d + shifted[s]`` for new frame ``d``.
-        """
+    @cached_property
+    def next_states(self) -> np.ndarray:
+        """(S, 2^m) next state of each (state, next frame code) pair: the new
+        code in the low bits, the state's latest ``h - 1`` codes above it."""
         s = np.arange(self.n_states, dtype=np.int64)
-        if self.h == 1:
-            return np.zeros_like(s)
-        keep = s & ((1 << (self.m * (self.h - 1))) - 1)
-        return keep << self.m
+        keep = (s & ((1 << (self.m * (self.h - 1))) - 1)) << self.m
+        return keep[:, None] + np.arange(1 << self.m, dtype=np.int64)
 
-    def cdf(self, window, t_s: int, t_max: int) -> np.ndarray:
-        """``convergence_cdf`` on the window chain: a dense probability
-        vector per stability counter, pushed through the full kernel."""
-        S = self.n_states
-        latest = np.arange(S, dtype=np.int64) & ((1 << self.m) - 1)
-        same = self.out_key[latest][:, None] == self.out_key[None, :]
-        # Where each (window, next frame) pair lands, as row * S + next window:
-        # row 0 resets the counter (the new output is invalid), row 1 restarts
-        # it and row 2 extends it (valid and equal to the latest output). One
-        # index serves every counter: at counter 0 the latest output is invalid,
-        # so no pair extends (and counter 1 is where a restart lands anyway).
-        into = self.next_state_indices()[:, None] + np.arange(1 << self.m, dtype=np.int64)
-        into += S * self.valid_out
-        np.add(into, S, out=into, where=same & self.valid_out)
-        into = into.ravel()
+    @cached_property
+    def valid_states(self) -> np.ndarray:
+        """The states whose latest frame (the low ``m`` bits) has valid outputs."""
+        return np.flatnonzero(np.tile(self.valid_out, self.n_states >> self.m))
 
-        layers = t_s + 1  # counters 0..t_s; reaching t_s + 1 absorbs
-        mass = np.zeros((layers, S))
-        c0, absorbed_at = _initial_counter(self.spec, self.x, window, t_s)
-        s0 = self.window_index(window)
-        absorbed = 0.0
-        cdf = np.zeros(t_max + 1)
-        if absorbed_at >= 0:
-            if absorbed_at <= t_max:
-                cdf[absorbed_at:] = 1.0
-            return cdf
-        mass[c0, s0] = 1.0
+    @cached_property
+    def _hold_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(valid row, landing valid position, probability) of every pair of
+        a valid state and a next frame with the same outputs, valid too."""
+        valid = self.valid_states
+        latest = self.out_key[valid & ((1 << self.m) - 1)]
+        row, code = np.nonzero(latest[:, None] == self.out_key[None, :])
+        land = np.searchsorted(valid, self.next_states[valid[row], code])
+        return row, land, self.kernel[valid[row], code]
 
-        flow = np.empty(self.kernel.shape)  # one buffer for every layer's flow
-        for frame in range(self.h, t_max + 1):
-            new_mass = np.zeros_like(mass)
-            for c in range(layers):
-                layer = mass[c]
-                if not layer.any():
-                    continue
-                np.multiply(layer[:, None], self.kernel, out=flow)
-                reset, restart, extend = np.bincount(into, flow.ravel(), 3 * S).reshape(3, S)
-                new_mass[0] += reset
-                new_mass[1] += restart
-                if c == t_s:
-                    absorbed += float(extend.sum())
-                else:
-                    new_mass[c + 1] += extend
-            mass = new_mass
-            cdf[frame] = absorbed
-        return cdf
+    def push(self, mass: np.ndarray, states) -> np.ndarray:
+        """(S,) next-state distribution of ``mass`` on ``states``."""
+        flow = mass[:, None] * self.kernel[states]
+        return np.bincount(self.next_states[states].ravel(), flow.ravel(), self.n_states)
+
+    def hold(self, held: np.ndarray) -> np.ndarray:
+        """(t_s, V) mass of each counter row of ``held`` that repeats its
+        valid outputs, at the valid state it lands on."""
+        row, land, prob = self._hold_pairs
+        layers, v = held.shape
+        at = (np.arange(layers)[:, None] * v + land).ravel()
+        return np.bincount(at, (held[:, row] * prob).ravel(), layers * v).reshape(layers, v)
 
 
 @dataclass(frozen=True)
@@ -223,9 +241,11 @@ def exact_step_distribution(spec: NetworkSpec, window, input_bits) -> StepDistri
     Probabilities sum to one up to rounding; bit ``j`` of the outcome indexes
     the ``j``-th non-input neuron and input bits are pinned to ``input_bits``.
     """
-    space = WindowStateSpace(spec, input_bits)
-    s = space.window_index(window)
-    return StepDistribution(configs=space.full_frames, probs=space.kernel[s])
+    space = WindowStateSpace(spec, input_bits)  # the cap and the outcome frames
+    frames = window_frames(spec, window).copy()
+    frames[:, spec.input_indices] = space.x
+    p = BatchRunner(spec, RandomnessContract(0)).probabilities(frames[None])
+    return StepDistribution(configs=space.full_frames, probs=_outcome_probs(p)[0])
 
 
 def _initial_counter(spec: NetworkSpec, x: np.ndarray, window, t_s: int) -> tuple[int, int]:
@@ -312,7 +332,7 @@ def _exchangeable(spec: NetworkSpec, x: np.ndarray) -> bool:
     return all((table[x == c] == table[x == c][:1]).all() for c in (0, 1))
 
 
-class LumpedChain:
+class LumpedChain(_CounterWalk):
     """The window chain of a history-1 spec, lumped onto output counts.
 
     Under the fixed input X, output ``j`` is driven when ``x[j] = 1``: ``D``
@@ -447,7 +467,7 @@ class LumpedChain:
             keep *= fire**k * (1.0 - silent) ** (size - k)
         return keep[:, None] * self.aux_part[self.valid_states]
 
-    def push(self, mass: np.ndarray, states=slice(None)) -> np.ndarray:
+    def push(self, mass: np.ndarray, states) -> np.ndarray:
         """(L,) next-state distribution of ``mass`` on ``states``: the sum of
         ``mass[s]`` times the outer product of its count and auxiliary parts.
         The larger class's count part enters one matrix product, (D+1, S) @
@@ -460,33 +480,10 @@ class LumpedChain:
         out = (big.T @ w.reshape(mass.size, -1)).reshape(big.shape[1], small.shape[1], -1)
         return (out.swapaxes(0, 1) if swap else out).ravel()
 
-    def cdf(self, window, t_s: int, t_max: int) -> np.ndarray:
-        """``convergence_cdf`` on this chain. Counter 0 holds mass on every
-        state; counters ``1..t_s`` only on the valid states, so only those
-        rows propagate for them."""
-        c0, _ = _initial_counter(self.spec, self.x, window, t_s)  # h = 1: never absorbed yet
-        s0 = self.state_index(window)
-        valid = self.valid_states
-        rest = np.zeros(self.n_states)
-        held = np.zeros((t_s, valid.size))
-        if c0:
-            held[c0 - 1, np.searchsorted(valid, s0)] = 1.0
-        else:
-            rest[s0] = 1.0
-        absorbed = 0.0
-        cdf = np.zeros(t_max + 1)
-        for frame in range(1, t_max + 1):
-            nxt = self.push(rest) + self.push(held.sum(axis=0), valid)
-            # extend[c] leaves counter c + 1 for c + 2; what else lands on a
-            # valid state restarts at counter 1, the rest resets to 0
-            extend = held @ self.hold_flow
-            restart = np.maximum(nxt[valid] - extend.sum(axis=0), 0.0)
-            nxt[valid] = 0.0
-            rest = nxt
-            absorbed += float(extend[-1].sum())
-            held = np.vstack([restart[None], extend[:-1]])
-            cdf[frame] = absorbed
-        return cdf
+    def hold(self, held: np.ndarray) -> np.ndarray:
+        """(t_s, V) mass of each counter row of ``held`` that repeats its
+        outputs, at the valid state it lands on."""
+        return held @ self.hold_flow
 
 
 def convergence_cdf(

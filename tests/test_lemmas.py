@@ -530,9 +530,8 @@ class TestExactCertificationGraded:
                 for _ in range(t_s + 1):
                     flow = (v[:, None] * space.kernel) * keep_out[None, :]
                     nxt = np.zeros(space.n_states)
-                    shifted = space.next_state_indices()
                     for d in range(1 << space.m):
-                        np.add.at(nxt, shifted + d, flow[:, d])
+                        np.add.at(nxt, space.next_states[:, d], flow[:, d])
                     v = nxt
                     total = v.sum()
                 assert total >= 1.0 - 3.0 * t_s * self.N * math.exp(-self.GAMMA / 2)

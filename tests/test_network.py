@@ -331,6 +331,25 @@ class TestNeuronIndex:
         assert spec.weight(0, 1) == 0.0
 
 
+class TestWeightLag:
+    """``weight`` takes only an integer lag in 1..h."""
+
+    @pytest.mark.parametrize("lag", [0, 3, -1, 1.5, 1.0, "1", None])
+    def test_rejected(self, lag):
+        # log-inhibitor n=2 has history 2; 1.5 once read as a lag of no
+        # synapse and returned 0.0, "1" raised a bare TypeError
+        spec = build_log_inhibitor(2, 8.0)
+        with pytest.raises(LagOutOfRange, match=r"lag must be an integer in 1\.\.2"):
+            spec.weight(0, 2, lag)
+
+    def test_accepted(self):
+        spec = build_log_inhibitor(2, 8.0)
+        want = spec.weights[0, 0, 2]
+        assert want != 0.0
+        assert spec.weight(0, 2) == spec.weight(0, 2, 1) == spec.weight(0, 2, np.int64(1)) == want
+        assert spec.weight(0, 2, np.uint8(2)) == spec.weights[1, 0, 2]
+
+
 class TestCallerArrays:
     """The constructor keeps its own read-only arrays and leaves the
     caller's writeable."""

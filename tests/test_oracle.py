@@ -25,10 +25,11 @@ from wtalab import (
     truncated_expectation,
     wilson_interval,
 )
+from wtalab.classify import ConvergenceScan
 from wtalab.experiments import batch_convergence_times, initial_windows_batch
 from wtalab.oracle import binomial_pmf
 from wtalab.network import AUXILIARY, EXCITATORY, INPUT, OUTPUT
-from wtalab.simulate import BatchRunner, initial_window
+from wtalab.simulate import BatchRunner, initial_window, window_frames
 
 from conftest import random_network
 from test_simulate import dense_potentials
@@ -83,7 +84,7 @@ class TestStepDistribution:
         pot, _ = dense_potentials(spec, windows)
         assert np.max(np.abs(space.step_probabilities - sigmoid(pot / spec.lam))) <= 1e-12
         for k in nprng.integers(0, s.size, 5).tolist():
-            assert space.window_index(windows[k]) == k
+            assert space.state_index(windows[k]) == k
 
     def test_rows_sum_to_one(self):
         spec = build_two_inhibitor(3, 7.0)
@@ -233,6 +234,69 @@ class TestConvergenceCdf:
             assert lo <= cdf[t] <= hi
 
 
+def _path_cdf(spec, x, window, t_s, t_max):
+    """``convergence_cdf`` by enumerating every outcome path: each path is
+    weighted by the product of its ``WindowStateSpace.kernel`` entries and
+    scanned by ``ConvergenceScan``; a path leaves the batch, its weight added
+    to the CDF, at the frame its hold completes."""
+    space = WindowStateSpace(spec, x)
+    outs = window_frames(spec, window)[:, spec.output_indices]
+    scan = ConvergenceScan(x, t_s)
+    cdf = np.zeros(t_max + 1)
+    for t in range(spec.history):
+        if scan.update(t, outs[t : t + 1])[0]:
+            cdf[t:] = 1.0
+            return cdf
+    code_outs = space.frame_bits[:, space.out_positions]
+    n_codes = 1 << space.m
+    older = (1 << (space.m * (spec.history - 1))) - 1  # the codes a step keeps
+    states, weight = np.array([space.state_index(window)]), np.ones(1)
+    for t in range(spec.history, t_max + 1):
+        parent = np.repeat(np.arange(states.size), n_codes)
+        code = np.tile(np.arange(n_codes), states.size)
+        weight = weight[parent] * space.kernel[states[parent], code]
+        states = ((states[parent] & older) << space.m) + code
+        scan.drop(parent)
+        hit = scan.update(t, code_outs[code])
+        cdf[t:] += weight[hit].sum()
+        scan.drop(~hit)
+        states, weight = states[~hit], weight[~hit]
+    return cdf
+
+
+class TestAgainstEveryPath:
+    """The walk against ``_path_cdf``, which shares no step with it: no
+    counter, no valid-state bookkeeping, no next-state table."""
+
+    @pytest.mark.parametrize("tag, n, t_max", [
+        ("two_inhibitor", 1, 6), ("two_inhibitor", 2, 5), ("single_inhibitor", 2, 6),
+        ("log_inhibitor", 2, 6),
+    ])
+    @pytest.mark.parametrize("start", ["all_zero", "all_fire"])
+    @pytest.mark.parametrize("t_s", [1, 2])
+    def test_every_path(self, tag, n, t_max, start, t_s):
+        spec = build(tag, n, 4.0)
+        for x in dict.fromkeys([(1,) * n, (0,) * n, (1,) + (0,) * (n - 1)]):
+            x = np.array(x, dtype=np.uint8)
+            window = initial_window(spec, start, x)
+            want = _path_cdf(spec, x, window, t_s, t_max)
+            assert np.max(np.abs(convergence_cdf(spec, x, window, t_s, t_max) - want)) <= 1e-14
+            assert np.max(np.abs(WindowStateSpace(spec, x).cdf(window, t_s, t_max) - want)) <= 1e-14
+
+    def test_window_that_already_holds(self):
+        # both frames of the window show the same valid output, so with
+        # t_s = 1 the hold is complete at frame 1, before any step
+        spec = build_log_inhibitor(2, 4.0)
+        x = np.array([1, 1], dtype=np.uint8)
+        window = np.zeros((2, spec.n_neurons), dtype=np.uint8)
+        window[:, spec.input_indices] = x
+        window[:, spec.output_indices[0]] = 1
+        cdf = convergence_cdf(spec, x, window, 1, 6)
+        assert np.array_equal(cdf, _path_cdf(spec, x, window, 1, 6))
+        assert np.array_equal(cdf, [0, 1, 1, 1, 1, 1, 1])
+        assert np.array_equal(convergence_cdf(spec, x, window, 1, 0), [0])
+
+
 class TestHoldProbability:
     def make_valid(self, spec, winner=0):
         cfg = np.zeros(spec.n_neurons, dtype=np.uint8)
@@ -304,10 +368,10 @@ class TestHoldProbability:
             last[spec.output_indices[winner]] = 1
             d = int(last[spec.non_input_indices] @ (1 << np.arange(space.m)))
             steady = np.repeat(last[None, :], spec.history, axis=0)
-            q_steady = space.kernel[space.window_index(steady), d]
+            q_steady = space.kernel[space.state_index(steady), d]
             for older in space.full_frames[:: max(1, space.full_frames.shape[0] // 16)]:
                 window = np.vstack([older[None, :], last[None, :]])[-spec.history :]
-                q_first = space.kernel[space.window_index(window), d]
+                q_first = space.kernel[space.state_index(window), d]
                 for t_s in (1, 2, 7):
                     assert hold_probability(spec, x, window, t_s) == q_first * q_steady ** (t_s - 1)
 

@@ -7,7 +7,8 @@ Run it on each tree and diff the outputs:
 The cells cover the Monte Carlo path (``run_trials`` convergence times and
 final windows, three families at n = 16, 64, 1024), every lemma report
 (all 28 checks, in ``GROUP_IDS`` order), the exact oracle
-(``convergence_cdf`` for two-inhibitor n <= 8 and log-inhibitor n <= 3),
+(``convergence_cdf`` for two-inhibitor n <= 8 and log-inhibitor n <= 3,
+and the window chain's own ``cdf`` for two- and single-inhibitor n <= 3),
 and ``BatchRunner`` potentials, probabilities and steps on seeded random
 networks whose columns read many distinct weights. Those columns' count
 codes fall into digit groups, a path the builder families never reach.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import partial
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from wtalab import (
     NetworkSpec,
     RandomnessContract,
     TrialPlan,
+    WindowStateSpace,
     WtaInstance,
     WtaVariant,
     build,
@@ -89,15 +92,24 @@ def lemma_cells() -> dict:
 
 
 def oracle_cells() -> dict:
+    """``convergence_cdf``, and the window chain's own ``cdf`` on the
+    history-1 families, which ``convergence_cdf`` sends to the lumped chain."""
+    walks = {
+        "oracle": lambda spec, x: partial(convergence_cdf, spec, x),
+        "window_chain": lambda spec, x: WindowStateSpace(spec, x).cdf,
+    }
+    sizes = [("oracle", TWO_INHIBITOR, n) for n in range(1, 9)]
+    sizes += [("oracle", LOG_INHIBITOR, n) for n in (2, 3)]
+    sizes += [("window_chain", tag, n) for tag in (TWO_INHIBITOR, SINGLE_INHIBITOR)
+              for n in (1, 2, 3)]
     cells = {}
-    sizes = [(TWO_INHIBITOR, n) for n in range(1, 9)] + [(LOG_INHIBITOR, n) for n in (2, 3)]
-    for tag, n in sizes:
+    for walk, tag, n in sizes:
         spec = build(tag, n, PARAMS[tag][0])
         for x in (np.ones(n, dtype=np.uint8), np.array(_input_bits(n)) * (np.arange(n) != 0)):
+            cdf = walks[walk](spec, x)
             for start in ("all_zero", "all_fire"):
-                window = initial_window(spec, start, x)
-                cdf = convergence_cdf(spec, x, window, 2, 12)
-                cells[f"oracle/{tag}/n={n}/x={''.join(map(str, x))}/{start}"] = _sha(cdf)
+                got = cdf(initial_window(spec, start, x), 2, 12)
+                cells[f"{walk}/{tag}/n={n}/x={''.join(map(str, x))}/{start}"] = _sha(got)
     return cells
 
 
