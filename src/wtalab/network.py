@@ -34,7 +34,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -106,8 +106,10 @@ class NetworkSpec:
         b = np.asarray(self.biases, dtype=np.float64)
         if b.shape != (n,):
             raise InvalidNetwork(f"biases shape {b.shape} != ({n},)")
-        if self.history < 1:
-            raise InvalidNetwork("history must be >= 1")
+        if not (isinstance(self.history, Integral) and self.history >= 1):
+            raise InvalidNetwork(f"history must be an integer >= 1, got {self.history!r}")
+        if not isinstance(self.lam, Real):
+            raise InvalidNetwork(f"lam must be a real number, got {self.lam!r}")
         if not math.isfinite(self.lam):
             raise InvalidNetwork(f"lam must be finite, got {self.lam}")
         if not self.lam > 0:
@@ -198,12 +200,13 @@ class NetworkSpec:
         """
         latest = {}
         for pre, post, lag, value in edges:
-            if not 1 <= lag <= history:
-                raise LagOutOfRange(f"lag {lag} outside 1..{history}")
             try:
-                latest[operator.index(lag) - 1, operator.index(pre), operator.index(post)] = value
+                key = operator.index(lag) - 1, operator.index(pre), operator.index(post)
             except TypeError:
                 raise InvalidNetwork(f"edge {pre, post, lag} has a non-integer index") from None
+            if not 0 <= key[0] < history:
+                raise LagOutOfRange(f"lag {lag} outside 1..{history}")
+            latest[key] = value
         # tuples sort as (lag0, pre, post): scan order
         keys = sorted(k for k, v in latest.items() if v != 0.0)
         lag0, pre, post = np.reshape(np.asarray(keys, dtype=np.intp), (len(keys), 3)).T
@@ -260,15 +263,20 @@ class NetworkSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "NetworkSpec":
-        rows = sorted(data["neurons"], key=lambda d: d["id"])
-        if [d["id"] for d in rows] != list(range(len(rows))):
-            raise InvalidNetwork("neuron ids must be 0..N-1, each once")
-        kind = [_code(_KINDS, d["kind"], "neuron kind") for d in rows]
-        polarity = [_code(_POLARITIES, d["polarity"], "polarity") for d in rows]
-        edges = [(d["pre"], d["post"], d["lag"], d["weight"]) for d in data["edges"]]
-        biases = {d["id"]: d["bias"] for d in data["biases"]}
-        lam, history = data.get("lambda", 1.0), data.get("history", 1)
-        return cls.from_edges(kind, polarity, edges, biases, lam, history)
+        """The spec of a ``to_json_dict`` mapping. A missing key, a wrong
+        container or a non-numeric value raises ``InvalidNetwork``."""
+        try:
+            rows = sorted(data["neurons"], key=lambda d: d["id"])
+            if [d["id"] for d in rows] != list(range(len(rows))):
+                raise InvalidNetwork("neuron ids must be 0..N-1, each once")
+            kind = [_code(_KINDS, d["kind"], "neuron kind") for d in rows]
+            polarity = [_code(_POLARITIES, d["polarity"], "polarity") for d in rows]
+            edges = [(d["pre"], d["post"], d["lag"], d["weight"]) for d in data["edges"]]
+            biases = {d["id"]: d["bias"] for d in data["biases"]}
+            lam, history = data.get("lambda", 1.0), data.get("history", 1)
+            return cls.from_edges(kind, polarity, edges, biases, lam, history)
+        except (KeyError, TypeError, ValueError) as e:
+            raise InvalidNetwork(f"malformed network JSON: {type(e).__name__}: {e}") from None
 
     @classmethod
     def from_json(cls, text: str) -> "NetworkSpec":

@@ -12,11 +12,12 @@ absorbing chains). It is the reference the Monte Carlo harness is checked
 against. Two chains supply the states, and one walk (``_CounterWalk.cdf``)
 propagates the mass over both:
 
-* ``LumpedChain``, for every history-1 spec whose outputs are exchangeable
-  within their input class (checked on the synapse arrays, never on a family
-  tag): the chain lumped onto (firing driven outputs, firing undriven
-  outputs, auxiliary bits). The two- and single-inhibitor families lump at
-  any n under the chain's own entry bound, so n=1024 answers in seconds.
+* ``LumpedChain``, for every history-1 spec invariant under each permutation
+  of its outputs within their input class, at every lag (checked on the
+  synapse arrays, never on a family tag): the chain lumped onto (firing
+  driven outputs, firing undriven outputs, auxiliary bits). The two- and
+  single-inhibitor families lump at any n under the chain's own entry
+  bound, so n=1024 answers in seconds.
 * ``WindowStateSpace`` for every other spec (the history-2 log-inhibitor
   family, or a spec that fails the check): all ``2^(m*h)`` windows over the
   ``m`` non-input neurons, with a dense ``2^(m*h) x 2^m`` one-step kernel.
@@ -39,7 +40,7 @@ import numpy as np
 
 from .classify import ConvergenceScan, steady_state, valid_outputs
 from .errors import NotValidConfiguration, StateSpaceTooLarge, TopologyMismatch, check_int
-from .network import NetworkSpec
+from .network import INPUT, NetworkSpec
 from .randomness import RandomnessContract
 from .simulate import BatchRunner, input_vector, window_frames
 
@@ -287,49 +288,31 @@ def binomial_pmf(n: int, p: float) -> np.ndarray:
     return pmf / pmf.sum()
 
 
-
 def _exchangeable(spec: NetworkSpec, x: np.ndarray) -> bool:
-    """Whether the outputs of a history-1 spec are exchangeable within their
-    input class under X, read from the synapse arrays.
-
-    Output ``j`` is in class ``x[j]``. Within a class, every output must have
-    the same effective bias (bias less its drive from the inputs under X),
-    the same self-loop, the same weight from each auxiliary and the same
-    weight onto each auxiliary; and for each ordered pair of classes, the
-    synapses from one output onto another are either all absent or all
-    present with one weight.
-    """
-    outs, aux = spec.output_indices, spec.auxiliary_indices
-    n, n_aux = outs.size, aux.size
-    syn = spec.synapses
-    pos = np.full(spec.n_neurons, -1)
-    pos[outs] = np.arange(n)
-    aux_pos = np.full(spec.n_neurons, -1)
-    aux_pos[aux] = np.arange(n_aux)
-    x_of = np.zeros(spec.n_neurons)
+    """Whether the spec maps onto itself under every permutation of its
+    outputs within their input class (output ``j`` is in class ``x[j]``), at
+    every lag, once the inputs, fixed at X, are folded into effective biases.
+    A swap and a cycle (the cycles of a class's first two members and of all
+    of them) generate those permutations, so only they are applied, to each
+    class of two or more outputs: the sorted image keys of the non-input
+    synapses, their weights in that order and the permuted effective biases
+    must equal the originals."""
+    n, syn = spec.n_neurons, spec.synapses
+    x_of = np.zeros(n)
     x_of[spec.input_indices] = x
-    pre, post = pos[syn.pre], pos[syn.post]
-    into = post >= 0
-    # one row per output: effective bias, self-loop, weight from each
-    # auxiliary, weight onto each auxiliary
-    table = np.zeros((n, 2 + 2 * n_aux))
-    table[:, 0] = spec.biases[outs]
-    table[:, 0] -= np.bincount(post[into], syn.weight[into] * x_of[syn.pre[into]], n)
-    loop = into & (syn.pre == syn.post)
-    table[post[loop], 1] = syn.weight[loop]
-    sel = into & (aux_pos[syn.pre] >= 0)
-    table[post[sel], 2 + aux_pos[syn.pre[sel]]] = syn.weight[sel]
-    sel = (pre >= 0) & (aux_pos[syn.post] >= 0)
-    table[pre[sel], 2 + n_aux + aux_pos[syn.post[sel]]] = syn.weight[sel]
-    size = np.bincount(x, minlength=2)
-    cross = into & (pre >= 0) & ~loop
-    pair = 2 * x[pre[cross]] + x[post[cross]]
-    for key in range(4):
-        w = syn.weight[cross][pair == key]
-        a, b = divmod(key, 2)
-        if w.size and (w.size != size[a] * size[b] - (size[a] if a == b else 0) or np.ptp(w)):
-            return False
-    return all((table[x == c] == table[x == c][:1]).all() for c in (0, 1))
+    bias = spec.biases - np.bincount(syn.post, syn.weight * x_of[syn.pre], n)
+    lag0, pre, post, weight = (a[spec.kind[syn.pre] != INPUT] for a in syn)
+    key = (lag0 * n + pre) * n + post  # ascending: the synapses are in scan order
+    for members in (spec.output_indices[x == c] for c in (0, 1)):
+        for cut in {2, members.size} if members.size > 1 else ():
+            perm = np.arange(n)
+            perm[members[:cut]] = np.roll(members[:cut], 1)
+            moved = (lag0 * n + perm[pre]) * n + perm[post]
+            order = np.argsort(moved)
+            if not (np.array_equal(moved[order], key) and np.array_equal(weight[order], weight)
+                    and np.array_equal(bias[perm], bias)):
+                return False
+    return True
 
 
 class LumpedChain(_CounterWalk):
@@ -337,10 +320,11 @@ class LumpedChain(_CounterWalk):
 
     Under the fixed input X, output ``j`` is driven when ``x[j] = 1``: ``D``
     outputs are driven, ``U`` undriven, and ``A`` neurons are auxiliaries.
-    When the outputs are exchangeable within those two classes
-    (``_exchangeable``), the next (firing driven count ``d``, firing undriven
-    count ``u``, auxiliary bits ``a``) depends on a window only through its own
-    ``(d, u, a)`` (Kemeny & Snell, strong lumpability). State
+    When the spec is invariant under each permutation of the outputs within
+    those two classes, at every lag (``_exchangeable``), the next (firing
+    driven count ``d``, firing undriven count ``u``, auxiliary bits ``a``)
+    depends on a window only through its own ``(d, u, a)`` (Kemeny & Snell,
+    strong lumpability). State
     ``((d * (U+1) + u) << A) + a`` is one of ``L = (D+1)(U+1) 2^A``.
 
     The firing probabilities come from one ``BatchRunner.probabilities`` pass
@@ -356,8 +340,8 @@ class LumpedChain(_CounterWalk):
     propagation costs about as many multiply-adds, and ``L^2`` may not exceed
     ``LUMPED_CAP`` (2^25). A larger chain raises ``StateSpaceTooLarge`` from
     the class sizes alone, before anything is allocated. Any spec that is not
-    history 1, has a different number of inputs and outputs, or fails the
-    exchangeability check raises ``TopologyMismatch``.
+    history 1, has a different number of inputs and outputs, or is not
+    invariant under those permutations raises ``TopologyMismatch``.
     """
 
     def __init__(self, spec: NetworkSpec, input_bits):

@@ -598,3 +598,58 @@ class TestJsonRoundTrip:
         for _ in range(10):
             spec = random_network(nprng)
             assert NetworkSpec.from_json(spec.to_json()) == spec
+
+
+_DROP = object()
+
+
+def _loaded(*path, value=_DROP):
+    """A call of ``from_json_dict`` on two-inhibitor n=2 with the entry at
+    ``path`` set to ``value``, or removed."""
+    def load():
+        data = build_two_inhibitor(2, 5.0).to_json_dict()
+        *parents, last = path
+        node = data
+        for key in parents:
+            node = node[key]
+        if value is _DROP:
+            del node[last]
+        else:
+            node[last] = value
+        return NetworkSpec.from_json_dict(data)
+    return load
+
+
+def _constructed(**kwargs):
+    """A call of the constructor on two-inhibitor n=2's arrays with ``kwargs``."""
+    def construct():
+        spec = build_two_inhibitor(2, 5.0)
+        return NetworkSpec(spec.kind, spec.polarity, spec.synapses, spec.biases, **kwargs)
+    return construct
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("call", [
+        pytest.param(_loaded("edges", 0, "lag", value="1"), id="json-lag-string"),
+        pytest.param(_loaded("edges", 0, "lag", value=None), id="json-lag-null"),
+        pytest.param(_loaded("neurons"), id="json-no-neurons"),
+        pytest.param(_loaded("edges"), id="json-no-edges"),
+        pytest.param(_loaded("biases"), id="json-no-biases"),
+        pytest.param(_loaded("neurons", 0, "id"), id="json-neuron-without-id"),
+        pytest.param(_loaded("biases", 0, "id"), id="json-bias-without-id"),
+        pytest.param(_loaded("edges", 0, "weight"), id="json-edge-without-weight"),
+        pytest.param(_loaded("edges", 0, "weight", value="x"), id="json-weight-string"),
+        pytest.param(_loaded("history", value="1"), id="json-history-string"),
+        pytest.param(_loaded("lambda", value="a"), id="json-lambda-string"),
+        pytest.param(lambda: NetworkSpec.from_json_dict([build_two_inhibitor(2, 5.0).to_json_dict()]),
+                     id="json-top-level-list"),
+        pytest.param(_constructed(history=1.5), id="history-float"),
+        pytest.param(_constructed(history="1"), id="history-string"),
+        pytest.param(_constructed(history=None), id="history-none"),
+        pytest.param(_constructed(lam="a"), id="lam-string"),
+        pytest.param(_constructed(lam=None), id="lam-none"),
+    ])
+    def test_raises_invalid_network(self, call):
+        # never a bare KeyError, TypeError or ValueError
+        with pytest.raises(InvalidNetwork):
+            call()

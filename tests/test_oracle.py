@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -27,7 +28,7 @@ from wtalab import (
 )
 from wtalab.classify import ConvergenceScan
 from wtalab.experiments import batch_convergence_times, initial_windows_batch
-from wtalab.oracle import binomial_pmf
+from wtalab.oracle import _exchangeable, binomial_pmf
 from wtalab.network import AUXILIARY, EXCITATORY, INPUT, OUTPUT
 from wtalab.simulate import BatchRunner, initial_window, window_frames
 
@@ -563,3 +564,93 @@ class TestLumpedChain:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def _with(spec, w=None, b=None):
+    """``spec`` with dense weights ``w`` and biases ``b`` where given."""
+    w = spec.weights if w is None else w
+    b = spec.biases if b is None else b
+    return NetworkSpec.from_dense(spec.kind, spec.polarity, w, b, spec.lam, spec.history)
+
+
+def _variants(spec):
+    """``spec``, then copies with one change each: the first output's
+    self-loop at each lag, one lateral synapse, every lateral synapse at
+    0.8, the first output's bias."""
+    outs = spec.output_indices
+    y0 = outs[0]
+    yield spec
+    for lag0 in range(spec.history):
+        w = spec.weights.copy()
+        w[lag0, y0, y0] += 1.0
+        yield _with(spec, w=w)
+    if outs.size > 1:
+        w = spec.weights.copy()
+        w[0, outs[0], outs[1]] = 0.8
+        yield _with(spec, w=w)
+        w = spec.weights.copy()
+        lateral = ~np.eye(outs.size, dtype=bool)
+        w[0, outs[:, None], outs] = np.where(lateral, 0.8, w[0, outs[:, None], outs])
+        yield _with(spec, w=w)
+    b = spec.biases.copy()
+    b[y0] += 1.0
+    yield _with(spec, b=b)
+
+
+def _lumping_cases():
+    """(spec, X) pairs: the builder families at n <= 4 and their variants
+    under every X, then seeded random networks with as many inputs as
+    outputs."""
+    specs = [build(tag, n, 7.0) for tag in ("two_inhibitor", "single_inhibitor")
+             for n in range(1, 5)]
+    specs += [build_log_inhibitor(n, 7.0) for n in range(2, 5)]
+    for base in specs:
+        for spec in _variants(base):
+            for x in itertools.product((0, 1), repeat=base.output_indices.size):
+                yield spec, np.array(x, dtype=np.uint8)
+    for seed in range(200):
+        g = np.random.default_rng(seed)
+        n = int(g.integers(1, 5))
+        spec = random_network(g, n, n, int(g.integers(0, 3)))
+        yield spec, (g.random(n) < 0.5).astype(np.uint8)
+
+
+def _invariant_under_every_within_class_permutation(spec, x):
+    """The lumping rule by brute force: the dense weights with the input
+    rows zeroed, and the biases less the input drive under X, are unchanged
+    by every permutation of the outputs within their input class."""
+    x_of = np.zeros(spec.n_neurons)
+    x_of[spec.input_indices] = x
+    w = spec.weights.copy()
+    bias = spec.biases - np.einsum("lij,i->j", w, x_of)
+    w[:, spec.input_indices, :] = 0.0
+    driven, undriven = (spec.output_indices[x == c] for c in (1, 0))
+    for d, u in itertools.product(itertools.permutations(driven), itertools.permutations(undriven)):
+        perm = np.arange(spec.n_neurons)
+        perm[driven], perm[undriven] = d, u
+        if not (np.array_equal(w[:, perm][:, :, perm], w) and np.array_equal(bias[perm], bias)):
+            return False
+    return True
+
+
+class TestExchangeable:
+    def test_agrees_with_every_within_class_permutation(self):
+        verdicts = []
+        for spec, x in _lumping_cases():
+            want = _invariant_under_every_within_class_permutation(spec, x)
+            assert _exchangeable(spec, x) == want, (spec.to_json_dict(), x)
+            verdicts.append(want)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    @pytest.mark.parametrize("x", [[1, 1, 1, 1], [1, 0, 1, 0], [0, 0, 0, 0]])
+    def test_history_two_checks_every_lag(self, x):
+        spec = build_log_inhibitor(4, 8.0)
+        x = np.array(x, dtype=np.uint8)
+        assert _exchangeable(spec, x)
+        y0, a_s = spec.output_indices[0], spec.auxiliary_indices[0]
+        # the first output's self-loop at lag 1 and at lag 2, and its lag-2
+        # synapse onto a_s
+        for lag0, post in [(0, y0), (1, y0), (1, a_s)]:
+            w = spec.weights.copy()
+            w[lag0, y0, post] += 1.0
+            assert not _exchangeable(_with(spec, w=w), x), (lag0, post)

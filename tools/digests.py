@@ -9,9 +9,11 @@ final windows, three families at n = 16, 64, 1024), every lemma report
 (all 28 checks, in ``GROUP_IDS`` order), the exact oracle
 (``convergence_cdf`` for two-inhibitor n <= 8 and log-inhibitor n <= 3,
 and the window chain's own ``cdf`` for two- and single-inhibitor n <= 3),
-and ``BatchRunner`` potentials, probabilities and steps on seeded random
-networks whose columns read many distinct weights. Those columns' count
-codes fall into digit groups, a path the builder families never reach.
+``BatchRunner`` potentials, probabilities and steps on seeded random
+networks whose columns read many distinct weights (those columns' count
+codes fall into digit groups, a path the builder families never reach),
+and one ``lumps`` cell: a 0/1 digit per history-1 spec and input for
+whether ``LumpedChain`` takes it.
 It uses numpy and the public ``wtalab`` API only, and runs in well under a
 minute on one core.
 """
@@ -31,8 +33,10 @@ from wtalab import (
     SINGLE_INHIBITOR,
     TWO_INHIBITOR,
     BatchRunner,
+    LumpedChain,
     NetworkSpec,
     RandomnessContract,
+    TopologyMismatch,
     TrialPlan,
     WindowStateSpace,
     WtaInstance,
@@ -158,9 +162,58 @@ def group_cells() -> dict:
     return cells
 
 
+def _changed(spec: NetworkSpec) -> list[NetworkSpec]:
+    """Copies of a history-1 spec with one change each: the first output's
+    self-loop, one lateral synapse, every lateral synapse at 0.8, the first
+    output's bias."""
+    outs, w = spec.output_indices, spec.weights
+    loop, one, every, b = w.copy(), w.copy(), w.copy(), spec.biases.copy()
+    loop[0, outs[0], outs[0]] += 1.0
+    b[outs[0]] += 1.0
+    weights = [loop]
+    if outs.size > 1:
+        one[0, outs[0], outs[1]] = 0.8
+        lateral = ~np.eye(outs.size, dtype=bool)
+        every[0, outs[:, None], outs] = np.where(lateral, 0.8, every[0, outs[:, None], outs])
+        weights += [one, every]
+    changed = [NetworkSpec.from_dense(spec.kind, spec.polarity, v, spec.biases, spec.lam)
+               for v in weights]
+    return changed + [NetworkSpec.from_dense(spec.kind, spec.polarity, w, b, spec.lam)]
+
+
+def lump_cells() -> dict:
+    """Whether ``LumpedChain`` builds (1) or raises ``TopologyMismatch`` (0):
+    the two- and single-inhibitor families at n = 1..5 and their
+    ``_changed`` copies under three X each, then the history-1 specs of
+    ``_group_spec`` cut to their three inputs, first three outputs and first
+    three auxiliaries, under a seeded X."""
+    cases = []
+    for tag in (TWO_INHIBITOR, SINGLE_INHIBITOR):
+        for n in range(1, 6):
+            spec = build(tag, n, PARAMS[tag][0])
+            xs = [np.ones(n), np.arange(n) % 2, np.zeros(n)]
+            cases += [(s, x) for s in [spec, *_changed(spec)] for x in xs]
+    for seed in range(14):
+        spec = _group_spec(seed)
+        if spec.history == 1:
+            keep = np.hstack([np.flatnonzero(spec.kind == k)[:3] for k in (INPUT, OUTPUT, AUXILIARY)])
+            cut = NetworkSpec.from_dense(spec.kind[keep], spec.polarity[keep],
+                                         spec.weights[:, keep][:, :, keep], spec.biases[keep],
+                                         spec.lam)
+            cases.append((cut, np.random.default_rng(2000 + seed).random(3) < 0.5))
+    digits = []
+    for spec, x in cases:
+        try:
+            LumpedChain(spec, x.astype(np.uint8))
+            digits.append("1")
+        except TopologyMismatch:
+            digits.append("0")
+    return {"lumps": "".join(digits)}
+
+
 def main() -> None:
     cells = {"wtalab": wtalab.__version__}
-    for part in (trial_cells, lemma_cells, oracle_cells, group_cells):
+    for part in (trial_cells, lemma_cells, oracle_cells, group_cells, lump_cells):
         cells.update(part())
     print(json.dumps(cells, indent=1))
 
