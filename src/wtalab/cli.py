@@ -232,13 +232,9 @@ def _cmd_oracle(args) -> int:
     window = initial_window(spec, _INIT_FLAGS[args.init], x)
     cdf = convergence_cdf(spec, x, window, args.ts, args.tmax)
     out = Path(args.out)
-    csv_path = out.with_suffix(".csv")
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "p_exact"])
-        for t, p in enumerate(cdf.tolist()):
-            writer.writerow([t, repr(p)])
-    _write_manifest(out, "oracle", _params(args), [str(csv_path)])
+    rows = [{"t": t, "p_exact": p} for t, p in enumerate(cdf.tolist())]
+    csv_path = _write_csv(out.with_suffix(".csv"), rows, ["t", "p_exact"])
+    _write_manifest(out, "oracle", _params(args), [csv_path])
     return 0
 
 

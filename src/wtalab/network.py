@@ -106,9 +106,8 @@ class NetworkSpec:
         b = np.asarray(self.biases, dtype=np.float64)
         if b.shape != (n,):
             raise InvalidNetwork(f"biases shape {b.shape} != ({n},)")
-        if not (isinstance(self.history, Integral) and self.history >= 1):
-            raise InvalidNetwork(f"history must be an integer >= 1, got {self.history!r}")
-        if not isinstance(self.lam, Real):
+        _check_history(self.history)
+        if isinstance(self.lam, bool) or not isinstance(self.lam, Real):
             raise InvalidNetwork(f"lam must be a real number, got {self.lam!r}")
         if not math.isfinite(self.lam):
             raise InvalidNetwork(f"lam must be finite, got {self.lam}")
@@ -198,6 +197,7 @@ class NetworkSpec:
         Edges may come in any order; the last of repeated keys wins and
         zero weights (``-0.0`` too) are dropped.
         """
+        _check_history(history)
         latest = {}
         for pre, post, lag, value in edges:
             try:
@@ -264,15 +264,20 @@ class NetworkSpec:
     @classmethod
     def from_json_dict(cls, data: dict) -> "NetworkSpec":
         """The spec of a ``to_json_dict`` mapping. A missing key, a wrong
-        container or a non-numeric value raises ``InvalidNetwork``."""
+        container, or a value that is not a JSON number (an integer for ids,
+        ``pre``, ``post``, ``lag`` and ``history``; never a bool or a string)
+        raises ``InvalidNetwork``."""
         try:
-            rows = sorted(data["neurons"], key=lambda d: d["id"])
+            rows = sorted(data["neurons"], key=lambda d: _number(d["id"], "neuron id", True))
             if [d["id"] for d in rows] != list(range(len(rows))):
                 raise InvalidNetwork("neuron ids must be 0..N-1, each once")
             kind = [_code(_KINDS, d["kind"], "neuron kind") for d in rows]
             polarity = [_code(_POLARITIES, d["polarity"], "polarity") for d in rows]
-            edges = [(d["pre"], d["post"], d["lag"], d["weight"]) for d in data["edges"]]
-            biases = {d["id"]: d["bias"] for d in data["biases"]}
+            edges = [(*(_number(d[k], k, True) for k in ("pre", "post", "lag")),
+                      _number(d["weight"], "weight")) for d in data["edges"]]
+            biases = {_number(d["id"], "bias id", True): _number(d["bias"], "bias")
+                      for d in data["biases"]}
+            # the constructor rejects a lambda or history that is not a number
             lam, history = data.get("lambda", 1.0), data.get("history", 1)
             return cls.from_edges(kind, polarity, edges, biases, lam, history)
         except (KeyError, TypeError, ValueError) as e:
@@ -281,6 +286,21 @@ class NetworkSpec:
     @classmethod
     def from_json(cls, text: str) -> "NetworkSpec":
         return cls.from_json_dict(json.loads(text))
+
+
+def _number(value, what: str, integer: bool = False):
+    """``value`` if it is a JSON number, an integer when ``integer``; a bool,
+    a string or null raises ``InvalidNetwork``."""
+    if isinstance(value, bool) or not isinstance(value, Integral if integer else Real):
+        kind = "an integer index" if integer else "a number"
+        raise InvalidNetwork(f"{what} {value!r} is not {kind}")
+    return value
+
+
+def _check_history(history) -> None:
+    """Raise ``InvalidNetwork`` unless ``history`` is an integer >= 1 and not a bool."""
+    if isinstance(history, bool) or not (isinstance(history, Integral) and history >= 1):
+        raise InvalidNetwork(f"history must be an integer >= 1, got {history!r}")
 
 
 def _code(names: tuple[str, ...], name, what: str) -> int:

@@ -23,11 +23,12 @@ propagates the mass over both:
   ``m`` non-input neurons, with a dense ``2^(m*h) x 2^m`` one-step kernel.
   It is also the independent reference the lumped chain is tested against.
 
-Each chain gives the walk its states, its valid states, a ``push`` of mass
-one step forward and a ``hold`` of the mass whose outputs repeat. Both take
-their firing probabilities from the one batch kernel
-(``simulate.BatchRunner.probabilities``), over every window state or one
-representative window per lumped state.
+Each chain gives the walk its states, a window per state, the columns of
+its firing probabilities it keeps, a ``push`` of mass one step forward and a
+``hold`` of the mass whose outputs repeat. One pass in the shared base
+(``_CounterWalk.step_probabilities``) reads the batch kernel
+(``simulate.BatchRunner.probabilities``) once over those windows, and the
+valid states come from the same windows' latest outputs.
 """
 
 from __future__ import annotations
@@ -64,9 +65,35 @@ def _outcome_probs(p: np.ndarray) -> np.ndarray:
 
 
 class _CounterWalk:
-    """The forward walk over (state, hold counter) pairs that both chains
-    share. A chain supplies ``spec``, ``x``, ``n_states``, ``state_index``,
-    the sorted ``valid_states`` (latest outputs valid), ``push`` and ``hold``."""
+    """The probability pass and the forward walk over (state, hold counter)
+    pairs that both chains share. A chain supplies ``spec``, ``x``,
+    ``n_states``, ``state_index``, ``windows`` (a (B, h, N) uint8 window per
+    state), ``columns`` (the non-input positions whose probabilities it
+    keeps), ``push`` and ``hold``."""
+
+    @cached_property
+    def _pass(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(probabilities, latest outputs)`` of every state's window, from
+        ``BatchRunner.probabilities`` in row blocks of about 2^20 neuron slots."""
+        spec = self.spec
+        runner = BatchRunner(spec, RandomnessContract(0))
+        rows = max(1, (1 << 20) // (spec.history * spec.n_neurons))
+        probs, outs = [], []
+        for lo in range(0, self.n_states, rows):
+            frames = self.windows(np.arange(lo, min(lo + rows, self.n_states)))
+            probs.append(runner.probabilities(frames)[:, self.columns])
+            outs.append(frames[:, -1, spec.output_indices])
+        return np.vstack(probs), np.vstack(outs)
+
+    @property
+    def step_probabilities(self) -> np.ndarray:
+        """(S, K) firing probability of each ``columns`` neuron out of each state."""
+        return self._pass[0]
+
+    @cached_property
+    def valid_states(self) -> np.ndarray:
+        """The sorted states whose latest outputs are valid."""
+        return np.flatnonzero(valid_outputs(self.x, self._pass[1]))
 
     def cdf(self, window, t_s: int, t_max: int) -> np.ndarray:
         """``convergence_cdf`` on this chain. Counter 0 holds mass on every
@@ -110,6 +137,8 @@ class WindowStateSpace(_CounterWalk):
     ``2**(m*h)`` states by ``2**m`` next frames.
     """
 
+    columns = slice(None)  # every non-input neuron's probability
+
     def __init__(self, spec: NetworkSpec, input_bits):
         self.spec = spec
         self.x = input_vector(spec, input_bits)
@@ -148,11 +177,6 @@ class WindowStateSpace(_CounterWalk):
         bits = self.frame_bits[:, self.out_positions].astype(np.int64)
         return bits @ (1 << np.arange(self.out_positions.size, dtype=np.int64))
 
-    @cached_property
-    def valid_out(self) -> np.ndarray:
-        """(2^m,) whether the frame code's output projection is valid."""
-        return valid_outputs(self.x, self.frame_bits[:, self.out_positions])
-
     def state_index(self, window) -> int:
         frames = window_frames(self.spec, window)
         # latest frame first, so code_a (the frame `a` lags back) lands in
@@ -160,27 +184,10 @@ class WindowStateSpace(_CounterWalk):
         bits = frames[::-1, self.non_input].ravel().astype(np.int64)
         return int(bits @ (1 << np.arange(self.m * self.h, dtype=np.int64)))
 
-    def state_frame_codes(self) -> np.ndarray:
-        """(S, h) frame codes per state, column ``a`` = ``a`` lags back."""
-        s = np.arange(self.n_states, dtype=np.int64)
-        mask = (1 << self.m) - 1
-        return np.stack(
-            [(s >> (self.m * a)) & mask for a in range(self.h)], axis=1
-        )
-
-    @cached_property
-    def step_probabilities(self) -> np.ndarray:
-        """(S, m) per-neuron firing probabilities out of each window state:
-        ``BatchRunner.probabilities`` over the windows of every state. They
-        go in row blocks whose float64 copy is no larger than the kernel (one
-        block for every builder family)."""
-        runner = BatchRunner(self.spec, RandomnessContract(0))
-        codes = self.state_frame_codes()[:, ::-1]  # oldest frame first
-        p = np.empty((self.n_states, self.m))
-        rows = max(1, (self.n_states << self.m) // (self.h * self.spec.n_neurons))
-        for lo in range(0, self.n_states, rows):
-            p[lo : lo + rows] = runner.probabilities(self.full_frames[codes[lo : lo + rows]])
-        return p
+    def windows(self, states: np.ndarray) -> np.ndarray:
+        """(B, h, N) uint8 window of each state, oldest frame first."""
+        lags = self.m * np.arange(self.h - 1, -1, -1)
+        return self.full_frames[(states[:, None] >> lags) & ((1 << self.m) - 1)]
 
     @cached_property
     def kernel(self) -> np.ndarray:
@@ -194,11 +201,6 @@ class WindowStateSpace(_CounterWalk):
         s = np.arange(self.n_states, dtype=np.int64)
         keep = (s & ((1 << (self.m * (self.h - 1))) - 1)) << self.m
         return keep[:, None] + np.arange(1 << self.m, dtype=np.int64)
-
-    @cached_property
-    def valid_states(self) -> np.ndarray:
-        """The states whose latest frame (the low ``m`` bits) has valid outputs."""
-        return np.flatnonzero(np.tile(self.valid_out, self.n_states >> self.m))
 
     @cached_property
     def _hold_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -327,9 +329,10 @@ class LumpedChain(_CounterWalk):
     strong lumpability). State
     ``((d * (U+1) + u) << A) + a`` is one of ``L = (D+1)(U+1) 2^A``.
 
-    The firing probabilities come from one ``BatchRunner.probabilities`` pass
-    over one representative window per state: its first ``d`` driven and
-    first ``u`` undriven outputs fire. Per class, a firing output fires again
+    The firing probabilities come from the shared pass over one window per
+    state (``windows``: its first ``d`` driven and first ``u`` undriven
+    outputs fire), read at each class's first and last member and then at
+    the auxiliaries (``columns``). Per class, a firing output fires again
     with one probability and a silent one fires with another, so the next
     count is the convolution of two binomials; the auxiliaries fire
     independently. The kernel is kept in that factored form, a count part per
@@ -363,6 +366,10 @@ class LumpedChain(_CounterWalk):
             raise TopologyMismatch("outputs are not exchangeable within their input class")
         # output neurons of each class, driven first
         self.members = (outs[self.x == 1], outs[self.x == 0])
+        # an empty class reads position 0: its binomials and hold factor ignore it
+        ni = spec.non_input_indices
+        ends = [c[[0, -1]] if c.size else ni[[0, 0]] for c in self.members]
+        self.columns = np.searchsorted(ni, np.hstack([*ends, spec.auxiliary_indices]))
 
     def decode(self, states: np.ndarray):
         """``(d, u, a)`` arrays of the given state indices."""
@@ -377,8 +384,8 @@ class LumpedChain(_CounterWalk):
         a = frame[self.spec.auxiliary_indices].astype(np.int64) @ (1 << np.arange(self.n_aux))
         return ((d * (self.sizes[1] + 1) + u) << self.n_aux) + int(a)
 
-    def representatives(self, states: np.ndarray) -> np.ndarray:
-        """(B, 1, N) uint8 representative window of each state."""
+    def windows(self, states: np.ndarray) -> np.ndarray:
+        """(B, 1, N) uint8 window of each state."""
         d, u, a = self.decode(states)
         frames = np.zeros((states.size, self.spec.n_neurons), dtype=np.uint8)
         frames[:, self.spec.input_indices] = self.x
@@ -388,36 +395,11 @@ class LumpedChain(_CounterWalk):
         return frames[:, None, :]
 
     @cached_property
-    def _probabilities(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(probs, valid)`` over every state. ``probs`` is (L, 4 + A): per
-        class, the probability that a firing and that a silent output fires
-        (the class's first and last member in the representative), then that
-        each auxiliary fires; an empty class reads 0. ``valid`` is
-        ``classify.valid_outputs`` of the representative's outputs. Both are
-        made in row blocks of about 2^20 neuron slots."""
-        spec = self.spec
-        runner = BatchRunner(spec, RandomnessContract(0))
-        m = spec.non_input_indices.size
-        ends = [np.searchsorted(spec.non_input_indices, c[[0, -1]]) if c.size else [m, m]
-                for c in self.members]
-        cols = np.hstack([*ends, np.searchsorted(spec.non_input_indices, spec.auxiliary_indices)])
-        probs = np.empty((self.n_states, cols.size))
-        valid = np.empty(self.n_states, dtype=bool)
-        rows = max(1, (1 << 20) // spec.n_neurons)
-        for lo in range(0, self.n_states, rows):
-            states = np.arange(lo, min(lo + rows, self.n_states))
-            frames = self.representatives(states)
-            p = np.hstack([runner.probabilities(frames), np.zeros((states.size, 1))])
-            probs[states] = p[:, cols]
-            valid[states] = valid_outputs(self.x, frames[:, 0, spec.output_indices])
-        return probs, valid
-
-    @cached_property
     def count_parts(self) -> tuple[np.ndarray, np.ndarray]:
         """Per class, the (L, C+1) distribution of the class's next firing
         count out of each state: ``Binomial(k, p_fire) * Binomial(C - k,
         p_silent)`` for ``k`` firing of ``C``."""
-        probs, _ = self._probabilities
+        probs = self.step_probabilities
         parts = []
         for c, (size, k) in enumerate(zip(self.sizes, self.decode(np.arange(self.n_states)))):
             part = np.empty((self.n_states, size + 1))
@@ -430,20 +412,14 @@ class LumpedChain(_CounterWalk):
     @cached_property
     def aux_part(self) -> np.ndarray:
         """(L, 2^A) distribution of the next auxiliary bits out of each state."""
-        return _outcome_probs(self._probabilities[0][:, 4:])
-
-    @cached_property
-    def valid_states(self) -> np.ndarray:
-        """The states whose outputs are valid: the 2^A states with
-        ``d = min(1, D)`` and ``u = 0``, in auxiliary-code order."""
-        return np.flatnonzero(self._probabilities[1])
+        return _outcome_probs(self.step_probabilities[:, 4:])
 
     @cached_property
     def hold_flow(self) -> np.ndarray:
         """(V, 2^A) probability, out of each valid state, that every output
         repeats its bit (the same winner fires again and every other output
         stays silent), times the next auxiliary bits."""
-        probs = self._probabilities[0][self.valid_states]
+        probs = self.step_probabilities[self.valid_states]
         d, u, _ = self.decode(self.valid_states)
         keep = np.ones(d.size)
         for c, (k, size) in enumerate(zip((d, u), self.sizes)):

@@ -154,6 +154,10 @@ class TestCeilLog2:
     def test_values(self, n, expect):
         assert ceil_log2(n) == expect
 
+    def test_zero_rejected(self):
+        with pytest.raises(InvalidSize):
+            ceil_log2(0)
+
 
 class TestParameterHelpers:
     def test_gamma_two_inhibitor_high(self):
@@ -173,6 +177,12 @@ class TestParameterHelpers:
     def test_gamma_log_high(self):
         v = WtaVariant("log_inhibitor", "high_probability")
         assert gamma_for(v, 8, 10, 0.1) == 12.0 * math.log(39.0 * 10 * 8 / 0.1)
+
+    def test_gamma_log_expected(self):
+        v = WtaVariant("log_inhibitor", "expected_time")
+        got = gamma_for(v, 8, 10)
+        assert got == 12.0 * math.log(39.0 * 10 * 8)
+        assert got == pytest.approx(96.547, abs=1e-3)
 
     def test_missing_delta(self):
         v = WtaVariant("two_inhibitor", "high_probability")
@@ -221,11 +231,26 @@ class TestWtaInstance:
         ("n", 8.5, InvalidSize), ("n", 0, InvalidSize), ("n", "8", InvalidSize),
         ("t_s", 2.5, WtaLabError), ("t_s", 0, WtaLabError),
         ("t_c", 20.5, WtaLabError), ("t_c", 0, WtaLabError),
+        ("input_bits", (1, 2), WtaLabError),
     ])
     def test_integer_fields_rejected_when_built(self, field, value, error):
         kwargs = dict(n=8, gamma=6.0, t_s=3, delta=None, t_c=20)
         with pytest.raises(error, match=field):
             WtaInstance(**{**kwargs, field: value})
+
+    def test_t_c_below_regime_bound_rejected(self):
+        v = WtaVariant("two_inhibitor", "expected_time")
+        with pytest.raises(WtaLabError, match="t_c 10 below the regime bound 432"):
+            WtaInstance(n=2, gamma=30.0, t_s=3, delta=None, t_c=10, variant=v)
+
+    @pytest.mark.parametrize("call", [
+        lambda: build("nope", 2, 1.0),
+        lambda: WtaVariant("nope"),
+        lambda: WtaVariant("two_inhibitor", "nope"),
+    ], ids=["build-tag", "variant-tag", "variant-mode"])
+    def test_unknown_names_rejected(self, call):
+        with pytest.raises(WtaLabError, match="unknown"):
+            call()
 
     @pytest.mark.parametrize("tag", ["two_inhibitor", "log_inhibitor"])
     @pytest.mark.parametrize("mode, delta", [("high_probability", 0.1), ("expected_time", None)])

@@ -109,6 +109,10 @@ class TestClassifyTwoInhibitor:
         with pytest.raises(TopologyMismatch):
             classify_two_inhibitor([1, 1], [1, 1, 0, 0, 0])
 
+    def test_input_bits_disagree_with_x(self):
+        with pytest.raises(TopologyMismatch, match="disagree with X"):
+            classify_two_inhibitor([1, 1], [0, 1, 0, 0, 0, 0])
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_exhaustive_against_slow_checker(self, n):
         # every configuration at once, each row with its own input bits

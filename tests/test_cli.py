@@ -328,6 +328,21 @@ class TestInvalidInputsExitThree:
                 "--out", str(tmp_path / "cdf")]
         self._exit_three(argv + flags, capsys)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--n", "2", "--ts", "3", "--tc", "20"], "need --gamma or --gamma-auto"),
+        (["run", "--n", "2", "--ts", "3", "--gamma", "10"], "need --tc or --tc-auto"),
+        (["run", "--n", "2", "--ts", "3", "--gamma", "10", "--tc", "20", "--init", "file"],
+         "--init file needs --init-file PATH"),
+        (["stabilize-probe", "--n", "4,8", "--gamma", "10", "--ts", "3", "--tc", "20"],
+         "stabilize-probe takes single values"),
+    ], ids=["no-gamma", "no-tc", "init-file-without-path", "probe-list"])
+    def test_missing_or_list_arguments(self, tmp_path, capsys, argv, message):
+        out = str(tmp_path / "m")
+        assert main(argv + ["--trials", "5", "--seed", "1", "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.startswith("error:") and message in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_negative_perturbations(self, tmp_path, capsys):
         argv = ["stabilize-probe", "--n", "2", "--gamma", "10", "--ts", "3", "--tc", "20",
                 "--trials", "5", "--seed", "1", "--perturbations", "-1",

@@ -35,6 +35,9 @@ class TestWilson:
             assert lo <= k / n <= hi
             assert 0.0 <= lo <= hi <= 1.0
 
+    def test_no_trials_is_the_unit_interval(self):
+        assert wilson_interval(0, 0) == (0.0, 1.0)
+
     def test_narrows_with_samples(self):
         lo1, hi1 = wilson_interval(50, 100)
         lo2, hi2 = wilson_interval(5000, 10000)

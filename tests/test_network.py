@@ -124,6 +124,11 @@ class TestSynapses:
                                         syn.weight.tolist())
             ]
 
+    def test_never_equal_to_a_non_spec(self):
+        spec = build_two_inhibitor(2, 5.0)
+        assert (spec == 3) is False
+        assert spec != spec.to_json_dict()
+
     def test_cached_and_read_only(self):
         spec = build_two_inhibitor(3, 5.0)
         assert spec.synapses is spec.synapses
@@ -558,6 +563,10 @@ class TestRescale:
         with pytest.raises(NonpositiveTemperature):
             rescale_temperature(spec, 0.0)
 
+    def test_constructor_rejects_zero_temperature(self):
+        with pytest.raises(NonpositiveTemperature):
+            _constructed(lam=0.0)()
+
     def test_probabilities_invariant_on_random_networks(self, nprng):
         for _ in range(100):
             spec = random_network(nprng)
@@ -628,6 +637,14 @@ def _constructed(**kwargs):
     return construct
 
 
+def _from_edges(**kwargs):
+    """A call of ``from_edges`` on two-inhibitor n=2's roles and first edge with ``kwargs``."""
+    def construct():
+        spec = build_two_inhibitor(2, 5.0)
+        return NetworkSpec.from_edges(spec.kind, spec.polarity, list(spec.edges())[:1], {}, **kwargs)
+    return construct
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("call", [
         pytest.param(_loaded("edges", 0, "lag", value="1"), id="json-lag-string"),
@@ -648,6 +665,20 @@ class TestMalformedInput:
         pytest.param(_constructed(history=None), id="history-none"),
         pytest.param(_constructed(lam="a"), id="lam-string"),
         pytest.param(_constructed(lam=None), id="lam-none"),
+        pytest.param(lambda: NetworkSpec.from_dense(*_three_neurons(), np.zeros((1, 2, 2)),
+                                                    np.zeros(3)), id="from-dense-wrong-shape"),
+        pytest.param(_constructed(history=True), id="history-bool"),
+        pytest.param(_constructed(lam=True), id="lam-bool"),
+        pytest.param(_from_edges(history="1"), id="from-edges-history-string"),
+        pytest.param(_from_edges(history=None), id="from-edges-history-none"),
+        pytest.param(_loaded("edges", 0, "weight", value="2.5"), id="json-weight-numeric-string"),
+        pytest.param(_loaded("biases", 0, "bias", value="7"), id="json-bias-numeric-string"),
+        pytest.param(_loaded("edges", 0, "weight", value=True), id="json-weight-bool"),
+        pytest.param(_loaded("lambda", value=True), id="json-lambda-bool"),
+        pytest.param(_loaded("edges", 0, "pre", value=True), id="json-pre-bool"),
+        pytest.param(_loaded("edges", 0, "lag", value=True), id="json-lag-bool"),
+        pytest.param(_loaded("neurons", 1, "id", value=True), id="json-neuron-id-bool"),
+        pytest.param(_loaded("biases", 0, "id", value=True), id="json-bias-id-bool"),
     ])
     def test_raises_invalid_network(self, call):
         # never a bare KeyError, TypeError or ValueError

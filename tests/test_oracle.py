@@ -64,7 +64,7 @@ class TestStepDistribution:
         lambda g: build("log_inhibitor", 3, 7.3),
         lambda g: random_network(g, 2, 3, 2, history=1, lam=0.37),
         lambda g: random_network(g, 2, 2, 2, history=2, lam=2.9),
-        # windows wider than 2^m float64s: the probabilities go in row blocks
+        # 40 inputs: windows much wider than the 2^m next frames, one row block
         lambda g: random_network(g, 40, 1, 1, history=2, lam=0.8),
     ], ids=[
         "two_inhibitor", "single_inhibitor", "log_inhibitor", "random_h1", "random_h2",
@@ -525,6 +525,15 @@ class TestLumpedChain:
         assert chain.valid_states.size == 1 << chain.n_aux
         assert np.all(d == want) and np.all(u == 0)
         assert np.array_equal(a, np.arange(1 << chain.n_aux))
+
+    def test_row_blocks_match_one_unblocked_pass(self):
+        spec = build_two_inhibitor(400, 10.0)
+        chain = LumpedChain(spec, np.ones(400, dtype=np.uint8))
+        # 1,604 states of 802 neurons: two row blocks of 2^20 neuron slots
+        assert (1 << 20) // spec.n_neurons < chain.n_states
+        windows = chain.windows(np.arange(chain.n_states))
+        want = BatchRunner(spec, RandomnessContract(0)).probabilities(windows)
+        assert np.array_equal(chain.step_probabilities, want[:, chain.columns])
 
     @pytest.mark.parametrize("n, trials", [(64, 20_000), (256, 5_000)])
     def test_monte_carlo_inside_wilson_of_lumped(self, n, trials):

@@ -187,6 +187,13 @@ class TestInitialPolicies:
                     assert single.dtype == np.uint8
                     assert np.array_equal(batch[trial], single)
 
+    def test_unknown_policy_and_random_without_contract_rejected(self):
+        spec = build_two_inhibitor(2, 6.0)
+        with pytest.raises(InvalidNetwork, match="unknown initial policy"):
+            initial_windows_batch(spec, "nope", [1, 1], np.arange(2), RandomnessContract(0))
+        with pytest.raises(InvalidNetwork, match="needs a randomness contract"):
+            initial_window(spec, "uniform_random", [1, 1])
+
     def test_explicit_window_must_fit_the_network(self):
         spec = build_two_inhibitor(2, 6.0)
         with pytest.raises(InvalidNetwork):

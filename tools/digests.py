@@ -8,7 +8,8 @@ The cells cover the Monte Carlo path (``run_trials`` convergence times and
 final windows, three families at n = 16, 64, 1024), every lemma report
 (all 28 checks, in ``GROUP_IDS`` order), the exact oracle
 (``convergence_cdf`` for two-inhibitor n <= 8 and log-inhibitor n <= 3,
-and the window chain's own ``cdf`` for two- and single-inhibitor n <= 3),
+two-inhibitor n = 512, whose lumped chains take several row blocks, and the
+window chain's own ``cdf`` for two- and single-inhibitor n <= 3),
 ``BatchRunner`` potentials, probabilities and steps on seeded random
 networks whose columns read many distinct weights (those columns' count
 codes fall into digit groups, a path the builder families never reach),
@@ -114,6 +115,13 @@ def oracle_cells() -> dict:
             for start in ("all_zero", "all_fire"):
                 got = cdf(initial_window(spec, start, x), 2, 12)
                 cells[f"{walk}/{tag}/n={n}/x={''.join(map(str, x))}/{start}"] = _sha(got)
+    # 2,052 (X all ones) and 4,096 (one-hot X) lumped states: 3 and 5 row blocks
+    gamma, t_s = PARAMS[TWO_INHIBITOR]
+    spec = build(TWO_INHIBITOR, 512, gamma)
+    for name, x in (("ones", np.ones(512)), ("one_hot", np.arange(512) == 0)):
+        x = x.astype(np.uint8)
+        got = convergence_cdf(spec, x, initial_window(spec, "all_zero", x), t_s, 30)
+        cells[f"oracle/{TWO_INHIBITOR}/n=512/x={name}/all_zero"] = _sha(got)
     return cells
 
 
