@@ -11,15 +11,15 @@ class WtaLabError(Exception):
 
 
 def check_int(name: str, value, minimum: int) -> None:
-    """Raise ``WtaLabError`` unless ``value`` is an integer ``>= minimum``."""
-    if not (isinstance(value, _Integral) and value >= minimum):
+    """Raise ``WtaLabError`` unless ``value`` is an integer ``>= minimum``, not a bool."""
+    if isinstance(value, bool) or not (isinstance(value, _Integral) and value >= minimum):
         raise WtaLabError(f"{name} must be an int >= {minimum}, got {value!r}")
 
 
 def check_neuron(name: str, value, n: int) -> None:
     """Raise ``WtaLabError`` unless ``value`` is an integer in ``0..n-1``,
-    a neuron of an ``n``-neuron network."""
-    if not (isinstance(value, _Integral) and 0 <= value < n):
+    not a bool, a neuron of an ``n``-neuron network."""
+    if isinstance(value, bool) or not (isinstance(value, _Integral) and 0 <= value < n):
         raise WtaLabError(f"{name} must be a neuron of 0..{n - 1}, got {value!r}")
 
 

@@ -1,11 +1,10 @@
 """Monte Carlo harness: trial batches, sweeps, and perturbation probes.
 
-Trials are advanced in vectorized batches and scanned by one
-``ConvergenceScan`` per batch. Because every uniform draw is a pure function
-of (seed, trial, time, neuron), chunking trials into batches of any size, or
-resolving some trials early and dropping them from the batch, cannot change
-any other trial's execution; summaries are reproducible bit for bit given
-the plan.
+Each plan's trials are advanced as one vectorized batch and scanned by one
+``ConvergenceScan``. Because every uniform draw is a pure function of (seed,
+trial, time, neuron), a trial's result does not depend on which trials share
+its batch, nor on resolving some trials early and dropping them from it;
+summaries are reproducible bit for bit given the plan.
 """
 
 from __future__ import annotations
@@ -73,46 +72,34 @@ def batch_convergence_times(
     horizon, for timeouts) is returned alongside the times.
     """
     trial_ids = np.asarray(trial_ids, dtype=np.int64)
-    batch = trial_ids.size
     h = spec.history
     if t0 is None:
         t0 = h
     outputs = _selector(spec.output_indices)  # a slice reads outputs as a view
     scan = ConvergenceScan(x, t_s)
     frames = np.asarray(windows0, dtype=np.uint8)
-    for j in range(h):
-        scan.update(j, frames[:, j, outputs])
-
-    converged = np.full(batch, -1, dtype=np.int64)
-    finals = np.zeros((batch, h, spec.n_neurons), dtype=np.uint8) if capture_final else None
-    alive = np.arange(batch)
+    converged = np.full(trial_ids.size, -1, dtype=np.int64)
+    finals = np.zeros_like(frames) if capture_final else None
+    alive = np.arange(trial_ids.size)
     runner = BatchRunner(spec, rng)
-
-    def harvest():
-        nonlocal alive, frames
-        done = scan.converged_at >= 0
-        if done.any():
+    # frames 0..h-1 are the start window, each later one a step of the batch
+    for t in range(max(h, horizon)):
+        if alive.size == 0:
+            break
+        if t >= h:
+            frames = runner.advance(frames, t0 + t - h, trial_ids[alive], x)
+        done = scan.update(t, frames[:, min(t, h - 1), outputs])
+        if np.count_nonzero(done):
             converged[alive[done]] = scan.converged_at[done]
             if finals is not None:
                 finals[alive[done]] = frames[done]
             keep = ~done
-            alive = alive[keep]
-            frames = frames[keep]
+            alive, frames = alive[keep], frames[keep]
             scan.drop(keep)
-
-    harvest()  # the initial window alone may already certify a hold
-    for step_idx in range(h, horizon):
-        if alive.size == 0:
-            break
-        t_abs = t0 + (step_idx - h)
-        frames = runner.advance(frames, t_abs, trial_ids[alive], x)
-        scan.update(step_idx, frames[:, -1, outputs])
-        harvest()
-    if finals is not None and alive.size:
-        finals[alive] = frames
-    if capture_final:
-        return converged, finals
-    return converged
+    if finals is None:
+        return converged
+    finals[alive] = frames
+    return converged, finals
 
 
 @dataclass(frozen=True)
@@ -128,14 +115,11 @@ class TrialPlan:
     horizon: Optional[int] = None
     trials: int = 1000
     seed: int = 0
-    chunk_size: Optional[int] = None
 
     def __post_init__(self) -> None:
         check_int("trials", self.trials, 1)
         if self.horizon is not None:
             check_int("horizon", self.horizon, 1)
-        if self.chunk_size is not None:
-            check_int("chunk_size", self.chunk_size, 1)
         inst = self.instance
         start = self.initial_policy
         if not isinstance(start, str):
@@ -246,33 +230,21 @@ def run_trials(
 ) -> TrialSummary:
     """Run the planned batch and summarize convergence outcomes.
 
-    Deterministic given the plan (seed included), independent of chunking.
+    Deterministic given the plan (seed included): a trial's result does not
+    depend on which trials share its batch.
     """
     inst = plan.instance
     spec = spec if spec is not None else inst.build()
     rng = RandomnessContract(plan.seed)
-    horizon = plan.resolved_horizon()
     x = np.asarray(inst.input_bits, dtype=np.uint8)
-    chunk = plan.chunk_size or plan.trials
-    pieces = []
-    finals = []
-    for lo in range(0, plan.trials, chunk):
-        ids = np.arange(lo, min(lo + chunk, plan.trials), dtype=np.int64)
-        windows0 = initial_windows_batch(spec, plan.initial_policy, x, ids, rng)
-        got = batch_convergence_times(
-            spec, x, windows0, ids, inst.t_s, horizon, rng,
-            capture_final=capture_final,
-        )
-        if capture_final:
-            pieces.append(got[0])
-            finals.append(got[1])
-        else:
-            pieces.append(got)
-    return TrialSummary(
-        plan=plan,
-        converged_at=np.concatenate(pieces),
-        final_windows=np.concatenate(finals) if finals else None,
+    ids = np.arange(plan.trials, dtype=np.int64)
+    windows0 = initial_windows_batch(spec, plan.initial_policy, x, ids, rng)
+    got = batch_convergence_times(
+        spec, x, windows0, ids, inst.t_s, plan.resolved_horizon(), rng,
+        capture_final=capture_final,
     )
+    converged, finals = got if capture_final else (got, None)
+    return TrialSummary(plan=plan, converged_at=converged, final_windows=finals)
 
 
 def sweep(plans: Sequence[TrialPlan]) -> list[TrialSummary]:

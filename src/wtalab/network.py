@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral, Real
@@ -103,7 +102,7 @@ class NetworkSpec:
         n = kind.size
         if polarity.shape != kind.shape:
             raise InvalidNetwork(f"polarity shape {polarity.shape} != kind shape {kind.shape}")
-        b = np.asarray(self.biases, dtype=np.float64)
+        b = _numbers("biases", self.biases)
         if b.shape != (n,):
             raise InvalidNetwork(f"biases shape {b.shape} != ({n},)")
         _check_history(self.history)
@@ -116,9 +115,11 @@ class NetworkSpec:
         if np.count_nonzero(np.isfinite(b)) < n:
             bad = np.flatnonzero(~np.isfinite(b))
             raise InvalidNetwork(f"non-finite bias {b[bad[0]]} at neuron {bad[0]}")
-        syn = Synapses(*map(_readonly, self.synapses, (np.intp, np.intp, np.intp, np.float64)))
+        names = (f"synapse {name}" for name in Synapses._fields)
+        dtypes = (np.intp, np.intp, np.intp, np.float64)
+        syn = Synapses(*map(_numbers, names, self.synapses, dtypes))
         object.__setattr__(self, "synapses", syn)
-        object.__setattr__(self, "biases", _readonly(b))
+        object.__setattr__(self, "biases", b)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "polarity", polarity)
         _check_synapses(syn, self.history, n)
@@ -201,25 +202,22 @@ class NetworkSpec:
         latest = {}
         for pre, post, lag, value in edges:
             try:
-                key = operator.index(lag) - 1, operator.index(pre), operator.index(post)
-            except TypeError:
+                lag, pre, post = (_number(i, "index", True) for i in (lag, pre, post))
+            except InvalidNetwork:
                 raise InvalidNetwork(f"edge {pre, post, lag} has a non-integer index") from None
-            if not 0 <= key[0] < history:
+            if not 1 <= lag <= history:
                 raise LagOutOfRange(f"lag {lag} outside 1..{history}")
-            latest[key] = value
+            latest[lag - 1, pre, post] = float(_number(value, "weight"))
         # tuples sort as (lag0, pre, post): scan order
         keys = sorted(k for k, v in latest.items() if v != 0.0)
         lag0, pre, post = np.reshape(np.asarray(keys, dtype=np.intp), (len(keys), 3)).T
         weight = [latest[k] for k in keys]
         b = np.zeros(np.size(kind))
         for idx, value in biases.items():
-            try:
-                i = operator.index(idx)
-            except TypeError:
-                raise InvalidNetwork(f"bias id {idx!r} is not an integer index") from None
+            i = _number(idx, "bias id", True)
             if not 0 <= i < b.size:
                 raise InvalidNetwork(f"bias of neuron {i} is outside the network")
-            b[i] = value
+            b[i] = _number(value, "bias")
         return cls(kind, polarity, Synapses(lag0, pre, post, weight), b, lam, history)
 
     @classmethod
@@ -229,7 +227,7 @@ class NetworkSpec:
         """Build a spec from a dense ``(history, N, N)`` weight tensor, keeping
         its nonzero entries."""
         n = np.size(kind)
-        w = np.asarray(weights, dtype=np.float64)
+        w = np.asarray(weights)  # the constructor checks the entries are numbers
         if w.shape != (history, n, n):
             raise InvalidNetwork(f"weights shape {w.shape} != ({history}, {n}, {n})")
         # NaN and inf compare unequal to 0.0, so the constructor sees them all
@@ -273,10 +271,10 @@ class NetworkSpec:
                 raise InvalidNetwork("neuron ids must be 0..N-1, each once")
             kind = [_code(_KINDS, d["kind"], "neuron kind") for d in rows]
             polarity = [_code(_POLARITIES, d["polarity"], "polarity") for d in rows]
-            edges = [(*(_number(d[k], k, True) for k in ("pre", "post", "lag")),
-                      _number(d["weight"], "weight")) for d in data["edges"]]
-            biases = {_number(d["id"], "bias id", True): _number(d["bias"], "bias")
-                      for d in data["biases"]}
+            # from_edges checks the values; a bias id is checked here, since
+            # a dict would merge a true or 1.0 id with id 1
+            edges = [(d["pre"], d["post"], d["lag"], d["weight"]) for d in data["edges"]]
+            biases = {_number(d["id"], "bias id", True): d["bias"] for d in data["biases"]}
             # the constructor rejects a lambda or history that is not a number
             lam, history = data.get("lambda", 1.0), data.get("history", 1)
             return cls.from_edges(kind, polarity, edges, biases, lam, history)
@@ -295,6 +293,16 @@ def _number(value, what: str, integer: bool = False):
         kind = "an integer index" if integer else "a number"
         raise InvalidNetwork(f"{what} {value!r} is not {kind}")
     return value
+
+
+def _numbers(what: str, values, dtype=np.float64) -> np.ndarray:
+    """``_readonly(values, dtype)``; raises ``InvalidNetwork`` unless ``values`` is
+    empty or holds integers (floats too for a float ``dtype``), never bools or strings."""
+    a = np.asarray(values)
+    kinds, noun = ("iu", "integers") if np.issubdtype(dtype, np.integer) else ("iuf", "numbers")
+    if a.size and a.dtype.kind not in kinds:
+        raise InvalidNetwork(f"{what} must be {noun}, got {a.dtype}")
+    return _readonly(a, dtype)
 
 
 def _check_history(history) -> None:

@@ -1,11 +1,13 @@
-"""Shared helpers: random network generation and slow reference scanners."""
+"""Shared helpers: random network generation, slow reference scanners and a
+plan's trials run in batches of a given size."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from wtalab import NetworkSpec, validate_network
+from wtalab import NetworkSpec, RandomnessContract, validate_network
+from wtalab.experiments import batch_convergence_times, initial_windows_batch
 from wtalab.network import AUXILIARY, EXCITATORY, INHIBITORY, INPUT, OUTPUT
 
 
@@ -51,6 +53,21 @@ def brute_convergence_time(outputs: np.ndarray, x: np.ndarray, t_s: int):
         if all(np.array_equal(outputs[t + j], y) for j in range(1, t_s + 1)):
             return t
     return None
+
+
+def plan_in_batches(plan, spec: NetworkSpec, size: int) -> np.ndarray:
+    """The convergence times of ``plan``'s trials, run through
+    ``batch_convergence_times`` in batches of ``size`` consecutive ids."""
+    inst = plan.instance
+    rng = RandomnessContract(plan.seed)
+    x = np.asarray(inst.input_bits, dtype=np.uint8)
+    pieces = []
+    for lo in range(0, plan.trials, size):
+        ids = np.arange(lo, min(lo + size, plan.trials), dtype=np.int64)
+        windows0 = initial_windows_batch(spec, plan.initial_policy, x, ids, rng)
+        pieces.append(batch_convergence_times(spec, x, windows0, ids, inst.t_s,
+                                              plan.resolved_horizon(), rng))
+    return np.concatenate(pieces)
 
 
 @pytest.fixture

@@ -231,7 +231,7 @@ class TestWtaInstance:
         ("n", 8.5, InvalidSize), ("n", 0, InvalidSize), ("n", "8", InvalidSize),
         ("t_s", 2.5, WtaLabError), ("t_s", 0, WtaLabError),
         ("t_c", 20.5, WtaLabError), ("t_c", 0, WtaLabError),
-        ("input_bits", (1, 2), WtaLabError),
+        ("input_bits", (1, 2), WtaLabError), ("t_s", True, WtaLabError),
     ])
     def test_integer_fields_rejected_when_built(self, field, value, error):
         kwargs = dict(n=8, gamma=6.0, t_s=3, delta=None, t_c=20)

@@ -194,6 +194,11 @@ class TestSynapseChecks:
             ([0, 0], [1, 0], [2, 1], [1.0, 1.0], "scan order"),
             ([0], [0], [1], [0.0], "zero weight"),
             ([0], [0], [1], [-0.0], "zero weight"),
+            ([0], [0.7], [1], [1.0], "synapse pre must be integers"),  # not truncated to 0
+            ([0.0], [0], [1], [1.0], "synapse lag0 must be integers"),
+            ([0], [True], [1], [1.0], "synapse pre must be integers"),
+            ([0], [0], [1], ["2.5"], "synapse weight must be numbers"),  # not parsed
+            ([0], [0], [1], [True], "synapse weight must be numbers"),
         ],
     )
     def test_rejected(self, lag0, pre, post, weight, match):
@@ -215,7 +220,9 @@ class TestSynapseChecks:
         with pytest.raises(InvalidNetwork, match="outside"):
             NetworkSpec.from_edges(*_three_neurons(), [(0, 3, 1, 1.0)], {})
 
-    @pytest.mark.parametrize("edge", [(0, 1.7, 1, 1.0), (0.0, 1, 1, 1.0), (0, 1, 1.0, 1.0)])
+    @pytest.mark.parametrize("edge", [
+        (0, 1.7, 1, 1.0), (0.0, 1, 1, 1.0), (0, 1, 1.0, 1.0), (True, 2, 1, 1.0), (0, 1, True, 1.0),
+    ])
     def test_from_edges_rejects_a_non_integer_index(self, edge):
         with pytest.raises(InvalidNetwork, match="non-integer"):
             NetworkSpec.from_edges(*_three_neurons(), [edge], {})
@@ -318,7 +325,7 @@ class TestRoleArrays:
 class TestNeuronIndex:
     """``bias``, ``weight`` and ``potential`` take only a neuron 0..N-1."""
 
-    @pytest.mark.parametrize("i", [-1, 6, 1.5])
+    @pytest.mark.parametrize("i", [-1, 6, 1.5, True])
     def test_outside_the_network_rejected(self, i):
         # two-inhibitor n=2 has neurons 0..5; -1 once read a_c's bias 4.5,
         # 6 raised a bare IndexError
@@ -679,6 +686,19 @@ class TestMalformedInput:
         pytest.param(_loaded("edges", 0, "lag", value=True), id="json-lag-bool"),
         pytest.param(_loaded("neurons", 1, "id", value=True), id="json-neuron-id-bool"),
         pytest.param(_loaded("biases", 0, "id", value=True), id="json-bias-id-bool"),
+        pytest.param(lambda: NetworkSpec.from_edges(*_three_neurons(), [(0, 1, 1, "2.5")], {}),
+                     id="from-edges-weight-string"),
+        pytest.param(lambda: NetworkSpec.from_edges(*_three_neurons(), [], {1: "7"}),
+                     id="from-edges-bias-string"),
+        pytest.param(lambda: NetworkSpec.from_edges(*_three_neurons(), [], {True: 7.0}),
+                     id="from-edges-bias-id-bool"),
+        pytest.param(lambda: NetworkSpec(*_three_neurons(), Synapses([], [], [], []),
+                                         ["0", "0", "7"]), id="biases-string"),
+        pytest.param(lambda: NetworkSpec(*_three_neurons(), Synapses([], [], [], []),
+                                         [False, True, False]), id="biases-bool"),
+        pytest.param(lambda: NetworkSpec.from_dense(*_three_neurons(),
+                                                    np.array([[["0", "2.5", "0"]] * 3]),
+                                                    np.zeros(3)), id="from-dense-strings"),
     ])
     def test_raises_invalid_network(self, call):
         # never a bare KeyError, TypeError or ValueError

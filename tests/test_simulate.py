@@ -36,7 +36,7 @@ from wtalab.network import AUXILIARY, EXCITATORY, INHIBITORY, INPUT, OUTPUT
 from wtalab import oracle, simulate
 from wtalab.simulate import BatchRunner
 
-from conftest import brute_convergence_time, random_network
+from conftest import brute_convergence_time, plan_in_batches, random_network
 
 
 def zero_window(spec, x=None):
@@ -228,6 +228,29 @@ class TestBatchScanner:
             ref = convergence_time(ex, x, 4)
             expected = -1 if ref.converged_at is None else ref.converged_at
             assert got[trial] == expected
+
+    @pytest.mark.parametrize("t_s", [0, 1, 2])
+    @pytest.mark.parametrize("build, x", [
+        (build_log_inhibitor, [1, 0]), (build_log_inhibitor, [0, 0, 0]),
+        (build_two_inhibitor, [0, 1]),
+    ])
+    def test_resolved_inside_the_start_window(self, build, x, t_s):
+        spec = build(len(x), 10.0)
+        x = np.array(x, dtype=np.uint8)
+        h, horizon = spec.history, 30
+        rng = RandomnessContract(5)
+        ids = np.arange(300, dtype=np.int64)
+        windows0 = initial_windows_batch(spec, "uniform_random", x, ids, rng)
+        got, finals = batch_convergence_times(spec, x, windows0, ids, t_s, horizon, rng,
+                                              capture_final=True)
+        for trial in ids.tolist():
+            ex = run(spec, windows0[trial], x, horizon, rng, trial=trial)
+            ref = convergence_time(ex, x, t_s).converged_at
+            assert got[trial] == (-1 if ref is None else ref)
+            end = horizon - 1 if ref is None else max(ref + t_s, h - 1)
+            assert np.array_equal(finals[trial], ex.frames[end - h + 1 : end + 1])
+        if t_s < h:  # some trials resolve inside the start window
+            assert np.count_nonzero((got >= 0) & (got + t_s < h))
 
     def test_outputs_outside_the_canonical_slots(self):
         # outputs first, then inputs, then a_s and a_c: the canonical slice
@@ -575,18 +598,16 @@ class TestTiles:
         inst = WtaInstance(n=3, gamma=10.0, t_s=3, delta=None, t_c=20,
                            input_bits=(1, 0, 1), variant=WtaVariant("two_inhibitor"))
         spec = inst.build()
-
-        def converged(chunk):
-            plan = TrialPlan(instance=inst, trials=60, seed=4, horizon=40, chunk_size=chunk)
-            return run_trials(plan, spec=spec).converged_at
+        plan = TrialPlan(instance=inst, trials=60, seed=4, horizon=40)
 
         _tile_rows(monkeypatch, spec, None)
-        want = converged(None)
+        want = run_trials(plan, spec=spec).converged_at
         assert (want >= 0).any()
         for rows in (1, 3, 7):
             _tile_rows(monkeypatch, spec, rows)
-            for chunk in (1, 7, None):
-                assert np.array_equal(converged(chunk), want)
+            assert np.array_equal(run_trials(plan, spec=spec).converged_at, want)
+            for size in (1, 7):
+                assert np.array_equal(plan_in_batches(plan, spec, size), want)
 
     def test_warm_advance_allocates_no_batch_sized_temporaries(self):
         # One (250 x 1026) float64 array is 2 MB: a step that allocated one per

@@ -5,7 +5,9 @@ Run it on each tree and diff the outputs:
     PYTHONPATH=src python tools/digests.py > digests.json
 
 The cells cover the Monte Carlo path (``run_trials`` convergence times and
-final windows, three families at n = 16, 64, 1024), every lemma report
+final windows, three families at n = 16, 64, 1024, and
+``self_stabilization_probe`` with two perturbations on two-inhibitor
+n = 16, 64 and log-inhibitor n = 16), every lemma report
 (all 28 checks, in ``GROUP_IDS`` order), the exact oracle
 (``convergence_cdf`` for two-inhibitor n <= 8 and log-inhibitor n <= 3,
 two-inhibitor n = 512, whose lumped chains take several row blocks, and the
@@ -47,6 +49,7 @@ from wtalab import (
     initial_window,
     lemma_check,
     run_trials,
+    self_stabilization_probe,
 )
 from wtalab.network import AUXILIARY, EXCITATORY, INHIBITORY, INPUT, OUTPUT
 
@@ -81,10 +84,22 @@ def trial_cells() -> dict:
         for n, trials in ((16, 400), (64, 200), (1024, 48)):
             inst = WtaInstance(n=n, gamma=gamma, t_s=t_s, delta=None, t_c=20,
                                input_bits=_input_bits(n), variant=WtaVariant(tag))
-            plan = TrialPlan(inst, trials=trials, seed=n + 7, chunk_size=trials // 2 + 1)
+            plan = TrialPlan(inst, trials=trials, seed=n + 7)
             got = run_trials(plan, capture_final=True)
             cells[f"run_trials/{tag}/n={n}/converged_at"] = _sha(got.converged_at)
             cells[f"run_trials/{tag}/n={n}/final_windows"] = _sha(got.final_windows)
+    return cells
+
+
+def probe_cells() -> dict:
+    cells = {}
+    for tag, n in ((TWO_INHIBITOR, 16), (TWO_INHIBITOR, 64), (LOG_INHIBITOR, 16)):
+        gamma, t_s = PARAMS[tag]
+        inst = WtaInstance(n=n, gamma=gamma, t_s=t_s, delta=None, t_c=20,
+                           input_bits=_input_bits(n), variant=WtaVariant(tag))
+        got = self_stabilization_probe(TrialPlan(inst, trials=200, seed=n + 11), 2)
+        cells[f"probe/{tag}/n={n}"] = _sha(got.initial.converged_at, list(got.perturbation_times),
+                                           *got.reconvergence_converged)
     return cells
 
 
@@ -221,7 +236,7 @@ def lump_cells() -> dict:
 
 def main() -> None:
     cells = {"wtalab": wtalab.__version__}
-    for part in (trial_cells, lemma_cells, oracle_cells, group_cells, lump_cells):
+    for part in (trial_cells, probe_cells, lemma_cells, oracle_cells, group_cells, lump_cells):
         cells.update(part())
     print(json.dumps(cells, indent=1))
 
