@@ -155,7 +155,7 @@ class NetworkSpec:
     def weight(self, pre: int, post: int, lag: int = 1) -> float:
         check_neuron("pre", pre, self.n_neurons)
         check_neuron("post", post, self.n_neurons)
-        if not (isinstance(lag, Integral) and 1 <= lag <= self.history):
+        if isinstance(lag, bool) or not (isinstance(lag, Integral) and 1 <= lag <= self.history):
             raise LagOutOfRange(f"lag must be an integer in 1..{self.history}, got {lag!r}")
         syn = self.synapses
         at = np.flatnonzero((syn.lag0 == lag - 1) & (syn.pre == pre) & (syn.post == post))
@@ -321,9 +321,10 @@ def _code(names: tuple[str, ...], name, what: str) -> int:
 
 def _codes(what: str, codes, names: tuple[str, ...]) -> np.ndarray:
     """``codes`` as a read-only uint8 array; raises ``InvalidNetwork`` unless
-    it is 1-D and every entry is an integer position in ``names``."""
+    it is 1-D and every entry is an integer position in ``names``, never a
+    bool."""
     a = np.asarray(codes)
-    if a.ndim != 1 or (a.size and a.dtype.kind not in "biu"):
+    if a.ndim != 1 or (a.size and a.dtype.kind not in "iu"):
         raise InvalidNetwork(f"{what} must be a 1-D integer array, got {a.dtype} {a.shape}")
     bad = (a < 0) | (a >= len(names))
     if np.count_nonzero(bad):

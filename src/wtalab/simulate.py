@@ -113,6 +113,13 @@ def _selector(indices: np.ndarray) -> np.ndarray | slice:
 _TABLE_LIMIT = 1 << 16
 _ENTRIES_PER_SYNAPSE = 32
 
+# A run of sources that reach the dense columns alike is read as one slice
+# sum, which costs about as much as a gather slot (16 multiply-adds, see
+# _count_kernel) plus one add per source and one row of a small product; its
+# sources in the dense product cost a multiply-add per dense column each. So
+# a run pays from this many sources on.
+_RUN_MIN = 16
+
 # Elements of one (rows x m) tile of a step. A tile's float64 arrays are
 # then 256 KiB each, so they stay in a core's L2 cache while every operation
 # of the step passes over them.
@@ -143,6 +150,24 @@ def _dense_block(keys, others, values, n_keys: int, n_others: int, threshold: fl
     into = hub[keys]
     block[(np.cumsum(hub) - 1)[keys[into]], others[into]] = values[into]
     return hubs, block, ~into
+
+
+def _runs(block: np.ndarray):
+    """Split the sources of a dense column ``block`` (one row per hub column,
+    one column per source) that reach a hub column. A maximal run of at least
+    ``_RUN_MIN`` consecutive sources with one pattern (their column of
+    ``block``) is a run; every other such source is a single. Returns the
+    runs as slices, their patterns (one row per run) and the singles."""
+    used = np.flatnonzero(block.any(axis=0))
+    pattern = block[:, used]
+    # a source extends the run of the one before it when it is the next
+    # source and reads the hub columns alike
+    same = (used[1:] - used[:-1] == 1) & (pattern[:, 1:] == pattern[:, :-1]).all(axis=0)
+    start = np.flatnonzero(np.concatenate([[True], ~same]))
+    length = np.diff(np.append(start, used.size))
+    long = length >= _RUN_MIN
+    runs = [slice(int(used[s]), int(used[s] + n)) for s, n in zip(start[long], length[long])]
+    return runs, pattern[:, start[long]].T, used[~np.repeat(long, length)]
 
 
 def _gather_slots(src, col, values, m: int) -> list[tuple]:
@@ -219,12 +244,14 @@ class _Kernel(NamedTuple):
     ``BatchRunner``).
 
     ``slots`` are the gather slots ``(cols, src, radices)``; ``rows`` and
-    ``row_block`` the dense rows, ``cols``, ``col_src`` and ``col_block`` the
-    dense columns, their radices in float64 for BLAS. All of them range over
-    every code column. ``offsets`` is each code column's offset into the flat
-    tables, in the codes' dtype; ``pot`` and ``prob`` are the tables.
-    ``levels`` holds, per digit group after the first, its real columns and
-    their code columns."""
+    ``row_block`` the dense rows; ``cols`` the dense columns, ``runs`` and
+    ``run_block`` (one row per run) the runs of sources they read as slice
+    sums, ``col_src`` and ``col_block`` (one row per source) their single
+    sources. The blocks hold radices in float64 for BLAS. All of them range
+    over every code column. ``offsets`` is each code column's offset into
+    the flat tables, in the codes' dtype; ``pot`` and ``prob`` are the
+    tables. ``levels`` holds, per digit group after the first, its real
+    columns and their code columns."""
 
     slots: list
     rows: np.ndarray | slice
@@ -232,6 +259,8 @@ class _Kernel(NamedTuple):
     cols: np.ndarray | slice
     col_src: np.ndarray | slice
     col_block: np.ndarray
+    runs: list
+    run_block: np.ndarray
     offsets: np.ndarray
     pot: np.ndarray
     prob: np.ndarray
@@ -285,7 +314,7 @@ def _count_kernel(spec: NetworkSpec) -> _Kernel:
     # dense block nearly h*N x m.
     threshold = h * n_all / 16
     cols, col_block, rest = _dense_block(code, src, rad, n_codes, h * n_all, threshold)
-    col_src = np.flatnonzero(col_block.any(axis=0))
+    runs, run_block, col_src = _runs(col_block)
     src, code, rad = src[rest], code[rest], rad[rest]
     rows, row_block, rest = _dense_block(src, code, rad, h * n_all, n_codes, threshold)
     slots = _gather_slots(src[rest], code[rest], rad[rest], n_codes)
@@ -299,6 +328,8 @@ def _count_kernel(spec: NetworkSpec) -> _Kernel:
         cols=_selector(cols),
         col_src=_selector(col_src),
         col_block=np.ascontiguousarray(col_block[:, col_src].T),
+        runs=runs,
+        run_block=np.ascontiguousarray(run_block),
         offsets=(np.cumsum(sizes) - sizes)[which].astype(dtype),
         pot=pot,
         prob=sigmoid(pot / spec.lam),
@@ -324,8 +355,11 @@ class BatchRunner:
     BLAS kernel and for any number of rows. The matrix is split three ways,
     so a step costs about the number of synapses instead of ``h * N * m``:
 
-    * target columns with in-degree above a threshold are dense columns,
-      ``f[:, col_src] @ col_block`` over the sources that reach them;
+    * target columns with in-degree above a threshold are dense columns. A
+      maximal run of at least ``_RUN_MIN`` consecutive sources that reach
+      them alike (one pattern of radices) is read as a slice sum times that
+      pattern, ``f[:, run].sum(axis=1)`` stacked ``@ run_block``, and every
+      other source that reaches them as ``f[:, col_src] @ col_block``;
     * of the other synapses, sources with out-degree above it are dense
       rows, ``f[:, rows] @ row_block``;
     * every remaining synapse is a gather: slot ``k`` covers the columns with
@@ -396,6 +430,12 @@ class BatchRunner:
             code += (f[:, k.rows] @ k.row_block).astype(code.dtype)
         if k.col_block.size:
             _add_into(code, k.cols, (f[:, k.col_src] @ k.col_block).astype(code.dtype))
+        if k.runs:
+            # a radix names one class of its code column, so a run's count
+            # is at most that class's degree, below the table size: the
+            # codes' dtype holds it
+            sums = np.stack([f[:, r].sum(axis=1, dtype=code.dtype) for r in k.runs], axis=1)
+            _add_into(code, k.cols, (sums @ k.run_block).astype(code.dtype))
         return code
 
     def _lookup(self, code: np.ndarray, probs: bool) -> np.ndarray:

@@ -346,10 +346,11 @@ class TestNeuronIndex:
 class TestWeightLag:
     """``weight`` takes only an integer lag in 1..h."""
 
-    @pytest.mark.parametrize("lag", [0, 3, -1, 1.5, 1.0, "1", None])
+    @pytest.mark.parametrize("lag", [0, 3, -1, 1.5, 1.0, "1", None, True, False, np.True_])
     def test_rejected(self, lag):
         # log-inhibitor n=2 has history 2; 1.5 once read as a lag of no
-        # synapse and returned 0.0, "1" raised a bare TypeError
+        # synapse and returned 0.0, "1" raised a bare TypeError, and True
+        # passed as an integer and read the lag-1 weight
         spec = build_log_inhibitor(2, 8.0)
         with pytest.raises(LagOutOfRange, match=r"lag must be an integer in 1\.\.2"):
             spec.weight(0, 2, lag)
@@ -699,6 +700,13 @@ class TestMalformedInput:
         pytest.param(lambda: NetworkSpec.from_dense(*_three_neurons(),
                                                     np.array([[["0", "2.5", "0"]] * 3]),
                                                     np.zeros(3)), id="from-dense-strings"),
+        # bool role arrays once built kind [0, 1, 1] from [False, True, True]
+        pytest.param(lambda: NetworkSpec([False, True, True], [EXCITATORY] * 3,
+                                         Synapses([], [], [], []), np.zeros(3)),
+                     id="kind-bool"),
+        pytest.param(lambda: NetworkSpec(*_three_neurons()[:1], np.zeros(3, dtype=bool),
+                                         Synapses([], [], [], []), np.zeros(3)),
+                     id="polarity-bool"),
     ])
     def test_raises_invalid_network(self, call):
         # never a bare KeyError, TypeError or ValueError

@@ -288,9 +288,13 @@ def dense_potentials(spec, frames):
 
 
 def hubs(runner):
-    """(dense columns, dense rows, gather slots) of the runner's kernel."""
+    """The split of the runner's kernel: its dense columns, their runs as
+    (start, stop) sources and their single sources, its dense rows and its
+    gather slots."""
     k = runner._kernel
-    return k.col_block.shape[1], k.row_block.shape[0], len(k.slots)
+    return {"cols": k.col_block.shape[1], "runs": [(r.start, r.stop) for r in k.runs],
+            "singles": k.col_block.shape[0], "rows": k.row_block.shape[0],
+            "slots": len(k.slots)}
 
 
 def random_frames(rng, spec, rows, dtype):
@@ -316,9 +320,9 @@ class TestKernel:
                 runner = self.assert_matches_dense(spec, random_frames(nprng, spec, 40, dtype))
                 shapes.append((spec, hubs(runner)))
         m = [spec.non_input_indices.size for spec, _ in shapes]
-        cols = [h[0] for _, h in shapes]
+        cols = [h["cols"] for _, h in shapes]
         assert any(c == k for c, k in zip(cols, m))  # every column a hub
-        assert any(h[:2] == (0, 0) for _, h in shapes)  # no hubs
+        assert any(h["cols"] == h["rows"] == 0 for _, h in shapes)  # no hubs
         assert any(0 < c < k for c, k in zip(cols, m))  # some columns hubs
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
@@ -332,14 +336,38 @@ class TestKernel:
 
     def test_split_of_the_builder_networks(self):
         # at n=1024 only the auxiliaries are hubs; each output keeps its input
-        # and self-loop (and its lag-2 self-loop) in the gather
+        # and self-loop (and its lag-2 self-loop) in the gather. The outputs
+        # reach the hubs alike, so the dense columns read each frame's
+        # outputs as one run: flat sources 1024..2047 of the one frame at
+        # h=1; at h=2 those of the older frame, then, from N = 2059 on,
+        # those of the latest
         two = BatchRunner(build_two_inhibitor(1024, 7.3), RandomnessContract(0))
         log = BatchRunner(build_log_inhibitor(1024, 7.3), RandomnessContract(0))
-        assert hubs(two) == (2, 2, 2)
-        assert hubs(log) == (11, 11, 3)
-        # at n=8 every column is dense
+        assert hubs(two) == {"cols": 2, "runs": [(1024, 2048)], "singles": 0, "rows": 2,
+                             "slots": 2}
+        assert hubs(log) == {"cols": 11, "runs": [(1024, 2048), (3083, 4107)], "singles": 0,
+                             "rows": 11, "slots": 3}
+        # at n=8 every column is dense, and every source reads the hubs its
+        # own way (self-loops), so there are no runs
         small = BatchRunner(build_log_inhibitor(8, 7.3), RandomnessContract(0))
-        assert hubs(small) == (12, 0, 0)
+        assert hubs(small) == {"cols": 12, "runs": [], "singles": 28, "rows": 0, "slots": 0}
+        for build in (build_two_inhibitor, build_single_inhibitor, build_log_inhibitor):
+            assert hubs(BatchRunner(build(8, 7.3), RandomnessContract(0)))["runs"] == []
+
+    def test_runs_meet_single_sources_in_one_column(self, nprng):
+        for _ in range(4):
+            spec = _runs_network(nprng)
+            runner = self.assert_matches_dense(spec, random_frames(nprng, spec, 40, np.uint8))
+            k = runner._kernel
+            split = hubs(runner)
+            assert len(split["runs"]) >= 2 and split["singles"] > 0
+            # a dense column that reads a run and single sources
+            assert np.any(k.run_block.any(axis=0) & k.col_block.any(axis=0))
+            # the runs' sources and the singles are apart
+            singles = np.arange(spec.history * spec.n_neurons)[k.col_src]
+            for start, stop in split["runs"]:
+                assert stop - start >= 16
+                assert not np.any((singles >= start) & (singles < stop))
 
     def test_synapse_into_input_is_rejected(self):
         # the constructor rejects it, so the kernel never sees one
@@ -392,6 +420,22 @@ def _wide_network(nprng, lam=1.0):
     return random_network(nprng, 4, 4, 4, history=2, lam=lam, density=1.0)
 
 
+def _runs_network(nprng):
+    """A random history-2 network whose first two auxiliaries read outputs
+    0..29 at lag 1 with one weight each (so every such output reaches the
+    hub columns alike) and outputs 30..47 with one weight for the first
+    auxiliary only, beside scattered synapses of distinct weights: the hub
+    columns read two runs of sources and single sources."""
+    spec = random_network(nprng, 3, 48, 4, history=2, density=0.05)
+    w = spec.weights.copy()
+    outs, aux = spec.output_indices, spec.auxiliary_indices
+    w[0, outs] = 0.0  # the outputs' lag-1 synapses are the runs alone
+    w[0, outs[:30], aux[0]] = 1.25
+    w[0, outs[:30], aux[1]] = 0.5
+    w[0, outs[30:], aux[0]] = 2.0
+    return NetworkSpec.from_dense(spec.kind, spec.polarity, w, spec.biases, spec.lam, history=2)
+
+
 _FAMILIES = {"two": build_two_inhibitor, "single": build_single_inhibitor,
              "log": build_log_inhibitor}
 _RANDOM = {
@@ -399,6 +443,7 @@ _RANDOM = {
     "h2": lambda g: random_network(g, history=2),
     "sparse": lambda g: random_network(g, 10, 40, 30, history=2, density=0.1),
     "wide": _wide_network,
+    "runs": _runs_network,
 }
 
 
@@ -511,7 +556,8 @@ class TestCountCodes:
     def test_probabilities_equal_a_per_synapse_sum(self, nprng, lam):
         specs = [random_network(nprng, history=2, lam=lam), _wide_network(nprng, lam),
                  rescale_temperature(build_log_inhibitor(5, 7.3), lam),
-                 rescale_temperature(build_two_inhibitor(6, 7.3), lam)]
+                 rescale_temperature(build_two_inhibitor(6, 7.3), lam),
+                 rescale_temperature(_runs_network(nprng), lam)]
         for spec in specs:
             frames = random_frames(nprng, spec, 6, np.uint8)
             runner = BatchRunner(spec, RandomnessContract(0))

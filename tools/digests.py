@@ -14,8 +14,9 @@ two-inhibitor n = 512, whose lumped chains take several row blocks, and the
 window chain's own ``cdf`` for two- and single-inhibitor n <= 3),
 ``BatchRunner`` potentials, probabilities and steps on seeded random
 networks whose columns read many distinct weights (those columns' count
-codes fall into digit groups, a path the builder families never reach),
-and one ``lumps`` cell: a 0/1 digit per history-1 spec and input for
+codes fall into digit groups, a path the builder families never reach) and
+on one network whose dense columns read runs of sources beside single
+sources, and one ``lumps`` cell: a 0/1 digit per history-1 spec and input for
 whether ``LumpedChain`` takes it.
 It uses numpy and the public ``wtalab`` API only, and runs in well under a
 minute on one core.
@@ -185,6 +186,45 @@ def group_cells() -> dict:
     return cells
 
 
+def _runs_spec() -> NetworkSpec:
+    """A seeded history-2 network of 3 inputs, 48 outputs and 4 auxiliaries
+    (the last two inhibitory) with scattered synapses of distinct weights at
+    density 0.05. At lag 1 the outputs reach only the first two auxiliaries:
+    outputs 0..29 both, with one weight each, and outputs 30..47 the first
+    alone. So ``BatchRunner`` reads those outputs as two runs of sources,
+    beside single sources, in one dense column."""
+    g = np.random.default_rng(77)
+    kind = np.repeat(np.uint8([INPUT, OUTPUT, AUXILIARY]), [3, 48, 4])
+    polarity = np.where(np.arange(kind.size) >= kind.size - 2, INHIBITORY, EXCITATORY)
+    n = kind.size
+    w = g.uniform(0.0, 3.0, (2, n, n)) * (g.random((2, n, n)) < 0.05)
+    outs, aux = np.flatnonzero(kind == OUTPUT), np.flatnonzero(kind == AUXILIARY)
+    w[0, outs] = 0.0
+    w[0, outs[:30], aux[0]] = 1.25
+    w[0, outs[:30], aux[1]] = 0.5
+    w[0, outs[30:], aux[0]] = 2.0
+    w[:, polarity == INHIBITORY, :] *= -1.0
+    w[:, :, kind == INPUT] = 0.0
+    b = g.uniform(-3.0, 3.0, n) * (kind != INPUT)
+    return NetworkSpec.from_dense(kind, polarity.astype(np.uint8), w, b, history=2)
+
+
+def runs_cells() -> dict:
+    """``BatchRunner`` potentials, probabilities and one ``step_bits`` on
+    ``_runs_spec``."""
+    spec = _runs_spec()
+    g = np.random.default_rng(1077)
+    frames = (g.random((64, spec.history, spec.n_neurons)) < 0.5).astype(np.uint8)
+    x = np.uint8([1, 0, 1])
+    frames[:, :, spec.input_indices] = x
+    runner = BatchRunner(spec, RandomnessContract(77))
+    return {
+        "runs/potentials": _sha(runner.potentials(frames)),
+        "runs/probabilities": _sha(runner.probabilities(frames)),
+        "runs/step_bits": _sha(runner.step_bits(frames, 2, np.arange(64), x)),
+    }
+
+
 def _changed(spec: NetworkSpec) -> list[NetworkSpec]:
     """Copies of a history-1 spec with one change each: the first output's
     self-loop, one lateral synapse, every lateral synapse at 0.8, the first
@@ -236,7 +276,9 @@ def lump_cells() -> dict:
 
 def main() -> None:
     cells = {"wtalab": wtalab.__version__}
-    for part in (trial_cells, probe_cells, lemma_cells, oracle_cells, group_cells, lump_cells):
+    parts = (trial_cells, probe_cells, lemma_cells, oracle_cells, group_cells, runs_cells,
+             lump_cells)
+    for part in parts:
         cells.update(part())
     print(json.dumps(cells, indent=1))
 
