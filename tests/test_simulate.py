@@ -557,7 +557,7 @@ class TestCountCodes:
         specs = [random_network(nprng, history=2, lam=lam), _wide_network(nprng, lam),
                  rescale_temperature(build_log_inhibitor(5, 7.3), lam),
                  rescale_temperature(build_two_inhibitor(6, 7.3), lam),
-                 rescale_temperature(_runs_network(nprng), lam)]
+                 rescale_temperature(_runs_network(np.random.default_rng(77)), lam)]
         for spec in specs:
             frames = random_frames(nprng, spec, 6, np.uint8)
             runner = BatchRunner(spec, RandomnessContract(0))

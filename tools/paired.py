@@ -2,16 +2,17 @@
 
     python tools/paired.py --base ../parent --workload mc_log_n1024 --pairs 6
 
-runs ``perfbench/run.py`` (untraced, one fixed seed) in the ``--base`` tree
-and in this tree (or ``--head``), ``--pairs`` times each. Pair ``i`` runs the
-base first when ``i`` is even and the head first when it is odd, so a drift
-of the host over the session falls on both sides alike. It prints one
-markdown row per end-to-end metric: each side's median and quartiles, the
-base runs' spread (interquartile range over median), the ratio of the
-medians head/base, how many pairs read lower on the head, and the metric's
-bound from ``BENCHMARK.json``. Then it lists every run's metrics and its
-operations failed and attempted. It writes nothing but what
-``perfbench/run.py`` itself writes in each tree.
+runs ``perfbench/run.py`` (untraced, one fixed seed, for the ``run_seconds``
+of ``BENCHMARK.json``) in the ``--base`` tree and in this tree, ``--pairs``
+times each. Pair ``i`` runs the base first when ``i`` is even and the head
+first when it is odd, so a drift of the host over the session falls on both
+sides alike. A run whose ``correct`` verdict is false stops the comparison.
+It prints one markdown row per end-to-end metric: each side's median and
+quartiles, the base runs' spread (interquartile range over median), the
+ratio of the medians head/base, how many pairs the head is better in (lower
+or higher, as the metric's ``better`` says), and the metric's bound. Then it
+lists every run's metrics and its operations failed and attempted. It
+writes nothing but what ``perfbench/run.py`` itself writes in each tree.
 """
 
 from __future__ import annotations
@@ -28,14 +29,19 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The last line of one untraced ``perfbench/run.py`` run in ``tree``."""
+    """The last line of one untraced ``perfbench/run.py`` run in ``tree``;
+    exits if the run fails or its ``correct`` verdict is false."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     if done.returncode:
         raise SystemExit(f"paired: {' '.join(argv)} in {tree} exited {done.returncode}:\n"
                          f"{done.stderr}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    if not result["correct"]:
+        raise SystemExit(f"paired: {' '.join(argv)} in {tree} failed its correctness gate "
+                         f"({result['failed']}/{result['attempted']} operations failed)")
+    return result
 
 
 def quartiles(values) -> str:
@@ -53,18 +59,15 @@ def spread(values) -> float:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", type=Path, required=True, help="the tree to compare against")
-    parser.add_argument("--head", type=Path, default=ROOT, help="the tree under test")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="seconds per run (default: run_seconds of BENCHMARK.json)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    bench = json.loads((args.head / "BENCHMARK.json").read_text())
-    seconds = bench["run_seconds"] if args.seconds is None else args.seconds
-    trees = {"base": args.base.resolve(), "head": args.head.resolve()}
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    trees = {"base": args.base.resolve(), "head": ROOT}
 
     runs: dict[str, list[dict]] = {"base": [], "head": []}
     for i in range(args.pairs):
@@ -75,16 +78,17 @@ def main(argv: list[str] | None = None) -> int:
     print(f"workload {args.workload}, {args.pairs} pairs, seed {args.seed}, {seconds:g} s a run")
     print(f"base {trees['base']}\nhead {trees['head']}\n")
     print("| metric | base median (q1–q3) | head median (q1–q3) | base IQR/median | head/base "
-          "| head lower | bound |")
+          "| head better | bound |")
     print("|---|---|---|---|---|---|---|")
     for metric in bench["end_to_end"]:
         name = metric["name"]
         base = [r["metrics"][name]["value"] for r in runs["base"]]
         head = [r["metrics"][name]["value"] for r in runs["head"]]
         b, h = float(np.median(base)), float(np.median(head))
-        lower = sum(y < x for x, y in zip(base, head))
+        sign = 1 if metric["better"] == "lower" else -1
+        better = sum(sign * (y - x) < 0 for x, y in zip(base, head))
         print(f"| {name} ({metric['unit']}) | {quartiles(base)} | {quartiles(head)} "
-              f"| {spread(base):.3f} | {h / b:.3f} | {lower}/{args.pairs} "
+              f"| {spread(base):.3f} | {h / b:.3f} | {better}/{args.pairs} "
               f"| {metric['bound']} ({metric['better']}) |")
     print("\nEvery run, in run order:")
     for side in ("base", "head"):
