@@ -20,13 +20,7 @@ from .builders import (
 )
 from .classify import (
     ConvergenceOutcome,
-    classify_log_inhibitor,
-    classify_two_inhibitor,
     convergence_time,
-    is_typical,
-    is_valid_configuration,
-    is_valid_wta_output,
-    near_stable_pair,
 )
 from .errors import *  # noqa: F401,F403
 from .experiments import (
@@ -49,10 +43,8 @@ from .network import (
 )
 from .oracle import (
     LumpedChain,
-    StepDistribution,
     WindowStateSpace,
     convergence_cdf,
-    exact_step_distribution,
     hold_probability,
     truncated_expectation,
 )

@@ -18,13 +18,10 @@ outputs, the first auxiliary firing iff some input fires, every other
 auxiliary silent. The class masks work over the last axis
 (``two_inhibitor_classes``, ``typical``) or over ``(..., 2, N)`` graded
 windows (``near_stable``), and ``window_labels`` turns them into the label
-sets of a ``(B, h, N)`` batch of windows. The scalar functions
-(``is_valid_configuration``, ``classify_two_inhibitor``,
-``classify_log_inhibitor``, ``near_stable_pair``, ``is_typical``) are
-batch-of-one views of these. ``ConvergenceScan`` is the one convergence
-scanner; it keeps the previous output frame bit-packed, so each update packs
-the new outputs in one pass and tests change, count and backing on n/8 bytes
-per execution.
+sets of a ``(B, h, N)`` batch of windows; one configuration or window is
+a batch of one. ``ConvergenceScan`` is the one convergence scanner; it keeps
+the previous output frame bit-packed, so each update packs the new outputs in
+one pass and tests change, count and backing on n/8 bytes per execution.
 """
 
 from __future__ import annotations
@@ -85,11 +82,6 @@ def valid_outputs(x, y) -> np.ndarray:
     return backed & (k == want)
 
 
-def is_valid_wta_output(x_bits, y_bits) -> bool:
-    """``valid_outputs`` for one input and one output vector."""
-    return bool(valid_outputs(x_bits, y_bits))
-
-
 def _split(x_bits, configs, tag: str):
     """``(x, outputs, auxiliaries)`` of ``tag`` configurations over the last
     axis, after checking their canonical length and their input bits."""
@@ -119,11 +111,6 @@ def steady_state(x, outputs, auxiliaries) -> np.ndarray:
 
 def _steady(out_valid, want, aux) -> np.ndarray:
     return out_valid & (aux[..., 0] == want) & ~np.any(aux[..., 1:], axis=-1)
-
-
-def is_valid_configuration(tag: str, x_bits, config) -> bool:
-    """``steady_state`` for one canonical configuration of family ``tag``."""
-    return bool(steady_state(*_split(x_bits, config, tag)))
 
 
 class TwoInhibitorClasses(NamedTuple):
@@ -163,11 +150,6 @@ def typical(x, configs) -> np.ndarray:
     return _output_terms(x, y)[0] & closed
 
 
-def is_typical(x_bits, config) -> bool:
-    """``typical`` for one configuration."""
-    return bool(typical(x_bits, config))
-
-
 def near_stable(x, windows) -> np.ndarray:
     """Mask over ``(..., 2, N)`` graded windows, older frame first: some
     input fires; exactly one output fires across the two frames (in one or
@@ -183,16 +165,6 @@ def near_stable(x, windows) -> np.ndarray:
     return (want == 1) & (k == 1) & backed & stable
 
 
-def near_stable_pair(x_bits, older, latest) -> Optional[bool]:
-    """``near_stable`` for one window ``(older, latest)``; ``None`` when no
-    input fires, where near-stability is not defined."""
-    x, older, latest = check_bits("input vector", x_bits), _bits(older), _bits(latest)
-    if older.shape != latest.shape:
-        raise TopologyMismatch(f"frame shapes {older.shape} and {latest.shape} differ")
-    mask = near_stable(x, np.stack([older, latest], axis=-2))
-    return bool(mask) if x.any() else None
-
-
 def window_labels(tag: str, x, windows) -> list[frozenset[str]]:
     """Label set of each window of a ``(B, h, N)`` batch of ``tag`` windows.
 
@@ -201,8 +173,8 @@ def window_labels(tag: str, x, windows) -> list[frozenset[str]]:
     ``active`` covers the valid, near-valid and k-winner classes; ``good``
     additionally covers resets; ``terminal`` marks near-valid configurations
     and any with no firing outputs. Graded: ``typical`` for the latest frame
-    and ``near_stable_pair`` for the 2-frame window. Single-inhibitor:
-    ``valid`` for a latest frame in the steady state.
+    and ``NEAR_STABLE_PAIR`` for a ``near_stable`` 2-frame window.
+    Single-inhibitor: ``valid`` for a latest frame in the steady state.
     """
     w = _bits(windows)
     if w.ndim != 3:
@@ -226,16 +198,6 @@ def window_labels(tag: str, x, windows) -> list[frozenset[str]]:
         for i in np.flatnonzero(cls.k_wta):
             labels[i].add(k_wta(int(cls.k[i])))
     return [frozenset(row) for row in labels]
-
-
-def classify_two_inhibitor(x_bits, config) -> frozenset[str]:
-    """``window_labels`` of one two-inhibitor configuration."""
-    return window_labels(TWO_INHIBITOR, x_bits, _bits(config)[None, None])[0]
-
-
-def classify_log_inhibitor(x_bits, window) -> frozenset[str]:
-    """``window_labels`` of one h=2 window of the graded network."""
-    return window_labels(LOG_INHIBITOR, x_bits, _bits(window)[None])[0]
 
 
 @dataclass(frozen=True)

@@ -430,8 +430,8 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "out", None) is not None:
             _check_out(args.out)
         return args.func(args)
-    except StateSpaceTooLarge as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (StateSpaceTooLarge, MemoryError) as e:  # the resource limits
+        print(f"error: {e or type(e).__name__}", file=sys.stderr)
         return 4
     except (WtaLabError, OSError) as e:
         # an OSError here is an output or manifest path that cannot be

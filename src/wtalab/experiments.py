@@ -20,7 +20,7 @@ from .builders import WtaInstance
 from .classify import ConvergenceScan, window_labels
 from .errors import HorizonTooShort, WtaLabError, check_int
 from .network import NetworkSpec
-from .randomness import RandomnessContract
+from .randomness import RandomnessContract, check_seed
 from .simulate import (
     ALL_FIRE,
     INITIAL_POLICIES,
@@ -118,6 +118,7 @@ class TrialPlan:
 
     def __post_init__(self) -> None:
         check_int("trials", self.trials, 1)
+        check_seed(self.seed)
         if self.horizon is not None:
             check_int("horizon", self.horizon, 1)
         inst = self.instance

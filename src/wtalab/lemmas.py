@@ -40,7 +40,7 @@ from .classify import two_inhibitor_classes, typical, valid_outputs
 from .errors import UnknownLemma, WtaLabError, check_int
 from .experiments import wilson_interval
 from .network import NetworkSpec
-from .randomness import RandomnessContract
+from .randomness import RandomnessContract, check_seed
 from .simulate import BatchRunner
 
 
@@ -57,11 +57,11 @@ class LemmaParams:
 
     def __post_init__(self) -> None:
         # the k >= 2 samplers need two outputs, a verdict needs a sample,
-        # 5.12 steps t_s + 1 times, the generators take no negative seed,
+        # 5.12 steps t_s + 1 times, a seed fits the draws' 64-bit word,
         # and the graded levels count from 1
         _check_n(self.n, 2)
         check_int("samples", self.samples, 1)
-        check_int("seed", self.seed, 0)
+        check_seed(self.seed)
         check_int("t_s", self.t_s, 0)
         check_int("level", self.level, 1)
 

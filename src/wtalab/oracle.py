@@ -34,7 +34,6 @@ valid states come from the same windows' latest outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -224,31 +223,6 @@ class WindowStateSpace(_CounterWalk):
         layers, v = held.shape
         at = (np.arange(layers)[:, None] * v + land).ravel()
         return np.bincount(at, (held[:, row] * prob).ravel(), layers * v).reshape(layers, v)
-
-
-@dataclass(frozen=True)
-class StepDistribution:
-    """Exact one-step distribution over full next configurations."""
-
-    configs: np.ndarray  # (2^m, N) uint8
-    probs: np.ndarray  # (2^m,)
-
-    def items(self):
-        for c, p in zip(self.configs, self.probs):
-            yield c, float(p)
-
-
-def exact_step_distribution(spec: NetworkSpec, window, input_bits) -> StepDistribution:
-    """Full product-form distribution of the next configuration.
-
-    Probabilities sum to one up to rounding; bit ``j`` of the outcome indexes
-    the ``j``-th non-input neuron and input bits are pinned to ``input_bits``.
-    """
-    space = WindowStateSpace(spec, input_bits)  # the cap and the outcome frames
-    frames = window_frames(spec, window).copy()
-    frames[:, spec.input_indices] = space.x
-    p = BatchRunner(spec, RandomnessContract(0)).probabilities(frames[None])
-    return StepDistribution(configs=space.full_frames, probs=_outcome_probs(p)[0])
 
 
 def _initial_counter(spec: NetworkSpec, x: np.ndarray, window, t_s: int) -> tuple[int, int]:

@@ -18,8 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
+
+from .errors import WtaLabError
 
 _MASK64 = (1 << 64) - 1
 
@@ -53,16 +56,25 @@ def _mixed(z: np.ndarray) -> np.ndarray:
     return _mix(z, np.empty_like(z))
 
 
+def check_seed(value) -> None:
+    """Raise ``WtaLabError`` unless ``value`` is an int in ``0..2^64-1``, not a bool."""
+    if isinstance(value, bool) or not (isinstance(value, Integral) and 0 <= value <= _MASK64):
+        raise WtaLabError(f"seed must be an int in 0..2^64-1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RandomnessContract:
     """Root seed plus the pure (trial, time, neuron) -> uniform derivation."""
 
     root_seed: int
 
+    def __post_init__(self) -> None:
+        check_seed(self.root_seed)
+
     @cached_property
     def _seed_word(self) -> np.ndarray:
         """The root seed's hash word, computed once per contract."""
-        s = np.asarray([self.root_seed & _MASK64], dtype=np.uint64)
+        s = np.asarray([self.root_seed], dtype=np.uint64)
         return _mixed(s * _K_SEED + _M2)
 
     def uniform_block(self, trials, time: int, neurons) -> np.ndarray:

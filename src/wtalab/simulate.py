@@ -588,24 +588,23 @@ def run(
     trial: int = 0,
 ) -> Execution:
     """Unroll ``horizon`` frames under the input vector ``x``: frames
-    ``0..h-1`` are the initial window, frame ``t >= h`` is produced by one
-    step with draws at ``(trial, t, .)``.
+    ``0..h-1`` are ``initial_window(spec, initial, x, randomness, trial)``,
+    X in each, and frame ``t >= h`` is one step with draws at ``(trial, t, .)``.
 
-    ``horizon`` counts frames, so ``horizon == h`` returns the initial window
-    unchanged. The result is a pure function of the arguments: same seed,
-    same execution, regardless of how other trials are scheduled.
+    ``horizon`` counts frames, so ``horizon == h`` returns the start window.
+    The result is a pure function of the arguments: same seed, same
+    execution, regardless of how other trials are scheduled.
     """
     x = input_vector(spec, x)
     h = spec.history
     if horizon < h:
         raise HorizonTooShort(f"horizon {horizon} < history {h}")
-    frames0 = window_frames(spec, initial)
+    window = initial_window(spec, initial, x, randomness, trial)[None]
     runner = BatchRunner(spec, randomness)
     trials = np.asarray([trial])
 
     frames_out = np.zeros((horizon, spec.n_neurons), dtype=np.uint8)
-    frames_out[:h] = frames0
-    window = frames0[None, :, :]
+    frames_out[:h] = window[0]
     for t in range(h, horizon):
         window = runner.advance(window, t, trials, x)
         frames_out[t] = window[0, -1]

@@ -11,14 +11,8 @@ from wtalab import (
     WtaLabError,
     build_log_inhibitor,
     build_two_inhibitor,
-    classify_log_inhibitor,
-    classify_two_inhibitor,
     convergence_time,
     initial_window,
-    is_typical,
-    is_valid_configuration,
-    is_valid_wta_output,
-    near_stable_pair,
     run,
 )
 
@@ -39,6 +33,12 @@ def two_output_execution(frames):
     """``frames`` of a network with inputs 0..1 and outputs 2..3, recorded
     as an ``Execution``."""
     return Execution(frames, np.arange(2, 4))
+
+
+def labels_of(tag, x, window):
+    """``window_labels`` of one window (or one frame), a batch of one."""
+    w = np.asarray(window, dtype=np.uint8)
+    return window_labels(tag, x, w.reshape((1, -1, w.shape[-1])))[0]
 
 
 def slow_two_inhibitor_labels(x, c):
@@ -74,44 +74,44 @@ def slow_two_inhibitor_labels(x, c):
 
 class TestValidOutput:
     def test_all_silent(self):
-        assert is_valid_wta_output([0, 0, 0, 0], [0, 0, 0, 0])
+        assert valid_outputs([0, 0, 0, 0], [0, 0, 0, 0])
 
     def test_backed_winner(self):
-        assert is_valid_wta_output([1, 1, 0, 1], [0, 1, 0, 0])
-        assert not is_valid_wta_output([1, 1, 0, 1], [0, 0, 1, 0])
+        assert valid_outputs([1, 1, 0, 1], [0, 1, 0, 0])
+        assert not valid_outputs([1, 1, 0, 1], [0, 0, 1, 0])
 
     def test_two_winners(self):
-        assert not is_valid_wta_output([1, 1, 0, 0], [1, 1, 0, 0])
+        assert not valid_outputs([1, 1, 0, 0], [1, 1, 0, 0])
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            is_valid_wta_output([1, 0], [1, 0, 0])
+            valid_outputs([1, 0], [1, 0, 0])
 
 
 class TestClassifyTwoInhibitor:
     def test_valid(self):
-        got = classify_two_inhibitor([1, 1], [1, 1, 1, 0, 1, 0])
+        got = labels_of("two_inhibitor", [1, 1], [1, 1, 1, 0, 1, 0])
         assert got == {"valid_wta", "good", "active"}
 
     def test_k_wta(self):
-        got = classify_two_inhibitor([1, 1], [1, 1, 1, 1, 1, 1])
+        got = labels_of("two_inhibitor", [1, 1], [1, 1, 1, 1, 1, 1])
         assert got == {"k_wta(2)", "good", "active"}
 
     def test_silent_input_overlap(self):
-        got = classify_two_inhibitor([0, 0], [0, 0, 0, 0, 0, 0])
+        got = labels_of("two_inhibitor", [0, 0], [0, 0, 0, 0, 0, 0])
         assert got == {"valid_wta", "reset", "good", "active", "terminal"}
 
     def test_near_valid_is_terminal(self):
-        got = classify_two_inhibitor([1, 1], [1, 1, 1, 0, 1, 1])
+        got = labels_of("two_inhibitor", [1, 1], [1, 1, 1, 0, 1, 1])
         assert got == {"near_valid", "good", "active", "terminal"}
 
     def test_topology_mismatch(self):
         with pytest.raises(TopologyMismatch):
-            classify_two_inhibitor([1, 1], [1, 1, 0, 0, 0])
+            labels_of("two_inhibitor", [1, 1], [1, 1, 0, 0, 0])
 
     def test_input_bits_disagree_with_x(self):
         with pytest.raises(TopologyMismatch, match="disagree with X"):
-            classify_two_inhibitor([1, 1], [0, 1, 0, 0, 0, 0])
+            labels_of("two_inhibitor", [1, 1], [0, 1, 0, 0, 0, 0])
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_exhaustive_against_slow_checker(self, n):
@@ -123,7 +123,7 @@ class TestClassifyTwoInhibitor:
         for row, c in enumerate(configs.tolist()):
             x = c[:n]
             slow = slow_two_inhibitor_labels(x, c)
-            assert classify_two_inhibitor(x, c) == slow
+            assert labels_of("two_inhibitor", x, c) == slow
             assert labels[row] == slow
             assert masks.valid[row] == ("valid_wta" in slow)
             assert masks.near_valid[row] == ("near_valid" in slow)
@@ -137,7 +137,7 @@ class TestClassifyTwoInhibitor:
     def test_label_algebra(self, n):
         for x in itertools.product([0, 1], repeat=n):
             for rest in itertools.product([0, 1], repeat=n + 2):
-                labels = classify_two_inhibitor(list(x), list(x) + list(rest))
+                labels = labels_of("two_inhibitor", list(x), list(x) + list(rest))
                 if "active" in labels:
                     assert "good" in labels
                 if "reset" in labels and sum(x) >= 1:
@@ -158,8 +158,8 @@ class TestClassifyLogInhibitor:
         x = [1, 0]
         older = [1, 0, 1, 0, 1, 0]
         latest = [1, 0, 0, 0, 1, 0]
-        assert near_stable_pair(x, older, latest) is True
-        labels = classify_log_inhibitor(x, np.array([older, latest]))
+        assert near_stable(x, [older, latest])
+        labels = labels_of("log_inhibitor", x, np.array([older, latest]))
         assert "near_stable_pair" in labels
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -172,33 +172,33 @@ class TestClassifyLogInhibitor:
             backed = all(yi <= xi for yi, xi in zip(y, x))
             closed = all(chain[j] >= chain[j + 1] for j in range(levels - 1))
             assert mask[row] == (backed and closed)
-            assert is_typical(x, c) == (backed and closed)
+            assert typical(x, c) == (backed and closed)
 
     def test_chain_gap_is_not_typical(self):
         x = [1, 1, 1, 1]
         cfg = [1, 1, 1, 1, 0, 0, 0, 0, 1, 0, 1]  # a_2 without a_1
-        assert not is_typical(x, cfg)
+        assert not typical(x, cfg)
         cfg_ok = [1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 0]
-        assert is_typical(x, cfg_ok)
+        assert typical(x, cfg_ok)
 
     def test_two_outputs_across_frames_not_near_stable(self):
         x = [1, 1]
         older = [1, 1, 1, 0, 1, 0]
         latest = [1, 1, 0, 1, 1, 0]
-        assert near_stable_pair(x, older, latest) is False
+        assert not near_stable(x, [older, latest])
 
     def test_silent_input_not_applicable(self):
         x = [0, 0]
         frame = [0, 0, 0, 0, 1, 0]
-        assert near_stable_pair(x, frame, frame) is None
-        labels = classify_log_inhibitor(x, np.array([frame, frame]))
+        assert not near_stable(x, [frame, frame])
+        labels = labels_of("log_inhibitor", x, np.array([frame, frame]))
         assert "near_stable_pair" not in labels
 
     def test_stability_inhibitor_must_fire_in_both_frames(self):
         x = [1, 0]
         older = [1, 0, 1, 0, 0, 0]  # a_s silent in the older frame
         latest = [1, 0, 0, 0, 1, 0]
-        assert near_stable_pair(x, older, latest) is False
+        assert not near_stable(x, [older, latest])
 
 
 def slow_steady(tag, x, c):
@@ -230,6 +230,12 @@ def slow_near_stable(x, older, latest):
     return one_winner and inhibitor_both and chain_quiet and backed
 
 
+def steady(x, c):
+    """``steady_state`` of one canonical configuration, a batch of one."""
+    n = len(x)
+    return steady_state(x, c[n : 2 * n], c[2 * n :])
+
+
 def canonical_configs(tag, n):
     """Every configuration of family ``tag`` whose inputs match its own X."""
     aux = {"two_inhibitor": 2, "single_inhibitor": 1, "log_inhibitor": 1 + (n - 1).bit_length()}
@@ -245,7 +251,7 @@ class TestBatchMasks:
         mask = steady_state(x, configs[:, n : 2 * n], configs[:, 2 * n :])
         ref = [slow_steady(tag, c[:n], c) for c in configs.tolist()]
         assert mask.tolist() == ref
-        assert [is_valid_configuration(tag, c[:n], c) for c in configs.tolist()] == ref
+        assert [bool(steady(c[:n], c)) for c in configs.tolist()] == ref
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_single_inhibitor_labels_exhaustive(self, n):
@@ -275,9 +281,8 @@ class TestBatchMasks:
                 if typ[row % len(frames)]:
                     want.add("typical")
                 assert labels[row] == want
-            for row in range(0, len(windows), 7):  # the scalar view, on a sample
-                got = near_stable_pair(bits, older[row], latest[row])
-                assert got == (bool(mask[row]) if sum(bits) else None)
+            for row in range(0, len(windows), 7):  # a batch of one, on a sample
+                assert near_stable(bits, windows[row]) == mask[row]
 
     def test_window_batch_shape_checked(self):
         with pytest.raises(TopologyMismatch):
@@ -287,7 +292,7 @@ class TestBatchMasks:
         with pytest.raises(WtaLabError):
             window_labels("no_such_family", [1, 1], np.zeros((1, 1, 6), dtype=np.uint8))
         with pytest.raises(TopologyMismatch):
-            near_stable_pair([1, 0], [1, 0, 1, 0, 1, 0], [1, 0, 1, 0, 1])
+            near_stable([1, 0], np.zeros((2, 5), dtype=np.uint8))
         with pytest.raises(TopologyMismatch):
             steady_state([1, 0], [1, 0], np.zeros(0, dtype=np.uint8))
 
@@ -295,13 +300,13 @@ class TestBatchMasks:
 class TestValidConfigurationByVariant:
     def test_single_inhibitor_uses_convergence_inhibitor(self):
         x = [1, 1]
-        assert is_valid_configuration("single_inhibitor", x, [1, 1, 1, 0, 1])
-        assert not is_valid_configuration("single_inhibitor", x, [1, 1, 1, 0, 0])
+        assert steady(x, [1, 1, 1, 0, 1])
+        assert not steady(x, [1, 1, 1, 0, 0])
 
     def test_log_requires_quiet_chain(self):
         x = [1, 0]
-        assert is_valid_configuration("log_inhibitor", x, [1, 0, 1, 0, 1, 0])
-        assert not is_valid_configuration("log_inhibitor", x, [1, 0, 1, 0, 1, 1])
+        assert steady(x, [1, 0, 1, 0, 1, 0])
+        assert not steady(x, [1, 0, 1, 0, 1, 1])
 
 
 class TestConvergenceTime:
@@ -451,17 +456,15 @@ _ZEROS = np.zeros(6, dtype=np.uint8)
 _PAIR = np.zeros((2, 6), dtype=np.uint8)
 _X_CALLS = {
     "valid_outputs": lambda x: valid_outputs(x, [0, 0]),
-    "is_valid_wta_output": lambda x: is_valid_wta_output(x, [0, 0]),
     "steady_state": lambda x: steady_state(x, [0, 0], [0, 0]),
-    "is_valid_configuration": lambda x: is_valid_configuration("single_inhibitor", x, _ZEROS[:5]),
     "two_inhibitor_classes": lambda x: two_inhibitor_classes(x, _ZEROS),
-    "classify_two_inhibitor": lambda x: classify_two_inhibitor(x, _ZEROS),
     "typical": lambda x: typical(x, _ZEROS),
-    "is_typical": lambda x: is_typical(x, _ZEROS),
     "near_stable": lambda x: near_stable(x, _PAIR),
-    "near_stable_pair": lambda x: near_stable_pair(x, _ZEROS, _ZEROS),
-    "classify_log_inhibitor": lambda x: classify_log_inhibitor(x, _PAIR),
     "window_labels": lambda x: window_labels("two_inhibitor", x, _ZEROS[None, None]),
+    "window_labels(single_inhibitor)": lambda x: window_labels(
+        "single_inhibitor", x, _ZEROS[None, None, :5]
+    ),
+    "window_labels(log_inhibitor)": lambda x: window_labels("log_inhibitor", x, _PAIR[None]),
     "ConvergenceScan": lambda x: ConvergenceScan(x, 2),
     "convergence_time": lambda x: convergence_time(
         two_output_execution(np.tile(_ZEROS, (4, 1))), x, 2

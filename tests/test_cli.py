@@ -192,6 +192,25 @@ class TestOracle:
         assert code == 4
 
 
+_HUGE = str(1 << 56)  # rows enough for 0.5 EiB arrays, which numpy refuses on any host
+
+
+class TestOutOfMemoryExitFour:
+    """A request for arrays too large to allocate is a resource limit."""
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--n", "2", "--gamma", "5", "--ts", "2", "--tmax", _HUGE],
+        ["run", "--n", "4", "--gamma", "5", "--tc", "10", "--seed", "1", "--trials", _HUGE],
+        ["stabilize-probe", "--n", "4", "--gamma", "5", "--tc", "10", "--seed", "1",
+         "--trials", _HUGE],
+        ["lemma-check", "--lemma", "3.9.2", "--samples", _HUGE],
+    ], ids=lambda argv: argv[0])
+    def test_exit_four(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.startswith("error:") and err.count("\n") == 1
+
+
 class TestLemmaCheck:
     def test_single_id(self, tmp_path):
         out = tmp_path / "lc"
@@ -302,6 +321,13 @@ class TestInvalidInputsExitThree:
     def test_lemma_check_params(self, tmp_path, capsys, flags):
         self._exit_three(["lemma-check", *flags, "--out", str(tmp_path / "lc")], capsys)
         assert not (tmp_path / "lc.csv").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    def test_seed_out_of_range(self, tmp_path, capsys, seed):
+        # as 64-bit hash words these would draw what 2^64 - 1 and 0 draw
+        argv = self.RUN[:-1] + [seed, "--out", str(tmp_path / "r")]
+        self._exit_three(argv, capsys)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("content", [None, "not json", "[[1, 1, 1]]", "[[1, 1, 2, 0, 1, 0]]",
                                          "[[1, 1], [1]]", '{"frames": 1}'])

@@ -102,6 +102,11 @@ class TestRunTrials:
             plan.initial_policy[0, 3] = 1
         assert run_trials(plan).mean_tconv == 0.0  # converged at frame 0
 
+    @pytest.mark.parametrize("seed", [1.5, -1, 1 << 64, True])
+    def test_seed_rejected_when_built(self, seed):
+        with pytest.raises(WtaLabError, match="seed"):
+            TrialPlan(instance=small_instance(), trials=10, seed=seed, horizon=40)
+
     def test_horizon_guard(self):
         inst = small_instance()
         with pytest.raises(HorizonTooShort):

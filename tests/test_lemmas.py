@@ -41,7 +41,8 @@ class TestCatalogApi:
         ("n", 1, InvalidSize), ("n", 0, InvalidSize), ("n", 8.5, InvalidSize),
         ("samples", 0, WtaLabError), ("samples", -5, WtaLabError),
         ("samples", 2.5, WtaLabError), ("t_s", -1, WtaLabError), ("t_s", 2.5, WtaLabError),
-        ("seed", -1, WtaLabError), ("seed", 1.5, WtaLabError),
+        ("seed", -1, WtaLabError), ("seed", 1.5, WtaLabError), ("seed", 1 << 64, WtaLabError),
+        ("seed", True, WtaLabError),
         ("level", 0, WtaLabError), ("level", 2.5, WtaLabError),
     ])
     def test_params_rejected_when_built(self, field, value, error):

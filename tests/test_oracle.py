@@ -20,7 +20,6 @@ from wtalab import (
     build_single_inhibitor,
     build_two_inhibitor,
     convergence_cdf,
-    exact_step_distribution,
     hold_probability,
     sigmoid,
     truncated_expectation,
@@ -40,17 +39,18 @@ class TestStepDistribution:
     def test_uniform_when_all_potentials_zero(self):
         kind = [INPUT, OUTPUT, AUXILIARY, AUXILIARY]
         spec = NetworkSpec.from_edges(kind, [EXCITATORY] * 4, [], {})
-        d = exact_step_distribution(spec, np.zeros((1, 4), np.uint8), [0])
-        assert np.allclose(d.probs, 1.0 / 8.0)
+        space = WindowStateSpace(spec, [0])
+        probs = space.kernel[space.state_index(np.zeros((1, 4), np.uint8))]
+        assert np.allclose(probs, 1.0 / 8.0)
 
     def test_driven_competition_from_silence(self):
         g = 12.0
         spec = build_two_inhibitor(1, g)
         win = np.zeros((1, 4), dtype=np.uint8)
         win[0, 0] = 1
-        d = exact_step_distribution(spec, win, [1])
+        space = WindowStateSpace(spec, [1])
         marg = {u: 0.0 for u in (1, 2, 3)}
-        for cfg, p in d.items():
+        for cfg, p in zip(space.full_frames, space.kernel[space.state_index(win)]):
             for u in marg:
                 if cfg[u]:
                     marg[u] += p
@@ -98,7 +98,8 @@ class TestStepDistribution:
         x = np.array([1, 1], dtype=np.uint8)
         win = np.zeros((1, 6), dtype=np.uint8)
         win[0, [0, 1, 2, 3]] = 1
-        d = exact_step_distribution(spec, win, x)
+        space = WindowStateSpace(spec, x)
+        probs = space.kernel[space.state_index(win)]
         rng = RandomnessContract(41)
         runner = BatchRunner(spec, rng)
         trials = 1_000_000
@@ -112,7 +113,7 @@ class TestStepDistribution:
         )
         counts = np.bincount(codes, minlength=16)
         for code in range(16):
-            p = d.probs[code]
+            p = probs[code]
             sigma = math.sqrt(max(p * (1 - p), 1e-12) / trials)
             assert abs(counts[code] / trials - p) < max(4 * sigma, 1e-5)
 

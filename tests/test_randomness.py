@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wtalab import RandomnessContract
+from wtalab import RandomnessContract, WtaLabError
 
 
 def test_scalar_matches_block():
@@ -10,6 +10,13 @@ def test_scalar_matches_block():
     block = rng.uniform_block([3, 9], 17, [0, 5, 6])
     assert rng.uniform(3, 17, 5) == block[0, 1]
     assert rng.uniform(9, 17, 6) == block[1, 2]
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64, 1.5, True, "1"])
+def test_out_of_range_seed_rejected_when_built(seed):
+    # as a 64-bit hash word, -1 would draw what 2^64 - 1 draws
+    with pytest.raises(WtaLabError, match="seed must be an int in 0..2\\^64-1"):
+        RandomnessContract(seed)
 
 
 def test_order_independence():

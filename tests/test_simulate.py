@@ -20,7 +20,6 @@ from wtalab import (
     build_two_inhibitor,
     convergence_cdf,
     convergence_time,
-    exact_step_distribution,
     hold_probability,
     initial_window,
     potential,
@@ -100,6 +99,21 @@ class TestRun:
         spec = build_two_inhibitor(2, 8.0)
         with pytest.raises(HorizonTooShort):
             run(spec, zero_window(spec), [1, 0], 0, RandomnessContract(0))
+
+    def test_start_window_holds_the_input(self):
+        # the explicit window leaves its input bits silent; as on the batch
+        # path, every start frame holds X
+        spec = build_two_inhibitor(2, 8.0)
+        x = np.array([1, 1], dtype=np.uint8)
+        rng = RandomnessContract(5)
+        trial = np.array([3])
+        bare = run(spec, zero_window(spec), x, 6, rng, trial=3)
+        pinned = run(spec, zero_window(spec, x), x, 6, rng, trial=3)
+        assert np.array_equal(bare.frames, pinned.frames)
+        assert bare.frames[0].tolist() == [1, 1, 0, 0, 0, 0]
+        start = initial_windows_batch(spec, zero_window(spec), x, trial, rng)
+        after = BatchRunner(spec, rng).advance(start, 1, trial, x)
+        assert np.array_equal(bare.frames[:2], np.concatenate([start[0], after[0]]))
 
     def test_same_seed_same_execution(self):
         spec = build_two_inhibitor(3, 9.0)
@@ -677,7 +691,7 @@ class TestTiles:
 
 # every public call that takes a window, as call(spec, x, window)
 _WINDOW_CALLS = {
-    "exact_step_distribution": lambda spec, x, w: exact_step_distribution(spec, w, x),
+    "WindowStateSpace.state_index": lambda spec, x, w: WindowStateSpace(spec, x).state_index(w),
     "convergence_cdf": lambda spec, x, w: convergence_cdf(spec, x, w, 2, 5),
     "hold_probability": lambda spec, x, w: hold_probability(spec, x, w, 2),
     "potential": lambda spec, x, w: potential(spec, w, int(spec.output_indices[0])),
@@ -729,7 +743,6 @@ _INPUT_CALLS = {
     ),
     "step": lambda spec, x, w: step(spec, w, x, np.zeros(spec.non_input_indices.size)),
     "WindowStateSpace": lambda spec, x, w: WindowStateSpace(spec, x),
-    "exact_step_distribution": lambda spec, x, w: exact_step_distribution(spec, w, x),
     "convergence_cdf": lambda spec, x, w: convergence_cdf(spec, x, w, 2, 5),
     "hold_probability": lambda spec, x, w: hold_probability(spec, x, w, 2),
 }

@@ -11,14 +11,17 @@ It prints one markdown row per end-to-end metric: each side's median and
 quartiles, the base runs' spread (interquartile range over median), the
 ratio of the medians head/base, how many pairs the head is better in (lower
 or higher, as the metric's ``better`` says), and the metric's bound. Then it
-lists every run's metrics and its operations failed and attempted. It
-writes nothing but what ``perfbench/run.py`` itself writes in each tree.
+lists every run's metrics, the host's one-minute load average before and
+after it (``os.getloadavg``), so a pair run under outside load shows, and its
+operations failed and attempted. It writes nothing but what
+``perfbench/run.py`` itself writes in each tree.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -29,11 +32,14 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The last line of one untraced ``perfbench/run.py`` run in ``tree``;
-    exits if the run fails or its ``correct`` verdict is false."""
+    """The last line of one untraced ``perfbench/run.py`` run in ``tree``,
+    plus ``load``, the host's load average before and after the run; exits
+    if the run fails or its ``correct`` verdict is false."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    before = os.getloadavg()[0]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    after = os.getloadavg()[0]
     if done.returncode:
         raise SystemExit(f"paired: {' '.join(argv)} in {tree} exited {done.returncode}:\n"
                          f"{done.stderr}")
@@ -41,6 +47,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     if not result["correct"]:
         raise SystemExit(f"paired: {' '.join(argv)} in {tree} failed its correctness gate "
                          f"({result['failed']}/{result['attempted']} operations failed)")
+    result["load"] = (before, after)
     return result
 
 
@@ -96,6 +103,8 @@ def main(argv: list[str] | None = None) -> int:
             name = metric["name"]
             print(f"- {side} {name}: " + ", ".join(f"{r['metrics'][name]['value']:.4g}"
                                                   for r in runs[side]))
+        load = ", ".join(f"{r['load'][0]:.2f}→{r['load'][1]:.2f}" for r in runs[side])
+        print(f"- {side} load average before→after: {load}")
         ops = ", ".join(f"{r['failed']}/{r['attempted']}" for r in runs[side])
         print(f"- {side} failed/attempted: {ops}")
     return 0
