@@ -691,7 +691,7 @@ class TestTiles:
 
 # every public call that takes a window, as call(spec, x, window)
 _WINDOW_CALLS = {
-    "WindowStateSpace.state_index": lambda spec, x, w: WindowStateSpace(spec, x).state_index(w),
+    "state_index": lambda spec, x, w: WindowStateSpace(spec, x).state_index(w),
     "convergence_cdf": lambda spec, x, w: convergence_cdf(spec, x, w, 2, 5),
     "hold_probability": lambda spec, x, w: hold_probability(spec, x, w, 2),
     "potential": lambda spec, x, w: potential(spec, w, int(spec.output_indices[0])),
