@@ -55,5 +55,4 @@ from .simulate import (
     initial_window,
     potential,
     run,
-    step,
 )

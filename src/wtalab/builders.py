@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidGamma, InvalidSize, MissingDelta, WtaLabError, check_int
+from .errors import InvalidGamma, InvalidSize, MissingDelta, WtaLabError, check_int, check_real
 from .network import AUXILIARY, EXCITATORY, INHIBITORY, INPUT, OUTPUT, NetworkSpec, Synapses
 
 TWO_INHIBITOR = "two_inhibitor"
@@ -46,10 +46,19 @@ def ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
 
 
+def check_gamma(gamma) -> None:
+    """Raise ``InvalidGamma`` unless ``gamma`` is a finite real number > 0, not a bool."""
+    check_real("gamma", gamma, 0.0, math.inf, InvalidGamma)
+
+
+def row_bytes(n: int) -> int:
+    """Bytes of a float64 per neuron of any family at ``n`` (3n + 1 at most)."""
+    return 8 * (3 * n + 1)
+
+
 def _check_args(n: int, gamma: float, min_n: int) -> None:
     _check_n(n, min_n)
-    if not 0 < gamma < math.inf:
-        raise InvalidGamma(f"gamma must be finite and > 0, got {gamma}")
+    check_gamma(gamma)
 
 
 def _network(
@@ -184,8 +193,8 @@ def _check_sizes(n: int, t_s: int = 1) -> None:
 
 
 def _check_delta(delta: float | None) -> None:
-    if delta is not None and not 0 < delta < 1:
-        raise WtaLabError(f"delta must lie in (0, 1), got {delta}")
+    if delta is not None:
+        check_real("delta", delta, 0.0, 1.0, WtaLabError)
 
 
 def _regime(variant: WtaVariant, delta: float | None) -> str:
@@ -247,8 +256,7 @@ class WtaInstance:
     def __post_init__(self) -> None:
         _check_sizes(self.n, self.t_s)
         check_int("t_c", self.t_c, 1)
-        if not 0 < self.gamma < math.inf:
-            raise InvalidGamma(f"gamma must be finite and > 0, got {self.gamma}")
+        check_gamma(self.gamma)
         _check_delta(self.delta)
         bits = self.input_bits or tuple([1] * self.n)
         if len(bits) != self.n or any(b not in (0, 1) for b in bits):

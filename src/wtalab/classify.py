@@ -205,13 +205,10 @@ class ConvergenceOutcome:
     """Result of scanning one execution's output projections.
 
     ``converged_at`` is the first frame from which a valid output held for
-    ``t_s`` further frames within the horizon, or ``None``. ``stable_for``
-    counts how many consecutive repeats were actually observed from that
-    frame (at least ``t_s`` when converged).
+    ``t_s`` further frames within the horizon, or ``None``.
     """
 
     converged_at: Optional[int]
-    stable_for: int
     timed_out: bool
 
 
@@ -281,16 +278,7 @@ def convergence_time(execution: Execution, input_bits, t_s: int) -> ConvergenceO
     if not isinstance(execution, Execution):
         raise WtaLabError(f"convergence_time takes an Execution, got {type(execution).__name__}")
     outs = execution.frames[:, execution.output_indices]
-    total = outs.shape[0]
-    for t in range(total):
+    for t in range(outs.shape[0]):
         if scan.update(t, outs[t : t + 1])[0]:
-            start = int(scan.converged_at[0])
-            stable = t - start
-            while start + stable + 1 < total and np.array_equal(
-                outs[start + stable + 1], outs[start]
-            ):
-                stable += 1
-            return ConvergenceOutcome(
-                converged_at=start, stable_for=stable, timed_out=False
-            )
-    return ConvergenceOutcome(converged_at=None, stable_for=0, timed_out=True)
+            return ConvergenceOutcome(converged_at=int(scan.converged_at[0]), timed_out=False)
+    return ConvergenceOutcome(converged_at=None, timed_out=True)

@@ -15,7 +15,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -29,10 +28,11 @@ from .builders import (
     WtaInstance,
     WtaVariant,
     build,
+    check_gamma,
     gamma_for,
     tc_bound,
 )
-from .errors import StateSpaceTooLarge, WtaLabError, check_bits
+from .errors import InvalidGamma, StateSpaceTooLarge, WtaLabError, check_bits
 from .experiments import (
     CSV_FIELDS,
     TRIAL_LOG_FIELDS,
@@ -74,11 +74,10 @@ def _start(args) -> str | np.ndarray:
 
 
 def _positive_gamma(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"InvalidGamma: gamma must be finite and > 0, got {value}"
-        )
+    try:
+        check_gamma(value := float(text))
+    except InvalidGamma as e:
+        raise argparse.ArgumentTypeError(f"InvalidGamma: {e}") from None
     return value
 
 

@@ -1,7 +1,7 @@
-"""Exception types shared across the package, the one integer check, the
-one neuron-index check and the one 0/1 bit check."""
+"""Exception types shared across the package and its one check of each kind
+of argument: integer, count, real number, neuron index and 0/1 bits."""
 
-from numbers import Integral as _Integral
+from numbers import Integral as _Integral, Real as _Real
 
 import numpy as _np
 
@@ -14,6 +14,20 @@ def check_int(name: str, value, minimum: int) -> None:
     """Raise ``WtaLabError`` unless ``value`` is an integer ``>= minimum``, not a bool."""
     if isinstance(value, bool) or not (isinstance(value, _Integral) and value >= minimum):
         raise WtaLabError(f"{name} must be an int >= {minimum}, got {value!r}")
+
+
+def check_count(name: str, value, minimum: int, row_bytes: int) -> None:
+    """``check_int``; then ``MemoryError`` when ``value`` rows of ``row_bytes`` bytes
+    pass numpy's largest array, which numpy refuses with a ``ValueError``."""
+    check_int(name, value, minimum)
+    if int(value) * row_bytes > _np.iinfo(_np.intp).max:
+        raise MemoryError(f"{name}: {value} x {row_bytes} bytes pass numpy's largest array")
+
+
+def check_real(name: str, value, low: float, high: float, error: type) -> None:
+    """Raise ``error`` unless ``value`` is a real number in ``(low, high)``, not a bool."""
+    if isinstance(value, bool) or not (isinstance(value, _Real) and low < value < high):
+        raise error(f"{name} must be a real number in ({low}, {high}), got {value!r}")
 
 
 def check_neuron(name: str, value, n: int) -> None:
@@ -51,10 +65,6 @@ class LagOutOfRange(InvalidNetwork):
 
 class InputNeuronPotential(WtaLabError):
     """Membrane potential requested for an input neuron."""
-
-
-class MissingDraw(WtaLabError):
-    """A step was attempted without a uniform draw for some non-input neuron."""
 
 
 class NonpositiveTemperature(WtaLabError):

@@ -16,11 +16,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .builders import WtaInstance
+from .builders import WtaInstance, row_bytes
 from .classify import ConvergenceScan, window_labels
-from .errors import HorizonTooShort, WtaLabError, check_int
+from .errors import HorizonTooShort, WtaLabError, check_count, check_int, check_real
 from .network import NetworkSpec
-from .randomness import RandomnessContract, check_seed
+from .randomness import RandomnessContract, check_trials, check_word
 from .simulate import (
     ALL_FIRE,
     INITIAL_POLICIES,
@@ -32,15 +32,14 @@ from .simulate import (
 )
 
 
-def z_value(confidence: float) -> float:
-    return NormalDist().inv_cdf(0.5 + confidence / 2.0)
-
-
 def wilson_interval(successes: int, trials: int, confidence: float = 0.99) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
-    if trials <= 0:
+    """Wilson score interval for ``successes`` of ``trials`` at ``confidence``."""
+    check_int("successes", successes, 0)
+    check_int("trials", trials, successes)
+    check_real("confidence", confidence, 0.0, 1.0, WtaLabError)
+    if trials == 0:
         return 0.0, 1.0
-    z = z_value(confidence)
+    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -71,7 +70,7 @@ def batch_convergence_times(
     With ``capture_final`` the window at each trial's resolution (or at the
     horizon, for timeouts) is returned alongside the times.
     """
-    trial_ids = np.asarray(trial_ids, dtype=np.int64)
+    trial_ids = check_trials(trial_ids)
     h = spec.history
     if t0 is None:
         t0 = h
@@ -117,8 +116,8 @@ class TrialPlan:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_int("trials", self.trials, 1)
-        check_seed(self.seed)
+        check_count("trials", self.trials, 1, row_bytes(self.instance.n))
+        check_word("seed", self.seed)
         if self.horizon is not None:
             check_int("horizon", self.horizon, 1)
         inst = self.instance

@@ -35,12 +35,12 @@ from typing import Callable
 
 import numpy as np
 
-from .builders import LOG_INHIBITOR, TWO_INHIBITOR, _check_n, build, ceil_log2
+from .builders import LOG_INHIBITOR, TWO_INHIBITOR, _check_args, build, ceil_log2, row_bytes
 from .classify import two_inhibitor_classes, typical, valid_outputs
-from .errors import UnknownLemma, WtaLabError, check_int
+from .errors import UnknownLemma, WtaLabError, check_count, check_int
 from .experiments import wilson_interval
 from .network import NetworkSpec
-from .randomness import RandomnessContract, check_seed
+from .randomness import RandomnessContract, check_word
 from .simulate import BatchRunner
 
 
@@ -59,9 +59,9 @@ class LemmaParams:
         # the k >= 2 samplers need two outputs, a verdict needs a sample,
         # 5.12 steps t_s + 1 times, a seed fits the draws' 64-bit word,
         # and the graded levels count from 1
-        _check_n(self.n, 2)
-        check_int("samples", self.samples, 1)
-        check_seed(self.seed)
+        _check_args(self.n, self.gamma, 2)
+        check_count("samples", self.samples, 1, row_bytes(self.n))
+        check_word("seed", self.seed)
         check_int("t_s", self.t_s, 0)
         check_int("level", self.level, 1)
 

@@ -45,6 +45,7 @@ from .errors import (
     LagOutOfRange,
     NonpositiveTemperature,
     check_neuron,
+    check_real,
 )
 
 # a code is a position in its names tuple
@@ -106,10 +107,7 @@ class NetworkSpec:
         if b.shape != (n,):
             raise InvalidNetwork(f"biases shape {b.shape} != ({n},)")
         _check_history(self.history)
-        if isinstance(self.lam, bool) or not isinstance(self.lam, Real):
-            raise InvalidNetwork(f"lam must be a real number, got {self.lam!r}")
-        if not math.isfinite(self.lam):
-            raise InvalidNetwork(f"lam must be finite, got {self.lam}")
+        check_real("lam", self.lam, -math.inf, math.inf, InvalidNetwork)  # a finite real
         if not self.lam > 0:
             raise NonpositiveTemperature(f"lam must be > 0, got {self.lam}")
         if np.count_nonzero(np.isfinite(b)) < n:
@@ -419,8 +417,7 @@ def rescale_temperature(spec: NetworkSpec, new_lambda: float) -> NetworkSpec:
     the scaled potential divided by the new temperature equals the original
     potential divided by the original temperature.
     """
-    if not new_lambda > 0:
-        raise NonpositiveTemperature(f"new_lambda must be > 0, got {new_lambda}")
+    check_real("new_lambda", new_lambda, 0.0, math.inf, NonpositiveTemperature)
     factor = new_lambda / spec.lam
     syn = spec.synapses
     with np.errstate(over="ignore"):  # the constructor rejects what overflows to inf

@@ -39,7 +39,9 @@ from functools import cached_property
 import numpy as np
 
 from .classify import ConvergenceScan, steady_state, valid_outputs
-from .errors import NotValidConfiguration, StateSpaceTooLarge, TopologyMismatch, check_int
+from .errors import (
+    NotValidConfiguration, StateSpaceTooLarge, TopologyMismatch, check_count, check_int,
+)
 from .network import INPUT, NetworkSpec
 from .randomness import RandomnessContract
 from .simulate import BatchRunner, input_vector, window_frames
@@ -436,7 +438,7 @@ def convergence_cdf(
     ``StateSpaceTooLarge`` past its own bound.
     """
     check_int("t_s", t_s, 1)
-    check_int("t_max", t_max, 0)
+    check_count("t_max", t_max, 0, 16)  # 16 bytes per t_max hold the CDF's t_max + 1 floats
     x = input_vector(spec, input_bits)
     try:
         chain = LumpedChain(spec, x)

@@ -56,10 +56,23 @@ def _mixed(z: np.ndarray) -> np.ndarray:
     return _mix(z, np.empty_like(z))
 
 
-def check_seed(value) -> None:
-    """Raise ``WtaLabError`` unless ``value`` is an int in ``0..2^64-1``, not a bool."""
+def check_word(name: str, value) -> None:
+    """Raise ``WtaLabError`` unless ``value``, a seed or a trial id, is an int
+    in ``0..2^64-1``, not a bool: a 64-bit word of the draws' hash."""
     if isinstance(value, bool) or not (isinstance(value, Integral) and 0 <= value <= _MASK64):
-        raise WtaLabError(f"seed must be an int in 0..2^64-1, got {value!r}")
+        raise WtaLabError(f"{name} must be an int in 0..2^64-1, got {value!r}")
+
+
+def check_trials(trials) -> np.ndarray:
+    """``trials``, one id or many, as uint64 ids, each checked by ``check_word``."""
+    a = np.asarray(trials)
+    if a.dtype.kind == "i" and a.size:
+        check_word("trial id", int(a.min()))
+    elif a.dtype.kind != "u":  # id by id as Python objects: floats, bools, ints past 64 bits
+        a = np.asarray(trials, dtype=object)
+        for value in a.flat:
+            check_word("trial id", value)
+    return a.astype(np.uint64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -69,7 +82,7 @@ class RandomnessContract:
     root_seed: int
 
     def __post_init__(self) -> None:
-        check_seed(self.root_seed)
+        check_word("seed", self.root_seed)
 
     @cached_property
     def _seed_word(self) -> np.ndarray:
@@ -98,7 +111,3 @@ class RandomnessContract:
         # exact: the top 53 bits fit a double, and the scale is a power of 2;
         # converting from the scratch array, not in place, spares a copy
         return np.multiply(scratch, _INV_2_53, out=out)
-
-    def uniform(self, trial: int, time: int, neuron: int) -> float:
-        """Scalar uniform draw for one (trial, time, neuron) triple."""
-        return float(self.uniform_block([trial], time, [neuron])[0, 0])

@@ -1,11 +1,12 @@
 """Synchronous stochastic stepping of spiking networks.
 
 The single Markov state of a network with history ``h`` is the window of its
-last ``h`` configurations. ``step`` advances one window by one configuration;
-``run`` unrolls a whole execution from an initial window, drawing uniforms
-from a ``RandomnessContract`` keyed by ``(trial, time, neuron)``. A window
-is an ``(h, N)`` uint8 bit array, most recent frame last, and
-``window_frames`` is the one check of its shape. A start, for
+last ``h`` configurations. ``BatchRunner.step_bits`` advances a batch of
+windows by one configuration, a non-input neuron firing iff its uniform draw
+is below its probability; ``run`` unrolls a whole execution from an initial
+window, drawing uniforms from a ``RandomnessContract`` keyed by ``(trial,
+time, neuron)``. A window is an ``(h, N)`` uint8 bit array, most recent frame
+last, and ``window_frames`` is the one check of its shape. A start, for
 ``initial_window`` and ``initial_windows_batch``, is a policy name or one
 such window.
 
@@ -17,8 +18,8 @@ also takes one input row per trial.
 
 ``BatchRunner`` advances many trials at once on uint8 frames. It is the one
 code path from a window to potentials and firing probabilities:
-``potential``, ``step`` and ``run`` are batch-of-one views of it, and the
-exact oracle's kernel reads it too. A potential depends on the window only
+``potential`` and ``run`` are batch-of-one views of it, and the exact
+oracle's kernel reads it too. A potential depends on the window only
 through how many presynaptic bits of each synapse weight fired, so the
 runner sums integer count codes over a sparse split of the synapses and
 reads potentials and ``sigmoid(potential / lam)`` from tables it builds on
@@ -46,12 +47,12 @@ from .errors import (
     InputNeuronPotential,
     InvalidNetwork,
     LengthMismatch,
-    MissingDraw,
     check_bits,
+    check_int,
     check_neuron,
 )
 from .network import INPUT, NetworkSpec, sigmoid
-from .randomness import RandomnessContract
+from .randomness import RandomnessContract, check_trials
 
 ALL_ZERO = "all_zero"
 ALL_FIRE = "all_fire"
@@ -489,19 +490,6 @@ class BatchRunner:
         )
 
 
-# The runner of the last spec that ``potential`` or ``step`` read: calls in a
-# loop over one network build its tables once.
-_scalar: list[BatchRunner | None] = [None]
-
-
-def _scalar_runner(spec: NetworkSpec) -> BatchRunner:
-    runner = _scalar[0]  # one read: the runner checked is the one returned
-    if runner is None or runner.spec is not spec:
-        runner = BatchRunner(spec, RandomnessContract(0))
-        _scalar[0] = runner
-    return runner
-
-
 def potential(spec: NetworkSpec, window, u: int) -> float:
     """Membrane potential of neuron ``u`` given the last ``h`` firing vectors,
     ``sum_l sum_v w(v, u, l) * frame[t-l](v) - b(u)``: its entry of
@@ -513,30 +501,8 @@ def potential(spec: NetworkSpec, window, u: int) -> float:
     if spec.kind[u] == INPUT:
         raise InputNeuronPotential(f"neuron {u} is an input")
     frames = window_frames(spec, window)
-    runner = _scalar_runner(spec)
+    runner = BatchRunner(spec, RandomnessContract(0))
     return float(runner.potentials(frames[None])[0, np.searchsorted(runner.non_input, u)])
-
-
-def step(spec: NetworkSpec, window, next_input, draws) -> np.ndarray:
-    """Advance one configuration: ``u`` fires iff ``draw(u) < p(u)``.
-
-    ``draws`` holds one uniform in ``[0, 1)`` per non-input neuron, ordered
-    by ``spec.non_input_indices``; any other shape raises ``MissingDraw``.
-    Input bits are copied from ``next_input``. Pure function of its arguments.
-    """
-    x = input_vector(spec, next_input)
-    frames = window_frames(spec, window)[None]
-    d = np.asarray(draws)
-    if d.shape != spec.non_input_indices.shape:
-        m = spec.non_input_indices.size
-        raise MissingDraw(f"need one draw per non-input neuron ({m}), got shape {d.shape}")
-
-    runner = _scalar_runner(spec)
-    p = runner.probabilities(frames)[0]
-    new = np.zeros(spec.n_neurons, dtype=np.uint8)
-    new[spec.input_indices] = x
-    new[runner.non_input] = d < p
-    return new
 
 
 def initial_windows_batch(
@@ -549,8 +515,9 @@ def initial_windows_batch(
     non-input bits: a policy name, or one ``(h, N)`` window that every trial
     copies. ``uniform_random`` materializes them from the randomness
     contract at those same times, so each trial's start is independent and
-    reproducible.
+    reproducible. ``trial_ids`` must be ints in ``0..2^64-1`` (``check_trials``).
     """
+    trial_ids = check_trials(trial_ids)
     policy = start if isinstance(start, str) else None
     if policy is not None and policy not in INITIAL_POLICIES:
         raise InvalidNetwork(f"unknown initial policy {policy!r}")
@@ -576,7 +543,7 @@ def initial_window(
     if rng is None and isinstance(start, str) and start == UNIFORM_RANDOM:
         raise InvalidNetwork("uniform_random policy needs a randomness contract")
     rng = rng if rng is not None else RandomnessContract(0)
-    return initial_windows_batch(spec, start, x, np.asarray([trial]), rng)[0]
+    return initial_windows_batch(spec, start, x, check_trials([trial]), rng)[0]
 
 
 def run(
@@ -591,17 +558,18 @@ def run(
     ``0..h-1`` are ``initial_window(spec, initial, x, randomness, trial)``,
     X in each, and frame ``t >= h`` is one step with draws at ``(trial, t, .)``.
 
-    ``horizon`` counts frames, so ``horizon == h`` returns the start window.
+    ``horizon``, an int, counts frames, so ``horizon == h`` returns the start window.
     The result is a pure function of the arguments: same seed, same
     execution, regardless of how other trials are scheduled.
     """
     x = input_vector(spec, x)
+    trials = check_trials([trial])
     h = spec.history
+    check_int("horizon", horizon, 0)
     if horizon < h:
         raise HorizonTooShort(f"horizon {horizon} < history {h}")
     window = initial_window(spec, initial, x, randomness, trial)[None]
     runner = BatchRunner(spec, randomness)
-    trials = np.asarray([trial])
 
     frames_out = np.zeros((horizon, spec.n_neurons), dtype=np.uint8)
     frames_out[:h] = window[0]

@@ -61,6 +61,15 @@ class TestTwoInhibitor:
         with pytest.raises(InvalidGamma):
             build_two_inhibitor(2, 0.0)
 
+    @pytest.mark.parametrize("gamma", [True, "5", None, -1.0, np.float64(0.0)])
+    def test_gamma_must_be_a_positive_real(self, gamma):
+        # a bool passed as 1; a str or None raised TypeError
+        for build in (build_two_inhibitor, build_single_inhibitor, build_log_inhibitor):
+            with pytest.raises(InvalidGamma, match="gamma"):
+                build(4, gamma)
+        with pytest.raises(InvalidGamma, match="gamma"):
+            WtaInstance(n=4, gamma=gamma, t_s=3, delta=None, t_c=20)
+
     @pytest.mark.parametrize("gamma", [math.inf, math.nan])
     def test_non_finite_gamma(self, gamma):
         for build in (build_two_inhibitor, build_single_inhibitor, build_log_inhibitor):
@@ -217,7 +226,7 @@ class TestWtaInstance:
         )
         assert inst.gamma == 6.0
 
-    @pytest.mark.parametrize("delta", [1.5, 1.0, 0.0, -0.1, float("nan")])
+    @pytest.mark.parametrize("delta", [1.5, 1.0, 0.0, -0.1, float("nan"), "0.1", True])
     def test_delta_outside_unit_interval_rejected(self, delta):
         with pytest.raises(WtaLabError):
             WtaInstance(n=3, gamma=6.0, t_s=3, delta=delta, t_c=20)

@@ -341,12 +341,6 @@ class TestConvergenceTime:
             ref = brute_convergence_time(outs, x, t_s)
             assert got.converged_at == ref
             assert got.timed_out == (ref is None)
-            if ref is not None:
-                # stable_for counts every repeat of the converged output
-                end = ref + got.stable_for
-                assert got.stable_for >= t_s
-                assert (outs[ref : end + 1] == outs[ref]).all()
-                assert end + 1 == len(outs) or (outs[end + 1] != outs[ref]).any()
 
     def test_monotone_under_extension(self):
         spec = build_two_inhibitor(3, 10.0)

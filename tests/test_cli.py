@@ -210,6 +210,23 @@ class TestOutOfMemoryExitFour:
         err = capsys.readouterr().err
         assert "Traceback" not in err and err.startswith("error:") and err.count("\n") == 1
 
+    # Past numpy's largest array (2^63 - 1 bytes) numpy raises ValueError, not
+    # MemoryError, and np.arange(2^63 - 1) comes back empty: each count is
+    # checked where it is built.
+    @pytest.mark.parametrize("count", [str(2**63 - 1), str(2**62)], ids=["2^63-1", "2^62"])
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--n", "2", "--gamma", "5", "--ts", "2", "--tmax"],
+        ["run", "--n", "4", "--gamma", "5", "--tc", "10", "--seed", "1", "--trials"],
+        ["stabilize-probe", "--n", "4", "--gamma", "5", "--tc", "10", "--seed", "1",
+         "--trials"],
+        ["lemma-check", "--lemma", "3.9.2", "--samples"],
+    ], ids=lambda argv: argv[0])
+    def test_count_past_numpys_largest_array(self, tmp_path, capsys, argv, count):
+        assert main(argv + [count, "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.startswith("error:") and err.count("\n") == 1
+        assert "numpy's largest array" in err
+
 
 class TestLemmaCheck:
     def test_single_id(self, tmp_path):

@@ -40,6 +40,15 @@ class TestWilson:
     def test_no_trials_is_the_unit_interval(self):
         assert wilson_interval(0, 0) == (0.0, 1.0)
 
+    @pytest.mark.parametrize("successes, trials, confidence", [
+        (5, 3, 0.99), (-1, 3, 0.99), (1.0, 3, 0.99), (True, 3, 0.99), (1, "3", 0.99),
+        (1, 3, 1.0), (1, 3, 0.0), (1, 3, "0.9"), (1, 3, math.nan),
+    ])
+    def test_arguments_checked(self, successes, trials, confidence):
+        # 5 of 3 was a math domain error, a confidence of 1 a StatisticsError
+        with pytest.raises(WtaLabError):
+            wilson_interval(successes, trials, confidence)
+
     def test_narrows_with_samples(self):
         lo1, hi1 = wilson_interval(50, 100)
         lo2, hi2 = wilson_interval(5000, 10000)

@@ -14,6 +14,7 @@ import pytest
 
 from wtalab import (
     GROUP_IDS,
+    InvalidGamma,
     InvalidSize,
     LemmaParams,
     WtaLabError,
@@ -44,6 +45,9 @@ class TestCatalogApi:
         ("seed", -1, WtaLabError), ("seed", 1.5, WtaLabError), ("seed", 1 << 64, WtaLabError),
         ("seed", True, WtaLabError),
         ("level", 0, WtaLabError), ("level", 2.5, WtaLabError),
+        ("gamma", "5", InvalidGamma), ("gamma", True, InvalidGamma),
+        ("gamma", 0.0, InvalidGamma), ("gamma", float("nan"), InvalidGamma),
+        ("samples", 2**62, MemoryError), ("samples", 2**63 - 1, MemoryError),
     ])
     def test_params_rejected_when_built(self, field, value, error):
         # n = 1 leaves the k >= 2 samplers no range; zero samples leave the

@@ -566,6 +566,11 @@ class TestRescale:
         p2 = runner2.probabilities(frames[:, None, :])
         assert np.max(np.abs(p1 - p2)) < 1e-12
 
+    @pytest.mark.parametrize("lam", ["2", True, None, -1.0, math.inf, math.nan])
+    def test_rescale_takes_only_a_positive_finite_real(self, lam):
+        with pytest.raises(NonpositiveTemperature, match="new_lambda"):
+            rescale_temperature(build_two_inhibitor(2, 5.0), lam)
+
     def test_nonpositive_temperature(self):
         spec = build_two_inhibitor(2, 5.0)
         with pytest.raises(NonpositiveTemperature):

@@ -6,10 +6,11 @@ from wtalab import RandomnessContract, WtaLabError
 
 
 def test_scalar_matches_block():
+    # a one-draw block is the entry of any block that holds its triple
     rng = RandomnessContract(42)
     block = rng.uniform_block([3, 9], 17, [0, 5, 6])
-    assert rng.uniform(3, 17, 5) == block[0, 1]
-    assert rng.uniform(9, 17, 6) == block[1, 2]
+    assert rng.uniform_block([3], 17, [5])[0, 0] == block[0, 1]
+    assert rng.uniform_block([9], 17, [6])[0, 0] == block[1, 2]
 
 
 @pytest.mark.parametrize("seed", [-1, 1 << 64, 1.5, True, "1"])
@@ -59,8 +60,8 @@ def test_seed_changes_stream():
 @settings(max_examples=50, deadline=None)
 def test_pure_function_of_triple(seed, trial, time, neuron):
     rng = RandomnessContract(seed)
-    u1 = rng.uniform(trial, time, neuron)
-    u2 = RandomnessContract(seed).uniform(trial, time, neuron)
+    u1 = rng.uniform_block([trial], time, [neuron])[0, 0]
+    u2 = RandomnessContract(seed).uniform_block([trial], time, [neuron])[0, 0]
     assert u1 == u2
     assert 0.0 <= u1 < 1.0
 

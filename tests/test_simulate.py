@@ -7,7 +7,6 @@ from wtalab import (
     HorizonTooShort,
     InputTargeted,
     InvalidNetwork,
-    MissingDraw,
     NetworkSpec,
     RandomnessContract,
     TrialPlan,
@@ -28,7 +27,6 @@ from wtalab import (
     run_trials,
     sigmoid,
     spike_probability,
-    step,
 )
 from wtalab.experiments import batch_convergence_times, initial_windows_batch
 from wtalab.network import AUXILIARY, EXCITATORY, INHIBITORY, INPUT, OUTPUT
@@ -45,11 +43,29 @@ def zero_window(spec, x=None):
     return frames
 
 
+class _Draws:
+    """Stands in for a ``RandomnessContract``: every block holds the chosen
+    draws, one per non-input neuron in ``spec.non_input_indices`` order."""
+
+    def __init__(self, draws):
+        self.draws = np.asarray(draws, dtype=float)
+
+    def uniform_block(self, trials, time, neurons):
+        return np.broadcast_to(self.draws, (len(trials), len(neurons)))
+
+
+def batch_step(spec, window, x, draws):
+    """One step of ``window`` under ``x`` with the chosen draws, through
+    ``BatchRunner.step_bits`` over a batch of one."""
+    frames = simulate.window_frames(spec, window)
+    return BatchRunner(spec, _Draws(draws)).step_bits(frames[None], spec.history, [0], x)[0]
+
+
 class TestStep:
     def test_huge_bias_means_silence(self):
         kind = [INPUT, OUTPUT, AUXILIARY]
         spec = NetworkSpec.from_edges(kind, [EXCITATORY] * 3, [], {1: 1e9, 2: 1e9})
-        out = step(spec, zero_window(spec), [1], [0.0, 0.0])
+        out = batch_step(spec, zero_window(spec), [1], [0.0, 0.0])
         assert out.tolist() == [1, 0, 0]  # p saturates to 0, draws irrelevant
 
     def test_threshold_at_half(self):
@@ -57,9 +73,9 @@ class TestStep:
         spec = build_two_inhibitor(1, 12.0)
         win = zero_window(spec, [1])
         assert potential(spec, win, 1) == 0.0
-        fired = step(spec, win, [1], [0.49, 0.9, 0.9])  # draws of neurons 1, 2, 3
+        fired = batch_step(spec, win, [1], [0.49, 0.9, 0.9])  # draws of neurons 1, 2, 3
         assert fired[1] == 1
-        silent = step(spec, win, [1], [0.51, 0.9, 0.9])
+        silent = batch_step(spec, win, [1], [0.51, 0.9, 0.9])
         assert silent[1] == 0
 
     def test_valid_configuration_step_derived_probabilities(self):
@@ -73,19 +89,12 @@ class TestStep:
         assert pots == {2: 12.0, 3: -12.0, 4: 6.0, 5: -6.0}
         probs = {u: spike_probability(spec, p) for u, p in pots.items()}
         # a_c's firing probability is ~0.00247, so a draw of 0.001 fires it
-        out = step(spec, win, [1, 1], np.full(4, 0.001))
+        out = batch_step(spec, win, [1, 1], np.full(4, 0.001))
         assert out.tolist() == [1, 1, 1, 0, 1, 1]
         # draws above every wrong-event probability reproduce the configuration
-        out2 = step(spec, win, [1, 1], np.full(4, 0.005))
+        out2 = batch_step(spec, win, [1, 1], np.full(4, 0.005))
         assert np.array_equal(out2, cfg)
         assert 0.001 < probs[5] < 0.005
-
-    def test_missing_draw(self):
-        spec = build_two_inhibitor(1, 5.0)
-        # one draw per non-input neuron, as one array: neither fewer nor a mapping
-        for draws in ([0.5, 0.5], np.full((1, 3), 0.5), {1: 0.5, 2: 0.5, 3: 0.5}):
-            with pytest.raises(MissingDraw, match=r"non-input neuron \(3\)"):
-                step(spec, zero_window(spec), [1], draws)
 
 
 class TestRun:
@@ -99,6 +108,12 @@ class TestRun:
         spec = build_two_inhibitor(2, 8.0)
         with pytest.raises(HorizonTooShort):
             run(spec, zero_window(spec), [1, 0], 0, RandomnessContract(0))
+
+    @pytest.mark.parametrize("horizon", ["9", 9.0, True, None])
+    def test_horizon_must_be_an_int(self, horizon):
+        spec = build_two_inhibitor(2, 8.0)
+        with pytest.raises(WtaLabError, match="horizon"):
+            run(spec, zero_window(spec), [1, 0], horizon, RandomnessContract(0))
 
     def test_start_window_holds_the_input(self):
         # the explicit window leaves its input bits silent; as on the batch
@@ -139,6 +154,45 @@ class TestRun:
             assert np.array_equal(ex.frames[-1], frames[trial, -1].astype(np.uint8))
 
 
+# every public call that takes trial ids, as call(spec, x, ids)
+_TRIAL_CALLS = {
+    "run": lambda spec, x, ids: run(spec, "uniform_random", x, 4, RandomnessContract(1),
+                                    trial=ids[0]),
+    "initial_window": lambda spec, x, ids: initial_window(
+        spec, "uniform_random", x, RandomnessContract(1), trial=ids[0]
+    ),
+    "initial_windows_batch": lambda spec, x, ids: initial_windows_batch(
+        spec, "uniform_random", x, ids, RandomnessContract(1)
+    ),
+    "batch_convergence_times": lambda spec, x, ids: batch_convergence_times(
+        spec, x, initial_windows_batch(spec, "all_zero", x, np.arange(len(ids)),
+                                       RandomnessContract(1)),
+        ids, 2, 6, RandomnessContract(1),
+    ),
+}
+
+
+class TestTrialIds:
+    """A trial id is the draws' 64-bit trial word: every call that takes one
+    accepts exactly the ints 0..2^64-1."""
+
+    @pytest.mark.parametrize("trial", [-1, 2**64, 2**70, True, 1.5], ids=str)
+    @pytest.mark.parametrize("name", list(_TRIAL_CALLS))
+    def test_out_of_range_rejected(self, name, trial):
+        # -1 wrapped to 2^64-1's draws; -1 in a list and 2^70 raised OverflowError
+        spec = build_two_inhibitor(2, 8.0)
+        with pytest.raises(WtaLabError, match="trial id must be an int in 0..2\\^64-1"):
+            _TRIAL_CALLS[name](spec, np.ones(2, dtype=np.uint8), [trial])
+
+    @pytest.mark.parametrize("name", list(_TRIAL_CALLS))
+    def test_full_range_accepted(self, name):
+        # batch_convergence_times made int64 ids and raised OverflowError from 2^63 on
+        spec = build_two_inhibitor(2, 8.0)
+        x = np.ones(2, dtype=np.uint8)
+        for ids in ([0], [2**64 - 1], [2**63], np.array([2**64 - 1], dtype=np.uint64)):
+            _TRIAL_CALLS[name](spec, x, ids)
+
+
 class TestMarkovProperty:
     def test_step_reads_only_last_h_frames(self, nprng):
         for _ in range(10):
@@ -147,10 +201,10 @@ class TestMarkovProperty:
             frames = (nprng.random((5, spec.n_neurons)) < 0.5).astype(np.uint8)
             frames[:, :2] = x
             draws = nprng.random(spec.non_input_indices.size)
-            full = step(spec, frames[-2:], x, draws)
+            full = batch_step(spec, frames[-2:], x, draws)
             mutated = frames.copy()
             mutated[0] = 1 - mutated[0]  # touch a frame older than the window
-            again = step(spec, mutated[-2:], x, draws)
+            again = batch_step(spec, mutated[-2:], x, draws)
             assert np.array_equal(full, again)
 
 
@@ -167,8 +221,8 @@ class TestSymmetry:
             permuted[n : 2 * n] = bits[n : 2 * n][perm]
             # the non-input neurons are n..2n+1: outputs, then a_s and a_c
             perm_draws = np.concatenate([draws[n + perm], draws[2 * n :]])
-            out = step(spec, bits, bits[:n], draws[n:])
-            out_p = step(spec, permuted, permuted[:n], perm_draws)
+            out = batch_step(spec, bits, bits[:n], draws[n:])
+            out_p = batch_step(spec, permuted, permuted[:n], perm_draws)
             assert np.array_equal(out_p[n : 2 * n], out[n : 2 * n][perm])
             assert np.array_equal(out_p[2 * n :], out[2 * n :])
 
@@ -741,7 +795,6 @@ _INPUT_CALLS = {
     "initial_windows_batch": lambda spec, x, w: initial_windows_batch(
         spec, "uniform_random", x, np.arange(3), RandomnessContract(0)
     ),
-    "step": lambda spec, x, w: step(spec, w, x, np.zeros(spec.non_input_indices.size)),
     "WindowStateSpace": lambda spec, x, w: WindowStateSpace(spec, x),
     "convergence_cdf": lambda spec, x, w: convergence_cdf(spec, x, w, 2, 5),
     "hold_probability": lambda spec, x, w: hold_probability(spec, x, w, 2),

@@ -10,7 +10,8 @@ sides alike. A run whose ``correct`` verdict is false stops the comparison.
 It prints one markdown row per end-to-end metric: each side's median and
 quartiles, the base runs' spread (interquartile range over median), the
 ratio of the medians head/base, how many pairs the head is better in (lower
-or higher, as the metric's ``better`` says), and the metric's bound. Then it
+or higher, as the metric's ``better`` says), the metric's bound, and the
+``verdict`` of the benchmark rules on them (see ``verdict``). Then it
 lists every run's metrics, the host's one-minute load average before and
 after it (``os.getloadavg``), so a pair run under outside load shows, and its
 operations failed and attempted. It writes nothing but what
@@ -63,6 +64,33 @@ def spread(values) -> float:
     return float((q3 - q1) / mid) if mid else float("nan")
 
 
+def verdict(base, head, better: str, bound: float) -> str:
+    """The benchmark rules' reading of one metric over paired runs, pair
+    ``i`` being ``base[i]`` and ``head[i]``; ``better`` is ``"lower"`` or
+    ``"higher"`` and ``bound`` the metric's relative bound. In this order:
+
+    * ``gain``: the head is better in at least 9/10 of the pairs (a tie
+      counts for neither side) and its median is better than the base's by
+      more than the base runs' interquartile range;
+    * ``regression``: the head's median is worse than the base's by more
+      than ``bound`` times the base's median;
+    * ``unresolved``: the base runs' interquartile range over their median
+      exceeds ``bound``, and not every head run is better than every base run;
+    * ``no regression`` otherwise.
+    """
+    sign = 1.0 if better == "lower" else -1.0
+    b, h = sign * np.asarray(base, dtype=float), sign * np.asarray(head, dtype=float)
+    q1, mid, q3 = np.percentile(b, [25, 50, 75])  # lower is better on this scale
+    gap = mid - float(np.median(h))
+    if np.count_nonzero(h < b) >= 0.9 * b.size and gap > q3 - q1:
+        return "gain"
+    if -gap > bound * abs(mid):
+        return "regression"
+    if (q3 - q1) > bound * abs(mid) and not h.max() < b.min():
+        return "unresolved"
+    return "no regression"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", type=Path, required=True, help="the tree to compare against")
@@ -85,8 +113,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"workload {args.workload}, {args.pairs} pairs, seed {args.seed}, {seconds:g} s a run")
     print(f"base {trees['base']}\nhead {trees['head']}\n")
     print("| metric | base median (q1–q3) | head median (q1–q3) | base IQR/median | head/base "
-          "| head better | bound |")
-    print("|---|---|---|---|---|---|---|")
+          "| head better | bound | verdict |")
+    print("|---|---|---|---|---|---|---|---|")
     for metric in bench["end_to_end"]:
         name = metric["name"]
         base = [r["metrics"][name]["value"] for r in runs["base"]]
@@ -96,7 +124,8 @@ def main(argv: list[str] | None = None) -> int:
         better = sum(sign * (y - x) < 0 for x, y in zip(base, head))
         print(f"| {name} ({metric['unit']}) | {quartiles(base)} | {quartiles(head)} "
               f"| {spread(base):.3f} | {h / b:.3f} | {better}/{args.pairs} "
-              f"| {metric['bound']} ({metric['better']}) |")
+              f"| {metric['bound']} ({metric['better']}) "
+              f"| {verdict(base, head, metric['better'], metric['bound'])} |")
     print("\nEvery run, in run order:")
     for side in ("base", "head"):
         for metric in bench["end_to_end"]:
