@@ -18,12 +18,18 @@ description (``LemmaParams`` fields in braces, like ``{level}``, are filled
 in); the sampler ``(g, p) -> (start, ctx)``, which draws the conditioned
 batch from ``g`` (configurations for history 1, two-frame windows for
 history 2) and what the event needs; the steps (an int or a function of
-``p``); the event ``(p, ctx, frames) -> mask`` over each step's new frame;
-the bound kind; the bound ``p -> float``; the ``LemmaParams`` fields echoed
-into the details. ``_run_check`` draws, steps, counts and calls the
-verdict, so a new check is one more row and ``GROUP_IDS`` picks up its
-group. An ``upper_diff`` event returns two masks; the report carries the
-difference of their frequencies.
+``p``); the event ``(p, ctx, frames) -> mask``; the bound kind; the bound
+``p -> float``; the ``LemmaParams`` fields echoed into the details.
+``_run_check`` draws, steps, counts and calls the verdict, so a new check
+is one more row and ``GROUP_IDS`` picks up its group. An ``upper_diff``
+event returns two masks; the report carries the difference of their
+frequencies.
+
+``frames`` is an iterator: each step's new (B, N) frame is yielded as the
+step makes it, and the event reads the frames as they arrive (a one-step
+event takes the first; 5.12 keeps the first frame's outputs and compares
+each later frame with them). No list of frames is built, so a check holds
+its sampled batch plus one window whatever its step count.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -144,10 +150,12 @@ def _x_mixed(g, rows: int, n: int, zero_frac: float = 0.125) -> np.ndarray:
 
 
 def _step(p: LemmaParams, spec: NetworkSpec, windows: np.ndarray,
-          steps: int = 1) -> list[np.ndarray]:
+          steps: int = 1) -> Iterator[np.ndarray]:
     """Advance a batch of windows (or of configurations, for history 1)
-    ``steps`` times with the inputs of its oldest frame held; returns the
-    new frame after each step."""
+    ``steps`` times with the inputs of its oldest frame held, yielding the
+    new (B, N) frame of each step as it is made. Only the current window is
+    kept, so an event that reads the frames as they come holds one window
+    whatever the step count."""
     frames = np.asarray(windows, dtype=np.uint8)
     if frames.ndim == 2:
         frames = frames[:, None, :]
@@ -155,11 +163,16 @@ def _step(p: LemmaParams, spec: NetworkSpec, windows: np.ndarray,
     runner = BatchRunner(spec, RandomnessContract(p.seed))
     trials = np.arange(frames.shape[0], dtype=np.int64)
     h = spec.history
-    out = []
     for k in range(steps):
         frames = runner.advance(frames, h + k, trials, x_rows)
-        out.append(frames[:, -1, :])
-    return out
+        yield frames[:, -1, :]
+
+
+def _last(frames: Iterator[np.ndarray]) -> np.ndarray:
+    """The last frame of a step iterator, reading past the earlier ones."""
+    for frame in frames:
+        pass
+    return frame
 
 
 def _column(bits, rows: int) -> np.ndarray:
@@ -259,17 +272,18 @@ def _reset_config(g, p: LemmaParams):
 
 
 def _inhibitors_are(p: LemmaParams, ctx, frames, a_s: int, a_c: int):
-    return (frames[0][:, 2 * p.n] == a_s) & (frames[0][:, 2 * p.n + 1] == a_c)
+    frame = next(frames)
+    return (frame[:, 2 * p.n] == a_s) & (frame[:, 2 * p.n + 1] == a_c)
 
 
 def _shrinks(p: LemmaParams, ctx, frames):
     x, k = ctx
-    cls = two_inhibitor_classes(x, frames[0])
+    cls = two_inhibitor_classes(x, next(frames))
     return cls.near_valid | (cls.k_wta & (cls.k <= k)) | (cls.k == 0)
 
 
 def _zero_and_near_valid(p: LemmaParams, ctx, frames):
-    cls = two_inhibitor_classes(ctx[0], frames[0])
+    cls = two_inhibitor_classes(ctx[0], next(frames))
     return cls.k == 0, cls.near_valid
 
 
@@ -349,7 +363,7 @@ def _count_window(g, p: LemmaParams, matched: bool):
 def _chain_matches(p: LemmaParams, i, frames):
     levels = np.arange(1, _levels(p) + 1)[None, :]
     expect = (levels <= i[:, None]).astype(np.uint8)
-    return np.all(frames[0][:, 2 * p.n + 1 :] == expect, axis=1)
+    return np.all(next(frames)[:, 2 * p.n + 1 :] == expect, axis=1)
 
 
 def _stability_only_window(g, p: LemmaParams):
@@ -413,7 +427,7 @@ def _near_stable_window(g, p: LemmaParams):
 
 def _next_near_stable(p: LemmaParams, ctx, frames):
     _, w = ctx
-    nxt = frames[0]
+    nxt = next(frames)
     y2 = _outputs(p, nxt)
     return (
         (y2[np.arange(p.samples), w] == 1)
@@ -424,15 +438,16 @@ def _next_near_stable(p: LemmaParams, ctx, frames):
 
 
 def _holds(p: LemmaParams, ctx, frames):
-    first = _outputs(p, frames[0])
+    # a copy: a view would hold the whole first window through every step
+    first = _outputs(p, next(frames)).copy()
     hit = valid_outputs(ctx[0], first)
-    for nxt in frames[1:]:
+    for nxt in frames:
         hit &= np.all(_outputs(p, nxt) == first, axis=1)
     return hit
 
 
 def _first_output_fires(p: LemmaParams, ctx, frames):
-    return frames[0][:, p.n] == 1
+    return next(frames)[:, p.n] == 1
 
 
 # -- catalog ------------------------------------------------------------------
@@ -444,7 +459,7 @@ class _Check:
     description: str
     sample: Callable[[np.random.Generator, LemmaParams], tuple]
     steps: int | Callable[[LemmaParams], int]
-    event: Callable[[LemmaParams, object, list], object]
+    event: Callable[[LemmaParams, object, Iterator[np.ndarray]], object]
     kind: str
     bound: Callable[[LemmaParams], float]
     echo: tuple[str, ...] = ()
@@ -471,22 +486,22 @@ _CHECKS: dict[str, _Check] = {
     "3.6": _Check(
         TWO_INHIBITOR, "a valid configuration repeats unchanged",
         partial(_valid_output_config, near=False),
-        1, lambda p, ctx, f: np.all(f[0] == ctx[1], axis=1),
+        1, lambda p, ctx, f: np.all(next(f) == ctx[1], axis=1),
         "lower", lambda p: 1.0 - (p.n + 2) * _eps(p)),
     "3.7": _Check(
         TWO_INHIBITOR, "silent input: the whole network is quiet within two steps",
         partial(_random_config, inputs=_no_bits),
-        2, lambda p, _, f: f[1][:, p.n :].sum(axis=1) == 0,
+        2, lambda p, _, f: _last(f)[:, p.n :].sum(axis=1) == 0,
         "lower", lambda p: 1.0 - 2.0 * (p.n + 1) * _eps(p)),
     "3.8": _Check(
         TWO_INHIBITOR, "exactly one inhibitor active: outputs repeat verbatim",
         partial(_backed_outputs_config, both=False),
-        1, lambda p, y, f: np.all(_outputs(p, f[0]) == y, axis=1),
+        1, lambda p, y, f: np.all(_outputs(p, next(f)) == y, axis=1),
         "lower", lambda p: 1.0 - p.n * _eps(p)),
     "3.9.1": _Check(
         TWO_INHIBITOR, "both inhibitors active: no silent output starts firing",
         partial(_backed_outputs_config, both=True),
-        1, lambda p, y, f: ~np.any(_outputs(p, f[0]) > y, axis=1),
+        1, lambda p, y, f: ~np.any(_outputs(p, next(f)) > y, axis=1),
         "lower", lambda p: 1.0 - p.n * _eps(p)),
     "3.9.2": _Check(
         TWO_INHIBITOR, "both inhibitors active: a firing winner survives a fair coin",
@@ -495,7 +510,7 @@ _CHECKS: dict[str, _Check] = {
     "3.10": _Check(
         TWO_INHIBITOR, "near-valid configuration settles into the valid one",
         partial(_valid_output_config, near=True),
-        1, lambda p, ctx, f: two_inhibitor_classes(ctx[0], f[0]).valid,
+        1, lambda p, ctx, f: two_inhibitor_classes(ctx[0], next(f)).valid,
         "lower", lambda p: 0.5 - (p.n + 2) * _eps(p)),
     "3.11.1": _Check(
         TWO_INHIBITOR, "competition only shrinks: fewer winners or a terminal state",
@@ -504,7 +519,7 @@ _CHECKS: dict[str, _Check] = {
     "3.11.2": _Check(
         TWO_INHIBITOR, "the firing-output count halves with a fair coin's odds",
         _kwta_config,
-        1, lambda p, ctx, f: two_inhibitor_classes(ctx[0], f[0]).k <= np.ceil(ctx[1] / 2),
+        1, lambda p, ctx, f: two_inhibitor_classes(ctx[0], next(f)).k <= np.ceil(ctx[1] / 2),
         "lower", lambda p: 0.5 - (p.n + 2) * _eps(p)),
     "3.11.3": _Check(
         TWO_INHIBITOR, "overshooting to zero outputs is no likelier than landing near-valid",
@@ -521,15 +536,15 @@ _CHECKS: dict[str, _Check] = {
     "5.3.1": _Check(
         LOG_INHIBITOR, "no output fired in either frame: stability inhibitor silent",
         partial(_recent_outputs_window, fired=False), 1,
-        lambda p, _, f: f[0][:, 2 * p.n] == 0, "lower", lambda p: 1.0 - _eps(p)),
+        lambda p, _, f: next(f)[:, 2 * p.n] == 0, "lower", lambda p: 1.0 - _eps(p)),
     "5.3.2": _Check(
         LOG_INHIBITOR, "an output fired recently: stability inhibitor fires",
         partial(_recent_outputs_window, fired=True), 1,
-        lambda p, _, f: f[0][:, 2 * p.n] == 1, "lower", lambda p: 1.0 - _eps(p)),
+        lambda p, _, f: next(f)[:, 2 * p.n] == 1, "lower", lambda p: 1.0 - _eps(p)),
     "5.4.1": _Check(
         LOG_INHIBITOR, "at most one firing output: the graded chain stays silent",
         partial(_count_window, matched=False),
-        1, lambda p, _, f: f[0][:, 2 * p.n + 1 :].sum(axis=1) == 0,
+        1, lambda p, _, f: next(f)[:, 2 * p.n + 1 :].sum(axis=1) == 0,
         "lower", lambda p: 1.0 - _levels(p) * _eps(p)),
     "5.4.2": _Check(
         LOG_INHIBITOR, "the graded chain fires exactly up to its matching level",
@@ -537,21 +552,22 @@ _CHECKS: dict[str, _Check] = {
         "lower", lambda p: 1.0 - _levels(p) * _eps(p)),
     "5.5": _Check(
         LOG_INHIBITOR, "one step from anywhere lands in a typical configuration",
-        _random_window, 1, lambda p, x, f: typical(x, f[0]),
+        _random_window, 1, lambda p, x, f: typical(x, next(f)),
         "lower", lambda p: 1.0 - (p.n + _levels(p) + 1) * _eps(p)),
     "5.6": _Check(
         LOG_INHIBITOR, "stability inhibitor alone: outputs replay their recent union",
-        _stability_only_window, 1, lambda p, union, f: np.all(_outputs(p, f[0]) == union, axis=1),
+        _stability_only_window,
+        1, lambda p, union, f: np.all(_outputs(p, next(f)) == union, axis=1),
         "lower", lambda p: 1.0 - p.n * _eps(p)),
     "5.7": _Check(
         LOG_INHIBITOR, "no inhibition: every driven output fires, nothing else does",
         partial(_random_window, uninhibited=True),
-        1, lambda p, x, f: np.all(_outputs(p, f[0]) == x, axis=1),
+        1, lambda p, x, f: np.all(_outputs(p, next(f)) == x, axis=1),
         "lower", lambda p: 1.0 - p.n * _eps(p)),
     "5.8.1": _Check(
         LOG_INHIBITOR, "graded inhibition: only twice-firing outputs can survive",
         partial(_level_window, pin_first=False),
-        1, lambda p, winners, f: ~np.any(_outputs(p, f[0]) > winners, axis=1),
+        1, lambda p, winners, f: ~np.any(_outputs(p, next(f)) > winners, axis=1),
         "lower", lambda p: 1.0 - p.n * math.exp(-2.0 * p.gamma)),
     "5.8.2": _Check(
         LOG_INHIBITOR, "a twice-firing winner survives with probability 1/(1+2^{level})",
@@ -560,12 +576,12 @@ _CHECKS: dict[str, _Check] = {
     "5.9": _Check(
         LOG_INHIBITOR, "matched inhibition level: one step to a valid output",
         partial(_graded_count_window, low_zero=False),
-        1, lambda p, x, f: valid_outputs(x, _outputs(p, f[0])),
+        1, lambda p, x, f: valid_outputs(x, _outputs(p, next(f))),
         "lower", lambda p: 1.0 / 16.0 - p.n * math.exp(-2.0 * p.gamma)),
     "5.10": _Check(
         LOG_INHIBITOR, "excess inhibition level: one step to zero firing outputs",
         partial(_graded_count_window, low_zero=True),
-        1, lambda p, _, f: _outputs(p, f[0]).sum(axis=1) == 0,
+        1, lambda p, _, f: _outputs(p, next(f)).sum(axis=1) == 0,
         "lower", lambda p: 1.0 / 8.0 - p.n * math.exp(-2.0 * p.gamma)),
     "5.11": _Check(
         LOG_INHIBITOR, "a near-stable window advances to the next near-stable window",

@@ -105,6 +105,12 @@ class _CounterWalk:
         if absorbed_at >= 0:  # only a window of h >= 2 frames certifies the hold
             cdf[absorbed_at:] = 1.0
             return cdf
+        # the counter gains at most one per frame from c0 at frame h - 1 and
+        # completes the hold one frame after reaching t_s, so no frame before
+        # h + t_s - c0 can; past t_max the CDF stays zero, and no counter
+        # row is built for it
+        if self.spec.history + t_s - c0 > t_max:
+            return cdf
         s0 = self.state_index(window)
         valid = self.valid_states
         rest = np.zeros(self.n_states)

@@ -186,6 +186,14 @@ class TestOracle:
         rows = read_csv(tmp_path / "n25.csv")
         assert len(rows) == 6 and float(rows[-1]["p_exact"]) > 0.0
 
+    def test_hold_longer_than_the_horizon_reads_zero(self, tmp_path):
+        # no counter row is built for a hold the horizon cannot reach
+        code = main(["oracle", "--n", "2", "--gamma", "5", "--ts", str(1 << 62),
+                     "--tmax", "5", "--out", str(tmp_path / "o")])
+        assert code == 0
+        rows = read_csv(tmp_path / "o.csv")
+        assert [float(r["p_exact"]) for r in rows] == [0.0] * 6
+
     def test_lumped_guard_exit_code(self, tmp_path):
         code = main(["oracle", "--n", str(1 << 16), "--gamma", "10", "--ts", "3",
                      "--tmax", "5", "--out", str(tmp_path / "huge")])

@@ -8,6 +8,7 @@ enumerating every member of the conditioning class on small instances.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,6 +68,20 @@ class TestCatalogApi:
     def test_unknown_keyword_is_a_wtalab_error(self, params):
         with pytest.raises(WtaLabError, match="takes no parameter"):
             lemma_check("3.4", **params)
+
+    def test_memory_does_not_grow_with_steps(self):
+        # 5.12 steps t_s + 1 times; its event reads each frame as the step
+        # yields it, so the check holds its batch and one window at any t_s
+        lemma_check("5.12", samples=5_000, t_s=1)  # first-call caches, untraced
+        peaks = []
+        for t_s in (1, 200):
+            tracemalloc.start()
+            try:
+                lemma_check("5.12", samples=5_000, t_s=t_s)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
     def test_reports_deterministic(self):
         a = lemma_check("3.9.2", samples=5000, seed=3)[0]

@@ -167,6 +167,61 @@ class TestConvergenceCdf:
         cdf = convergence_cdf(spec, [1, 1], init, t_s=3, t_max=2)
         assert np.all(cdf == 0.0)
 
+    # The CDFs at n=2, gamma=5, X = 11 and t_max = 5, as the full walk gave
+    # them before a horizon short of the hold returned early. From either
+    # start the counter is 0 at frame 0, so the hold of t_s completes at
+    # frame 1 + t_s at the earliest: t_s >= 5 reads all zero.
+    _SHORT_HORIZON = {
+        "all_zero": [
+            [0.0, 0.0, 0.2685621537305344, 0.33087306042778974, 0.41780197679108266,
+             0.5122176156770136],
+            [0.0, 0.0, 0.0, 0.24665357504624852, 0.3038813254487575, 0.3837282600167975],
+            [0.0, 0.0, 0.0, 0.0, 0.22653223932713162, 0.27909150366337215],
+            [0.0, 0.0, 0.0, 0.0, 0.0, 0.20805234809567522],
+        ],
+        "all_fire": [
+            [0.0, 0.0, 0.2685621537305344, 0.33087306042778974, 0.4178019767910826,
+             0.5122176156770136],
+            [0.0, 0.0, 0.0, 0.24665357504624852, 0.3038813254487575, 0.3837282600167975],
+            [0.0, 0.0, 0.0, 0.0, 0.22653223932713162, 0.27909150366337215],
+            [0.0, 0.0, 0.0, 0.0, 0.0, 0.20805234809567522],
+        ],
+    }
+
+    @pytest.mark.parametrize("t_s", range(1, 9))
+    @pytest.mark.parametrize("start", sorted(_SHORT_HORIZON))
+    def test_pinned_around_the_first_reachable_hold(self, start, t_s):
+        spec = build_two_inhibitor(2, 5.0)
+        x = np.ones(2, dtype=np.uint8)
+        cdf = convergence_cdf(spec, x, initial_window(spec, start, x), t_s, 5)
+        rows = self._SHORT_HORIZON[start]
+        assert cdf.tolist() == (rows[t_s - 1] if t_s <= len(rows) else [0.0] * 6)
+
+    @pytest.mark.parametrize("t_s", [2, 3, 5])
+    @pytest.mark.parametrize("build_spec", [build_two_inhibitor, build_log_inhibitor],
+                             ids=["lumped_chain", "window_chain"])
+    def test_valid_start_first_completes_at_t_s(self, build_spec, t_s):
+        # a start window whose h frames repeat one valid output begins at
+        # counter h, so the hold first completes at frame h + t_s - h = t_s
+        spec = build_spec(2, 8.0)
+        x = np.ones(2, dtype=np.uint8)
+        window = np.zeros((spec.history, spec.n_neurons), dtype=np.uint8)
+        window[:, spec.input_indices] = 1
+        window[:, spec.output_indices[0]] = 1
+        window[:, spec.auxiliary_indices[0]] = 1
+        reached = convergence_cdf(spec, x, window, t_s, t_s)
+        assert np.all(reached[:t_s] == 0.0) and reached[t_s] > 0.0
+        assert convergence_cdf(spec, x, window, t_s, t_s - 1).tolist() == [0.0] * t_s
+
+    @pytest.mark.parametrize("build_spec", [build_two_inhibitor, build_log_inhibitor],
+                             ids=["lumped_chain", "window_chain"])
+    def test_hold_past_the_horizon_builds_no_counter_rows(self, build_spec):
+        # 2^62 counter rows of held mass could never be allocated
+        spec = build_spec(2, 5.0)
+        x = np.ones(2, dtype=np.uint8)
+        cdf = convergence_cdf(spec, x, initial_window(spec, "all_zero", x), 1 << 62, 5)
+        assert cdf.tolist() == [0.0] * 6
+
     def test_nondecreasing_and_bounded(self):
         spec = build_two_inhibitor(2, 6.0)
         init = np.zeros((1, 6), dtype=np.uint8)

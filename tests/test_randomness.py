@@ -99,3 +99,65 @@ def test_golden_draws(seed, time):
     got = rng.uniform_block(_GOLDEN_TRIALS, time, _GOLDEN_NEURONS)
     assert got.dtype == np.float64
     assert got.tolist() == _GOLDEN[(seed, time)]
+
+
+# The draw contract inverted: every step of the hash is a bijection on 64-bit
+# words (xorshifts, odd multipliers, xors with fixed words), so a trial id can
+# be solved for from the word a draw should hash to.
+_MASK = (1 << 64) - 1
+_M1, _M2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_K_SEED, _K_TRIAL = 0x9E3779B97F4A7C15, 0xD1B54A32D192ED03
+_K_TIME, _K_NEURON = 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9
+LARGEST_DRAW = 1.0 - 2.0 ** -53
+
+
+def _mix(z: int) -> int:
+    """The splitmix64 finalizer on one word."""
+    z ^= z >> 30
+    z = z * _M1 & _MASK
+    z ^= z >> 27
+    z = z * _M2 & _MASK
+    return z ^ (z >> 31)
+
+
+def _unshift(z: int, s: int) -> int:
+    """The x with ``x ^ (x >> s) == z``."""
+    x = z
+    for _ in range(64 // s):
+        x = z ^ (x >> s)
+    return x
+
+
+def _unmix(z: int) -> int:
+    """The inverse of ``_mix``."""
+    z = _unshift(z, 31) * pow(_M2, -1, 1 << 64) & _MASK
+    z = _unshift(z, 27) * pow(_M1, -1, 1 << 64) & _MASK
+    return _unshift(z, 30)
+
+
+def trial_drawing(seed: int, time: int, neuron: int, draw: float) -> int:
+    """A trial id whose draw at ``(seed, time, neuron)`` is ``draw``, either
+    0.0 (hash word 0) or ``LARGEST_DRAW`` (hash word 2^64 - 1)."""
+    word = {0.0: 0, LARGEST_DRAW: _MASK}[draw]
+    b = _unmix(word) ^ (neuron * _K_NEURON & _MASK)
+    a = _unmix(b) ^ (time * _K_TIME & _MASK)
+    return (_unmix(a) ^ _mix(seed * _K_SEED + _M2 & _MASK)) * pow(_K_TRIAL, -1, 1 << 64) & _MASK
+
+
+@given(st.integers(0, _MASK))
+def test_unmix_inverts_mix(z):
+    assert _unmix(_mix(z)) == z and _mix(_unmix(z)) == z
+
+
+@pytest.mark.parametrize("draw", [0.0, LARGEST_DRAW], ids=["zero", "largest"])
+@pytest.mark.parametrize("seed, time, neuron", [(1, 5, 7), (0, 0, 0), (_MASK, 10**9, 1023)])
+def test_both_edges_of_the_unit_interval_are_drawn(seed, time, neuron, draw):
+    trial = trial_drawing(seed, time, neuron, draw)
+    got = RandomnessContract(seed).uniform_block(np.uint64([trial]), time, [neuron])
+    assert got[0, 0] == draw
+
+
+def test_a_trial_that_draws_zero():
+    assert trial_drawing(1, 5, 7, 0.0) == 9080191146802024021
+    draws = RandomnessContract(1).uniform_block(np.uint64([9080191146802024021]), 5, [7])
+    assert draws[0, 0] == 0.0

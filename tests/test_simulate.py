@@ -34,6 +34,7 @@ from wtalab import oracle, simulate
 from wtalab.simulate import BatchRunner
 
 from conftest import brute_convergence_time, plan_in_batches, random_network
+from test_randomness import LARGEST_DRAW, trial_drawing
 
 
 def zero_window(spec, x=None):
@@ -878,3 +879,39 @@ class TestSaturatedStep:
         frames = initial_windows_batch(spec, "all_zero", x, np.arange(4), RandomnessContract(0))
         new = BatchRunner(spec, _ZeroFirstDraw(1)).step_bits(frames, 1, np.arange(4), x)
         assert new[0, spec.output_indices[0]] == 0
+
+
+class TestDrawEdges:
+    """A neuron fires iff its draw ``u`` is below its probability ``p``, at
+    both ends of the draws: ``u = 0`` fires any ``p > 0``, even one below
+    2^-53, and no ``p == 0``; the largest draw ``1 - 2^-53`` fires ``p == 1``
+    but not the largest ``p`` below 1 that a potential of 30 gives."""
+
+    # potential -b of each output: p in (0, 2^-53], p == 0, p == 1, p < 1 - 2^-53
+    BIASES = {1: 40.0, 2: 800.0, 3: -40.0, 4: -30.0}
+    SEED, TIME = 1, 5
+
+    def spec(self):
+        kind = [INPUT] + [OUTPUT] * 4
+        return NetworkSpec.from_edges(kind, [EXCITATORY] * 5, [], self.BIASES)
+
+    def test_probabilities_sit_at_the_edges(self):
+        p = BatchRunner(self.spec(), RandomnessContract(self.SEED)).probabilities(
+            np.zeros((1, 1, 5), dtype=np.uint8))[0]
+        assert 0.0 < p[0] <= 2.0 ** -53 and p[1] == 0.0
+        assert p[2] == 1.0 and sigmoid(30.0) == p[3] < LARGEST_DRAW
+
+    @pytest.mark.parametrize("draw, fires", [
+        (0.0, [1, 0, 1, 1]),
+        (LARGEST_DRAW, [0, 0, 1, 0]),
+    ], ids=["zero_draw", "largest_draw"])
+    def test_step_bits_fire_iff_draw_below_p(self, draw, fires):
+        spec = self.spec()
+        outputs = spec.output_indices
+        # row i draws ``draw`` for output i
+        trials = np.uint64([trial_drawing(self.SEED, self.TIME, int(u), draw) for u in outputs])
+        rng = RandomnessContract(self.SEED)
+        assert np.all(np.diag(rng.uniform_block(trials, self.TIME, outputs)) == draw)
+        frames = np.zeros((trials.size, 1, spec.n_neurons), dtype=np.uint8)
+        new = BatchRunner(spec, rng).step_bits(frames, self.TIME, trials, [0])
+        assert np.diag(new[:, outputs]).tolist() == fires

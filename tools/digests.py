@@ -8,7 +8,8 @@ The cells cover the Monte Carlo path (``run_trials`` convergence times and
 final windows, three families at n = 16, 64, 1024, and
 ``self_stabilization_probe`` with two perturbations on two-inhibitor
 n = 16, 64 and log-inhibitor n = 16), every lemma report
-(all 28 checks, in ``GROUP_IDS`` order), the exact oracle
+(all 28 checks, in ``GROUP_IDS`` order, and 5.12 again at t_s = 40, whose
+hold reads 41 frames), the exact oracle
 (``convergence_cdf`` for two-inhibitor n <= 8 and log-inhibitor n <= 3,
 two-inhibitor n = 512, whose lumped chains take several row blocks, and the
 window chain's own ``cdf`` for two- and single-inhibitor n <= 3),
@@ -109,6 +110,9 @@ def lemma_cells() -> dict:
     for gid in GROUP_IDS:
         for report in lemma_check(gid, n=8, gamma=14.0, samples=20_000, seed=3):
             cells[f"lemma/{report.lemma_id}"] = _sha(report.as_dict())
+    # 5.12 folds 41 frames here: one dropped or out of order changes the digest
+    (report,) = lemma_check("5.12", n=8, gamma=14.0, samples=20_000, seed=3, t_s=40)
+    cells["lemma/5.12@t_s=40"] = _sha(report.as_dict())
     return cells
 
 
