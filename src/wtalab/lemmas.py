@@ -17,23 +17,25 @@ Every check is one row of ``_CHECKS``, keyed by its id: the family; a
 description (``LemmaParams`` fields in braces, like ``{level}``, are filled
 in); the sampler ``(g, p) -> (start, ctx)``, which draws the conditioned
 batch from ``g`` (configurations for history 1, two-frame windows for
-history 2) and what the event needs; the steps (an int or a function of
-``p``); the event ``(p, ctx, frames) -> mask``; the bound kind; the bound
-``p -> float``; the ``LemmaParams`` fields echoed into the details.
+history 2) and what the event needs; the event ``(p, ctx, frames) ->
+mask``; the bound kind; the bound ``p -> float``; the ``LemmaParams``
+fields echoed into the details.
 ``_run_check`` draws, steps, counts and calls the verdict, so a new check
 is one more row and ``GROUP_IDS`` picks up its group. An ``upper_diff``
 event returns two masks; the report carries the difference of their
 frequencies.
 
-``frames`` is an iterator: each step's new (B, N) frame is yielded as the
-step makes it, and the event reads the frames as they arrive (a one-step
-event takes the first; 5.12 keeps the first frame's outputs and compares
-each later frame with them). No list of frames is built, so a check holds
+``frames`` is an endless iterator: each step's new (B, N) frame is made
+when the event asks for it, so the event alone sets how many steps a check
+takes (a one-step event takes the first frame; 3.7 reads its second, 3.12
+its first three, and 5.12 keeps the first frame's outputs and compares the
+next t_s frames with them). No list of frames is built, so a check holds
 its sampled batch plus one window whatever its step count.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -149,30 +151,22 @@ def _x_mixed(g, rows: int, n: int, zero_frac: float = 0.125) -> np.ndarray:
     return x
 
 
-def _step(p: LemmaParams, spec: NetworkSpec, windows: np.ndarray,
-          steps: int = 1) -> Iterator[np.ndarray]:
+def _step(p: LemmaParams, spec: NetworkSpec, windows: np.ndarray) -> Iterator[np.ndarray]:
     """Advance a batch of windows (or of configurations, for history 1)
-    ``steps`` times with the inputs of its oldest frame held, yielding the
-    new (B, N) frame of each step as it is made. Only the current window is
-    kept, so an event that reads the frames as they come holds one window
-    whatever the step count."""
+    without end, with the inputs of its oldest frame held, yielding the new
+    (B, N) frame of each step as it is made. A step is made only when the
+    next frame is asked for, and only the current window is kept, so an
+    event that reads the frames as they come holds one window whatever the
+    step count."""
     frames = np.asarray(windows, dtype=np.uint8)
     if frames.ndim == 2:
         frames = frames[:, None, :]
     x_rows = frames[:, 0, spec.input_indices]
     runner = BatchRunner(spec, RandomnessContract(p.seed))
     trials = np.arange(frames.shape[0], dtype=np.int64)
-    h = spec.history
-    for k in range(steps):
-        frames = runner.advance(frames, h + k, trials, x_rows)
+    for t in itertools.count(spec.history):
+        frames = runner.advance(frames, t, trials, x_rows)
         yield frames[:, -1, :]
-
-
-def _last(frames: Iterator[np.ndarray]) -> np.ndarray:
-    """The last frame of a step iterator, reading past the earlier ones."""
-    for frame in frames:
-        pass
-    return frame
 
 
 def _column(bits, rows: int) -> np.ndarray:
@@ -289,7 +283,7 @@ def _zero_and_near_valid(p: LemmaParams, ctx, frames):
 
 def _active_within(p: LemmaParams, x, frames):
     hit = np.zeros(p.samples, dtype=bool)
-    for nxt in frames:
+    for nxt in itertools.islice(frames, 3):
         cls = two_inhibitor_classes(x, nxt)
         hit |= cls.valid | cls.near_valid | cls.k_wta
     return hit
@@ -441,7 +435,7 @@ def _holds(p: LemmaParams, ctx, frames):
     # a copy: a view would hold the whole first window through every step
     first = _outputs(p, next(frames)).copy()
     hit = valid_outputs(ctx[0], first)
-    for nxt in frames:
+    for nxt in itertools.islice(frames, p.t_s):
         hit &= np.all(_outputs(p, nxt) == first, axis=1)
     return hit
 
@@ -458,7 +452,6 @@ class _Check:
     family: str
     description: str
     sample: Callable[[np.random.Generator, LemmaParams], tuple]
-    steps: int | Callable[[LemmaParams], int]
     event: Callable[[LemmaParams, object, Iterator[np.ndarray]], object]
     kind: str
     bound: Callable[[LemmaParams], float]
@@ -468,128 +461,128 @@ class _Check:
 _CHECKS: dict[str, _Check] = {
     "3.4": _Check(
         TWO_INHIBITOR, "output with silent input fires anyway",
-        partial(_random_config, inputs=_silent_first_bits), 1, _first_output_fires,
+        partial(_random_config, inputs=_silent_first_bits), _first_output_fires,
         "upper", _eps),
     "3.5.1": _Check(
         TWO_INHIBITOR, "no firing outputs: both inhibitors go silent",
-        partial(_random_config, outputs=_no_bits), 1,
+        partial(_random_config, outputs=_no_bits),
         partial(_inhibitors_are, a_s=0, a_c=0), "lower", lambda p: 1.0 - 2.0 * _eps(p)),
     "3.5.2": _Check(
         TWO_INHIBITOR, "one firing output: stability fires, convergence stays silent",
-        partial(_random_config, outputs=lambda g, B, n: _exactly_k(g, B, n, 1)), 1,
+        partial(_random_config, outputs=lambda g, B, n: _exactly_k(g, B, n, 1)),
         partial(_inhibitors_are, a_s=1, a_c=0), "lower", lambda p: 1.0 - 2.0 * _eps(p)),
     "3.5.3": _Check(
         TWO_INHIBITOR, "two or more firing outputs: both inhibitors fire",
         partial(_random_config, outputs=lambda g, B, n: _exactly_k(
-            g, B, n, g.integers(2, n + 1, size=B))), 1,
+            g, B, n, g.integers(2, n + 1, size=B))),
         partial(_inhibitors_are, a_s=1, a_c=1), "lower", lambda p: 1.0 - 2.0 * _eps(p)),
     "3.6": _Check(
         TWO_INHIBITOR, "a valid configuration repeats unchanged",
         partial(_valid_output_config, near=False),
-        1, lambda p, ctx, f: np.all(next(f) == ctx[1], axis=1),
+        lambda p, ctx, f: np.all(next(f) == ctx[1], axis=1),
         "lower", lambda p: 1.0 - (p.n + 2) * _eps(p)),
     "3.7": _Check(
         TWO_INHIBITOR, "silent input: the whole network is quiet within two steps",
         partial(_random_config, inputs=_no_bits),
-        2, lambda p, _, f: _last(f)[:, p.n :].sum(axis=1) == 0,
+        lambda p, _, f: next(itertools.islice(f, 1, None))[:, p.n :].sum(axis=1) == 0,
         "lower", lambda p: 1.0 - 2.0 * (p.n + 1) * _eps(p)),
     "3.8": _Check(
         TWO_INHIBITOR, "exactly one inhibitor active: outputs repeat verbatim",
         partial(_backed_outputs_config, both=False),
-        1, lambda p, y, f: np.all(_outputs(p, next(f)) == y, axis=1),
+        lambda p, y, f: np.all(_outputs(p, next(f)) == y, axis=1),
         "lower", lambda p: 1.0 - p.n * _eps(p)),
     "3.9.1": _Check(
         TWO_INHIBITOR, "both inhibitors active: no silent output starts firing",
         partial(_backed_outputs_config, both=True),
-        1, lambda p, y, f: ~np.any(_outputs(p, next(f)) > y, axis=1),
+        lambda p, y, f: ~np.any(_outputs(p, next(f)) > y, axis=1),
         "lower", lambda p: 1.0 - p.n * _eps(p)),
     "3.9.2": _Check(
         TWO_INHIBITOR, "both inhibitors active: a firing winner survives a fair coin",
-        partial(_backed_outputs_config, both=True, ensure_winner=True), 1, _first_output_fires,
+        partial(_backed_outputs_config, both=True, ensure_winner=True), _first_output_fires,
         "exact", lambda p: 0.5),
     "3.10": _Check(
         TWO_INHIBITOR, "near-valid configuration settles into the valid one",
         partial(_valid_output_config, near=True),
-        1, lambda p, ctx, f: two_inhibitor_classes(ctx[0], next(f)).valid,
+        lambda p, ctx, f: two_inhibitor_classes(ctx[0], next(f)).valid,
         "lower", lambda p: 0.5 - (p.n + 2) * _eps(p)),
     "3.11.1": _Check(
         TWO_INHIBITOR, "competition only shrinks: fewer winners or a terminal state",
-        _kwta_config, 1, _shrinks,
+        _kwta_config, _shrinks,
         "lower", lambda p: 1.0 - (p.n + 2) * _eps(p)),
     "3.11.2": _Check(
         TWO_INHIBITOR, "the firing-output count halves with a fair coin's odds",
         _kwta_config,
-        1, lambda p, ctx, f: two_inhibitor_classes(ctx[0], next(f)).k <= np.ceil(ctx[1] / 2),
+        lambda p, ctx, f: two_inhibitor_classes(ctx[0], next(f)).k <= np.ceil(ctx[1] / 2),
         "lower", lambda p: 0.5 - (p.n + 2) * _eps(p)),
     "3.11.3": _Check(
         TWO_INHIBITOR, "overshooting to zero outputs is no likelier than landing near-valid",
-        _kwta_config, 1, _zero_and_near_valid,
+        _kwta_config, _zero_and_near_valid,
         "upper_diff", lambda p: (p.n + 2) * _eps(p)),
     "3.12": _Check(
         TWO_INHIBITOR, "a reset restarts the competition into an active state",
-        _reset_config, 3, _active_within,
+        _reset_config, _active_within,
         "lower", lambda p: 0.5 - 3.0 * (p.n + 2) * _eps(p)),
     "5.2": _Check(
         LOG_INHIBITOR, "output with silent input fires anyway",
-        partial(_random_window, inputs=_silent_first_bits), 1, _first_output_fires,
+        partial(_random_window, inputs=_silent_first_bits), _first_output_fires,
         "upper", lambda p: math.exp(-3.0 * p.gamma / 2)),
     "5.3.1": _Check(
         LOG_INHIBITOR, "no output fired in either frame: stability inhibitor silent",
-        partial(_recent_outputs_window, fired=False), 1,
+        partial(_recent_outputs_window, fired=False),
         lambda p, _, f: next(f)[:, 2 * p.n] == 0, "lower", lambda p: 1.0 - _eps(p)),
     "5.3.2": _Check(
         LOG_INHIBITOR, "an output fired recently: stability inhibitor fires",
-        partial(_recent_outputs_window, fired=True), 1,
+        partial(_recent_outputs_window, fired=True),
         lambda p, _, f: next(f)[:, 2 * p.n] == 1, "lower", lambda p: 1.0 - _eps(p)),
     "5.4.1": _Check(
         LOG_INHIBITOR, "at most one firing output: the graded chain stays silent",
         partial(_count_window, matched=False),
-        1, lambda p, _, f: next(f)[:, 2 * p.n + 1 :].sum(axis=1) == 0,
+        lambda p, _, f: next(f)[:, 2 * p.n + 1 :].sum(axis=1) == 0,
         "lower", lambda p: 1.0 - _levels(p) * _eps(p)),
     "5.4.2": _Check(
         LOG_INHIBITOR, "the graded chain fires exactly up to its matching level",
-        partial(_count_window, matched=True), 1, _chain_matches,
+        partial(_count_window, matched=True), _chain_matches,
         "lower", lambda p: 1.0 - _levels(p) * _eps(p)),
     "5.5": _Check(
         LOG_INHIBITOR, "one step from anywhere lands in a typical configuration",
-        _random_window, 1, lambda p, x, f: typical(x, next(f)),
+        _random_window, lambda p, x, f: typical(x, next(f)),
         "lower", lambda p: 1.0 - (p.n + _levels(p) + 1) * _eps(p)),
     "5.6": _Check(
         LOG_INHIBITOR, "stability inhibitor alone: outputs replay their recent union",
         _stability_only_window,
-        1, lambda p, union, f: np.all(_outputs(p, next(f)) == union, axis=1),
+        lambda p, union, f: np.all(_outputs(p, next(f)) == union, axis=1),
         "lower", lambda p: 1.0 - p.n * _eps(p)),
     "5.7": _Check(
         LOG_INHIBITOR, "no inhibition: every driven output fires, nothing else does",
         partial(_random_window, uninhibited=True),
-        1, lambda p, x, f: np.all(_outputs(p, next(f)) == x, axis=1),
+        lambda p, x, f: np.all(_outputs(p, next(f)) == x, axis=1),
         "lower", lambda p: 1.0 - p.n * _eps(p)),
     "5.8.1": _Check(
         LOG_INHIBITOR, "graded inhibition: only twice-firing outputs can survive",
         partial(_level_window, pin_first=False),
-        1, lambda p, winners, f: ~np.any(_outputs(p, next(f)) > winners, axis=1),
+        lambda p, winners, f: ~np.any(_outputs(p, next(f)) > winners, axis=1),
         "lower", lambda p: 1.0 - p.n * math.exp(-2.0 * p.gamma)),
     "5.8.2": _Check(
         LOG_INHIBITOR, "a twice-firing winner survives with probability 1/(1+2^{level})",
-        partial(_level_window, pin_first=True), 1, _first_output_fires,
+        partial(_level_window, pin_first=True), _first_output_fires,
         "exact", lambda p: 1.0 / (1.0 + 2.0 ** p.level), echo=("level",)),
     "5.9": _Check(
         LOG_INHIBITOR, "matched inhibition level: one step to a valid output",
         partial(_graded_count_window, low_zero=False),
-        1, lambda p, x, f: valid_outputs(x, _outputs(p, next(f))),
+        lambda p, x, f: valid_outputs(x, _outputs(p, next(f))),
         "lower", lambda p: 1.0 / 16.0 - p.n * math.exp(-2.0 * p.gamma)),
     "5.10": _Check(
         LOG_INHIBITOR, "excess inhibition level: one step to zero firing outputs",
         partial(_graded_count_window, low_zero=True),
-        1, lambda p, _, f: _outputs(p, next(f)).sum(axis=1) == 0,
+        lambda p, _, f: _outputs(p, next(f)).sum(axis=1) == 0,
         "lower", lambda p: 1.0 / 8.0 - p.n * math.exp(-2.0 * p.gamma)),
     "5.11": _Check(
         LOG_INHIBITOR, "a near-stable window advances to the next near-stable window",
-        _near_stable_window, 1, _next_near_stable,
+        _near_stable_window, _next_near_stable,
         "lower", lambda p: 1.0 - (p.n + _levels(p) + 1) * _eps(p)),
     "5.12": _Check(
         LOG_INHIBITOR, "from a near-stable window the winner holds for t_s={t_s} steps",
-        _near_stable_window, lambda p: p.t_s + 1, _holds,
+        _near_stable_window, _holds,
         "lower", lambda p: 1.0 - 3.0 * p.t_s * p.n * _eps(p)),
 }
 
@@ -605,8 +598,7 @@ def _run_check(lemma_id: str, p: LemmaParams, spec: NetworkSpec) -> LemmaCheckRe
     """Sample the row's class, step it, count the event and call the verdict."""
     row = _CHECKS[lemma_id]
     start, ctx = row.sample(_gen(p), p)
-    steps = row.steps(p) if callable(row.steps) else row.steps
-    hit = row.event(p, ctx, _step(p, spec, start, steps))
+    hit = row.event(p, ctx, _step(p, spec, start))
     bound = row.bound(p)
     details = {name: getattr(p, name) for name in row.echo}
     if row.kind == "upper_diff":

@@ -115,10 +115,9 @@ _TABLE_LIMIT = 1 << 16
 _ENTRIES_PER_SYNAPSE = 32
 
 # A run of sources that reach the dense columns alike is read as one slice
-# sum, which costs about as much as a gather slot (16 multiply-adds, see
-# _count_kernel) plus one add per source and one row of a small product; its
-# sources in the dense product cost a multiply-add per dense column each. So
-# a run pays from this many sources on.
+# sum, about a gather slot's cost (16 multiply-adds, see _count_kernel) plus
+# one add per source, and takes one row of the dense product where its
+# sources would take a row each. A run has at least this many sources.
 _RUN_MIN = 16
 
 # Elements of one (rows x m) tile of a step. A tile's float64 arrays are
@@ -244,24 +243,18 @@ class _Kernel(NamedTuple):
     """A spec's count codes, tables and the split that sums the codes (see
     ``BatchRunner``).
 
-    ``slots`` are the gather slots ``(cols, src, radices)``; ``rows`` and
-    ``row_block`` the dense rows; ``cols`` the dense columns, ``runs`` and
-    ``run_block`` (one row per run) the runs of sources they read as slice
-    sums, ``col_src`` and ``col_block`` (one row per source) their single
-    sources. The blocks hold radices in float64 for BLAS. All of them range
-    over every code column. ``offsets`` is each code column's offset into
-    the flat tables, in the codes' dtype; ``pot`` and ``prob`` are the
-    tables. ``levels`` holds, per digit group after the first, its real
-    columns and their code columns."""
+    ``slots`` are the gather slots ``(cols, src, radices)``. ``block`` is the
+    dense product over every code column, in float64 for BLAS: one row per
+    dense source ``dense_src``, then one per run of ``runs``, read against
+    that run's slice sum. ``offsets`` is each code column's offset into the
+    flat tables, in the codes' dtype; ``pot`` and ``prob`` are the tables.
+    ``levels`` holds, per digit group after the first, its real columns and
+    their code columns."""
 
     slots: list
-    rows: np.ndarray | slice
-    row_block: np.ndarray
-    cols: np.ndarray | slice
-    col_src: np.ndarray | slice
-    col_block: np.ndarray
+    dense_src: np.ndarray | slice
     runs: list
-    run_block: np.ndarray
+    block: np.ndarray
     offsets: np.ndarray
     pot: np.ndarray
     prob: np.ndarray
@@ -315,22 +308,27 @@ def _count_kernel(spec: NetworkSpec) -> _Kernel:
     # dense block nearly h*N x m.
     threshold = h * n_all / 16
     cols, col_block, rest = _dense_block(code, src, rad, n_codes, h * n_all, threshold)
-    runs, run_block, col_src = _runs(col_block)
+    runs, run_block, singles = _runs(col_block)
     src, code, rad = src[rest], code[rest], rad[rest]
     rows, row_block, rest = _dense_block(src, code, rad, h * n_all, n_codes, threshold)
     slots = _gather_slots(src[rest], code[rest], rad[rest], n_codes)
+    # One block: a row per dense source, the single sources of the dense
+    # columns and the dense rows, then a row per run. A source that is both
+    # has one row; its dense row holds only synapses outside the dense
+    # columns, so its two parts fall in disjoint columns.
+    dense_src = _distinct(np.concatenate([singles, rows]))
+    block = np.zeros((dense_src.size + len(runs), n_codes))
+    block[np.searchsorted(dense_src, rows)] = row_block
+    block[np.searchsorted(dense_src, singles)[:, None], cols] = col_block[:, singles].T
+    block[dense_src.size :, cols] = run_block
 
     later = np.array(later, dtype=np.intp).reshape(-1, 2)
     groups = [np.flatnonzero(later[:, 1] == g) for g in range(1, later[:, 1].max(initial=0) + 1)]
     return _Kernel(
         slots=[(c, s, v.astype(dtype)) for c, s, v in slots],
-        rows=_selector(rows),
-        row_block=row_block,
-        cols=_selector(cols),
-        col_src=_selector(col_src),
-        col_block=np.ascontiguousarray(col_block[:, col_src].T),
+        dense_src=_selector(dense_src),
         runs=runs,
-        run_block=np.ascontiguousarray(run_block),
+        block=block,
         offsets=(np.cumsum(sizes) - sizes)[which].astype(dtype),
         pot=pot,
         prob=sigmoid(pot / spec.lam),
@@ -353,16 +351,17 @@ class BatchRunner:
     flattened to (B, h*N) with its oldest frame first, times one sparse
     (h*N, m) matrix of those integer radices gives every code. Its sums are
     of integers far below 2^53, so they are exact in any order, under any
-    BLAS kernel and for any number of rows. The matrix is split three ways,
-    so a step costs about the number of synapses instead of ``h * N * m``:
+    BLAS kernel and for any number of rows. The matrix is split into gather
+    slots plus one dense product, so a step costs about the number of
+    synapses instead of ``h * N * m``:
 
-    * target columns with in-degree above a threshold are dense columns. A
-      maximal run of at least ``_RUN_MIN`` consecutive sources that reach
-      them alike (one pattern of radices) is read as a slice sum times that
-      pattern, ``f[:, run].sum(axis=1)`` stacked ``@ run_block``, and every
-      other source that reaches them as ``f[:, col_src] @ col_block``;
-    * of the other synapses, sources with out-degree above it are dense
-      rows, ``f[:, rows] @ row_block``;
+    * target columns with in-degree above a threshold are dense columns, and
+      sources with out-degree above it among the other synapses are dense
+      rows. A maximal run of at least ``_RUN_MIN`` consecutive sources that
+      reach the dense columns alike (one pattern of radices) is read as its
+      slice sum, ``f[:, run].sum(axis=1)``; every other source that reaches
+      them, and every dense row, is a dense source. One product,
+      ``[f[:, dense_src] | run sums] @ block``, adds them to every code;
     * every remaining synapse is a gather: slot ``k`` covers the columns with
       more than ``k`` remaining synapses and adds ``f[:, src] * val`` to
       ``code[:, cols]``.
@@ -380,11 +379,11 @@ class BatchRunner:
     within ``_ENTRIES_PER_SYNAPSE`` per synapse it holds; so the tables grow
     with the synapses. Group 0 is the column's own code, with the bias, and
     each later group a code column after the ``m`` real ones that starts
-    from 0. The split sums all ``M`` code columns alike. The column's
-    potential is the sum of its groups' table potentials in group order,
-    and when a spec has groups every probability is the sigmoid of its
-    potential, made per call (``_lookup``); for a column of one group that
-    is the bits of its ``prob`` entry. Random networks whose columns read
+    from 0. The slots and the product sum all ``M`` code columns alike. The
+    column's potential is the sum of its groups' table potentials in group
+    order, and when a spec has groups every probability is the sigmoid of
+    its potential, made per call (``_lookup``); for a column of one group
+    that is the bits of its ``prob`` entry. Random networks whose columns read
     many distinct weights have groups; the builder networks' columns, a few
     classes of high degree each, do not.
 
@@ -426,17 +425,14 @@ class BatchRunner:
         code = np.tile(k.offsets, (rows, 1))
         for cols, src, val in k.slots:
             _add_into(code, cols, f[:, src] * val)
-        # the dense blocks' float products are whole numbers: the casts are exact
-        if k.row_block.size:
-            code += (f[:, k.rows] @ k.row_block).astype(code.dtype)
-        if k.col_block.size:
-            _add_into(code, k.cols, (f[:, k.col_src] @ k.col_block).astype(code.dtype))
-        if k.runs:
+        if k.block.size:
             # a radix names one class of its code column, so a run's count
             # is at most that class's degree, below the table size: the
-            # codes' dtype holds it
-            sums = np.stack([f[:, r].sum(axis=1, dtype=code.dtype) for r in k.runs], axis=1)
-            _add_into(code, k.cols, (sums @ k.run_block).astype(code.dtype))
+            # codes' dtype holds it. The product's terms and sums are whole
+            # numbers below 2^53, so the float64 product and the cast are exact
+            sums = [f[:, r].sum(axis=1, keepdims=True, dtype=code.dtype) for r in k.runs]
+            x = np.concatenate([f[:, k.dense_src], *sums], axis=1, dtype=np.float64)
+            code += (x @ k.block).astype(code.dtype)
         return code
 
     def _lookup(self, code: np.ndarray, probs: bool) -> np.ndarray:

@@ -25,6 +25,8 @@ from wtalab import (
     build_two_inhibitor,
     lemma_check,
 )
+from wtalab.lemmas import case_ids
+from wtalab.simulate import BatchRunner
 
 
 class TestCatalogApi:
@@ -82,6 +84,25 @@ class TestCatalogApi:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.25 * peaks[0], peaks
+
+    @pytest.mark.parametrize("t_s", [0, 4])
+    def test_each_event_takes_the_steps_it_reads(self, monkeypatch, t_s):
+        # the steps are made as the event reads their frames: 3.7 reads two,
+        # 3.12 three, 5.12 t_s + 1 and every other check one
+        calls = []
+        advance = BatchRunner.advance
+
+        def counted(self, *args):
+            calls.append(1)
+            return advance(self, *args)
+
+        monkeypatch.setattr(BatchRunner, "advance", counted)
+        want = {"3.7": 2, "3.12": 3, "5.12": t_s + 1}
+        for gid in GROUP_IDS:
+            for cid in case_ids(gid):
+                calls.clear()
+                lemma_check(cid, samples=100, t_s=t_s)
+                assert len(calls) == want.get(cid, 1), cid
 
     def test_reports_deterministic(self):
         a = lemma_check("3.9.2", samples=5000, seed=3)[0]

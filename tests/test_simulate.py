@@ -357,12 +357,14 @@ def dense_potentials(spec, frames):
 
 
 def hubs(runner):
-    """The split of the runner's kernel: its dense columns, their runs as
-    (start, stop) sources and their single sources, its dense rows and its
-    gather slots."""
+    """The split of the runner's kernel: its dense sources, its runs as
+    (start, stop) sources, how many code columns its block and its run rows
+    read, and its gather slots."""
     k = runner._kernel
-    return {"cols": k.col_block.shape[1], "runs": [(r.start, r.stop) for r in k.runs],
-            "singles": k.col_block.shape[0], "rows": k.row_block.shape[0],
+    sources = np.arange(runner.spec.history * runner.spec.n_neurons)[k.dense_src]
+    return {"sources": sources.tolist(), "runs": [(r.start, r.stop) for r in k.runs],
+            "cols": int(k.block.any(axis=0).sum()),
+            "run_cols": int(k.block[sources.size :].any(axis=0).sum()),
             "slots": len(k.slots)}
 
 
@@ -390,9 +392,9 @@ class TestKernel:
                 shapes.append((spec, hubs(runner)))
         m = [spec.non_input_indices.size for spec, _ in shapes]
         cols = [h["cols"] for _, h in shapes]
-        assert any(c == k for c, k in zip(cols, m))  # every column a hub
-        assert any(h["cols"] == h["rows"] == 0 for _, h in shapes)  # no hubs
-        assert any(0 < c < k for c, k in zip(cols, m))  # some columns hubs
+        assert any(c == k for c, k in zip(cols, m))  # the block reads every column
+        assert any(h["cols"] == 0 and not h["sources"] for _, h in shapes)  # no block
+        assert any(0 < c < k for c, k in zip(cols, m))  # the block reads some columns
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
     @pytest.mark.parametrize("n", [2, 8, 64, 1024])
@@ -412,14 +414,17 @@ class TestKernel:
         # those of the latest
         two = BatchRunner(build_two_inhibitor(1024, 7.3), RandomnessContract(0))
         log = BatchRunner(build_log_inhibitor(1024, 7.3), RandomnessContract(0))
-        assert hubs(two) == {"cols": 2, "runs": [(1024, 2048)], "singles": 0, "rows": 2,
-                             "slots": 2}
-        assert hubs(log) == {"cols": 11, "runs": [(1024, 2048), (3083, 4107)], "singles": 0,
-                             "rows": 11, "slots": 3}
+        # the auxiliaries are the dense rows, read by every column
+        assert hubs(two) == {"sources": [2048, 2049], "runs": [(1024, 2048)], "cols": 1026,
+                             "run_cols": 2, "slots": 2}
+        assert hubs(log) == {"sources": list(range(4107, 4118)),
+                             "runs": [(1024, 2048), (3083, 4107)], "cols": 1035,
+                             "run_cols": 11, "slots": 3}
         # at n=8 every column is dense, and every source reads the hubs its
         # own way (self-loops), so there are no runs
-        small = BatchRunner(build_log_inhibitor(8, 7.3), RandomnessContract(0))
-        assert hubs(small) == {"cols": 12, "runs": [], "singles": 28, "rows": 0, "slots": 0}
+        small = hubs(BatchRunner(build_log_inhibitor(8, 7.3), RandomnessContract(0)))
+        assert len(small.pop("sources")) == 28
+        assert small == {"runs": [], "cols": 12, "run_cols": 0, "slots": 0}
         for build in (build_two_inhibitor, build_single_inhibitor, build_log_inhibitor):
             assert hubs(BatchRunner(build(8, 7.3), RandomnessContract(0)))["runs"] == []
 
@@ -429,14 +434,30 @@ class TestKernel:
             runner = self.assert_matches_dense(spec, random_frames(nprng, spec, 40, np.uint8))
             k = runner._kernel
             split = hubs(runner)
-            assert len(split["runs"]) >= 2 and split["singles"] > 0
-            # a dense column that reads a run and single sources
-            assert np.any(k.run_block.any(axis=0) & k.col_block.any(axis=0))
-            # the runs' sources and the singles are apart
-            singles = np.arange(spec.history * spec.n_neurons)[k.col_src]
+            n = len(split["sources"])
+            assert len(split["runs"]) >= 2 and n > 0
+            # a block column that a run row and a dense source's row read
+            assert np.any(k.block[n:].any(axis=0) & k.block[:n].any(axis=0))
+            # the runs' sources and the dense sources are apart
+            sources = np.array(split["sources"])
             for start, stop in split["runs"]:
                 assert stop - start >= 16
-                assert not np.any((singles >= start) & (singles < stop))
+                assert not np.any((sources >= start) & (sources < stop))
+
+    def test_a_single_source_that_is_also_a_dense_row(self, nprng):
+        # one block row holds both parts of such a source, in disjoint columns
+        spec = _both_network(nprng)
+        runner = self.assert_matches_dense(spec, random_frames(nprng, spec, 40, np.uint8))
+        k = runner._kernel
+        m = spec.non_input_indices.size
+        assert not k.levels and k.block.shape[1] == m  # one code column per column
+        # a dense column has more than h*N/16 synapses, as in _count_kernel
+        into = (spec.weights[:, :, spec.non_input_indices] != 0).sum(axis=(0, 1))
+        dense = into > spec.history * spec.n_neurons / 16
+        sources = np.arange(spec.n_neurons)[k.dense_src]
+        rows = k.block[: sources.size]
+        both = rows[:, dense].any(axis=1) & rows[:, ~dense].any(axis=1)
+        assert 0 in sources[both]  # the first input, at least
 
     def test_synapse_into_input_is_rejected(self):
         # the constructor rejects it, so the kernel never sees one
@@ -503,6 +524,20 @@ def _runs_network(nprng):
     w[0, outs[:30], aux[1]] = 0.5
     w[0, outs[30:], aux[0]] = 2.0
     return NetworkSpec.from_dense(spec.kind, spec.polarity, w, spec.biases, spec.lam, history=2)
+
+
+def _both_network(nprng):
+    """A sparse random history-1 network whose first auxiliary reads every
+    output, with weights alternating between two values (so no run forms),
+    and whose first input reaches outputs 0..7 and that auxiliary: the input
+    is a single source of a dense column and a dense row."""
+    spec = random_network(nprng, 3, 40, 4, history=1, density=0.02)
+    w = spec.weights.copy()
+    outs, aux = spec.output_indices, spec.auxiliary_indices
+    w[0, outs, aux[0]] = np.where(np.arange(outs.size) % 2, 0.75, 1.5)
+    w[0, 0, outs[:8]] = nprng.uniform(0.5, 3.0, size=8)
+    w[0, 0, aux[0]] = 2.0
+    return NetworkSpec.from_dense(spec.kind, spec.polarity, w, spec.biases, spec.lam, history=1)
 
 
 _FAMILIES = {"two": build_two_inhibitor, "single": build_single_inhibitor,

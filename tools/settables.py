@@ -8,7 +8,9 @@ Classmethods and staticmethods are not unwrapped, so they do not count.
 
     PYTHONPATH=src python tools/settables.py
 
-prints one ``module.owner(parameter)`` per line, then the total.
+prints one ``module.owner(parameter)`` per line, then the total, then the
+size of ``src/``: its newlines over ``src/wtalab/*.py``, as ``wc -l``
+counts them, and its number of files.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import wtalab
 
@@ -49,10 +52,18 @@ def settables() -> list[str]:
     return found
 
 
+def src_size() -> tuple[int, int]:
+    """Lines and files of the package's ``*.py`` sources."""
+    files = sorted(Path(wtalab.__file__).parent.glob("*.py"))
+    return sum(f.read_bytes().count(b"\n") for f in files), len(files)
+
+
 def main() -> None:
     found = settables()
     print("\n".join(found))
     print(f"total {len(found)}")
+    lines, files = src_size()
+    print(f"src {lines} lines in {files} files")
 
 
 if __name__ == "__main__":
